@@ -5,19 +5,13 @@
 //! the fleet size.
 
 use ptsim_bench::experiments::r2_chaos::{render_report, run_campaign, ChaosConfig};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use ptsim_bench::knobs::knob;
 
 fn main() {
     let defaults = ChaosConfig::default();
     let cfg = ChaosConfig {
-        n_dies: env_u64("PTSIM_CHAOS_DIES", defaults.n_dies),
-        n_shards: env_u64("PTSIM_CHAOS_SHARDS", defaults.n_shards),
+        n_dies: knob("PTSIM_CHAOS_DIES").unwrap_or(defaults.n_dies),
+        n_shards: knob("PTSIM_CHAOS_SHARDS").unwrap_or(defaults.n_shards),
         ..defaults
     };
     let report = run_campaign(&cfg);

@@ -6,18 +6,12 @@
 //! stack); `PTSIM_DTM_STEPS` overrides the control-loop horizon.
 
 use ptsim_bench::experiments::r3_dtm::{render_report, run_campaign, R3Config};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use ptsim_bench::knobs::knob;
 
 fn main() {
     let defaults = R3Config::default();
     let cfg = R3Config {
-        steps: env_usize("PTSIM_DTM_STEPS", defaults.steps),
+        steps: knob("PTSIM_DTM_STEPS").unwrap_or(defaults.steps),
         ..defaults
     };
     let report = run_campaign(&cfg);

@@ -25,17 +25,11 @@
 //! `health` drive the JSON (v1) protocol; `read_seq_v2` and
 //! `read_coalesced` negotiate the v2 binary codec.
 
+use ptsim_bench::knobs::knob;
 use ptsim_mc::stats::quantile_in_place;
 use ptsim_service::protocol::{BatchItem, Request, Response};
 use ptsim_service::{Client, Fleet, FleetConfig, Server, ServerConfig};
 use std::time::Instant;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn read_req(die: u64) -> Request {
     Request::Read {
@@ -162,11 +156,13 @@ fn drive_batch(addr: &str, name: &str, requests: usize, n_dies: u64, n_shards: u
 }
 
 fn main() {
-    let requests = env_usize("PTSIM_LOADGEN_REQUESTS", 200);
-    let conns = env_usize("PTSIM_LOADGEN_CONNS", 4).max(1);
-    let n_dies = env_usize("PTSIM_LOADGEN_DIES", 16).max(1) as u64;
+    let requests = knob::<usize>("PTSIM_LOADGEN_REQUESTS").unwrap_or(200);
+    let conns = knob::<usize>("PTSIM_LOADGEN_CONNS").unwrap_or(4).max(1);
+    let n_dies = knob("PTSIM_LOADGEN_DIES").unwrap_or(16u64).max(1);
 
-    let coalesce_max = env_usize("PTSIM_LOADGEN_COALESCE_MAX", 64).max(1);
+    let coalesce_max = knob::<usize>("PTSIM_LOADGEN_COALESCE_MAX")
+        .unwrap_or(64)
+        .max(1);
     let fleet = Fleet::start(FleetConfig {
         n_dies,
         n_shards: 4,
@@ -207,7 +203,8 @@ fn main() {
     // The coalescing showcase: enough concurrent single-read clients to
     // build per-shard queue depth, over the binary codec, so worker wakes
     // drain whole groups through the lane kernel.
-    let coalesce_conns = env_usize("PTSIM_LOADGEN_COALESCE_CONNS", (conns * 2).max(8));
+    let coalesce_conns =
+        knob::<usize>("PTSIM_LOADGEN_COALESCE_CONNS").unwrap_or((conns * 2).max(8));
     drive(
         &addr,
         "service/read_coalesced",

@@ -78,7 +78,8 @@ pub fn run() -> String {
             }
             rows
         },
-    );
+    )
+    .0;
 
     let mut stats = vec![vec![OnlineStats::new(); TEMPS.len()]; 3];
     for rows in &per_die {

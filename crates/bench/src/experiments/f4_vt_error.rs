@@ -52,7 +52,8 @@ pub fn run() -> String {
             let trk_p = (r.d_vtp - die.d_vtp_at(site_p)).millivolts();
             (cal_n, cal_p, trk_n, trk_p)
         },
-    );
+    )
+    .0;
 
     let mut out = format!("F4: threshold extraction error histograms ({n} MC dies)\n\n");
     let labels = [

@@ -19,11 +19,9 @@ pub mod x2_aging;
 pub mod x3_placement;
 
 /// Number of Monte-Carlo dies used by the population experiments; override
-/// with the `PTSIM_BENCH_DIES` environment variable.
+/// with the `PTSIM_BENCH_DIES` environment variable (an unparsable value
+/// stops the process, see [`crate::knobs::knob`]).
 #[must_use]
 pub fn population_size(default: usize) -> usize {
-    std::env::var("PTSIM_BENCH_DIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    crate::knobs::knob("PTSIM_BENCH_DIES").unwrap_or(default)
 }

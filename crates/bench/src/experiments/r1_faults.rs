@@ -30,7 +30,7 @@ use ptsim_device::process::Technology;
 use ptsim_device::units::{Celsius, Volt};
 use ptsim_faults::catalog;
 use ptsim_mc::die::DieSite;
-use ptsim_mc::driver::{run_parallel_metered, McConfig};
+use ptsim_mc::driver::{run_parallel_with, McConfig};
 use ptsim_mc::model::VariationModel;
 use ptsim_obs::Snapshot;
 
@@ -213,7 +213,7 @@ pub fn run_campaign_metered(n_dies: usize, seed: u64) -> (CampaignResult, Snapsh
         .read_at(&[READ_TEMP]);
 
     // Per die: was the healthy path flagged, plus one outcome per cell.
-    let (per_die, reports) = run_parallel_metered(
+    let (per_die, reports) = run_parallel_with(
         &McConfig::new(n_dies, seed),
         || (plan.sensor(), Scratch::with_metrics()),
         |(sensor, scratch), i, rng| {

@@ -374,7 +374,8 @@ pub fn run_campaign(cfg: &R3Config) -> R3Report {
                 dvs,
             }
         },
-    );
+    )
+    .0;
     runs.sort_by_key(|r| r.stack);
     R3Report { runs }
 }

@@ -7,6 +7,7 @@
 //! nanoseconds-per-iteration. Results print as one JSON object per line so
 //! `BENCH_*.json` trajectories can be scraped straight from stdout.
 
+use crate::knobs::knob;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -37,17 +38,14 @@ impl Config {
     /// `PTSIM_BENCH_SAMPLES`, `PTSIM_BENCH_TARGET_US`, `PTSIM_BENCH_WARMUP_US`.
     #[must_use]
     pub fn from_env() -> Self {
-        fn env_u64(key: &str) -> Option<u64> {
-            std::env::var(key).ok()?.parse().ok()
-        }
         let mut cfg = Config::default();
-        if let Some(n) = env_u64("PTSIM_BENCH_SAMPLES") {
-            cfg.samples = (n as usize).max(1);
+        if let Some(n) = knob::<usize>("PTSIM_BENCH_SAMPLES") {
+            cfg.samples = n.max(1);
         }
-        if let Some(us) = env_u64("PTSIM_BENCH_TARGET_US") {
+        if let Some(us) = knob::<u64>("PTSIM_BENCH_TARGET_US") {
             cfg.target_sample = Duration::from_micros(us.max(1));
         }
-        if let Some(us) = env_u64("PTSIM_BENCH_WARMUP_US") {
+        if let Some(us) = knob("PTSIM_BENCH_WARMUP_US") {
             cfg.warmup = Duration::from_micros(us);
         }
         cfg

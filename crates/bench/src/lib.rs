@@ -3,21 +3,12 @@
 //! Evaluation harness for the SOCC 2012 PT-sensor reproduction: one module
 //! per reconstructed figure/table (see `DESIGN.md` for the experiment index
 //! and `EXPERIMENTS.md` for paper-vs-measured records). Each experiment is a
-//! library function returning its rendered report, wrapped by a thin binary:
+//! library function returning its rendered report; the `run_all` binary
+//! prints one by ID or all of them in sequence:
 //!
 //! ```text
-//! cargo run --release -p ptsim-bench --bin fig_ro_vs_temp      # F1
-//! cargo run --release -p ptsim-bench --bin fig_ro_vs_vt        # F2
-//! cargo run --release -p ptsim-bench --bin fig_temp_error      # F3
-//! cargo run --release -p ptsim-bench --bin fig_vt_error        # F4
-//! cargo run --release -p ptsim-bench --bin fig_stack_tracking  # F5
-//! cargo run --release -p ptsim-bench --bin fig_tsv_stress      # F6
-//! cargo run --release -p ptsim-bench --bin tbl_energy          # T1
-//! cargo run --release -p ptsim-bench --bin tbl_comparison      # T2
-//! cargo run --release -p ptsim-bench --bin tbl_corners         # T3
-//! cargo run --release -p ptsim-bench --bin tbl_ablation        # A1
-//! cargo run --release -p ptsim-bench --bin fig_pvt2013         # X1
-//! cargo run --release -p ptsim-bench --bin run_all             # everything
+//! cargo run --release -p ptsim-bench --bin run_all T1   # one experiment (T1)
+//! cargo run --release -p ptsim-bench --bin run_all      # everything
 //! ```
 //!
 //! Micro-benchmarks live in `benches/` and run on the in-tree
@@ -29,4 +20,5 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod knobs;
 pub mod table;

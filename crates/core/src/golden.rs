@@ -7,7 +7,7 @@
 //! This module builds those surfaces by least-squares fitting on a
 //! characterization grid, so the sensor can run in a hardware-faithful mode
 //! where model *fit* error is part of the error budget (ablation A1 wires
-//! this in; see `tbl_ablation`).
+//! this in; see `run_all A1`).
 //!
 //! Each surface fits `ln f` in normalized coordinates with a total-degree-
 //! bounded multivariate polynomial basis.

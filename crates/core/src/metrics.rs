@@ -8,12 +8,13 @@
 //!   and changes no float operation in the pipeline; a conversion with
 //!   metrics enabled is bit-identical to one without (asserted by
 //!   `tests/metrics.rs`).
-//! * **Free when off, allocation-free when on.** Without the `obs` cargo
-//!   feature, [`PipelineMetrics`] is a zero-sized type and every recording
-//!   method compiles to nothing. With it, every counter/gauge/histogram is
-//!   registered at construction ([`PipelineMetrics::new`]), so the hot path
-//!   only performs indexed adds — the counting-allocator test in
-//!   `tests/zero_alloc.rs` runs with metrics on.
+//! * **Optional at run time, allocation-free when on.** A
+//!   [`Scratch`](crate::Scratch) carries metrics only when built with
+//!   `Scratch::with_metrics`; without them the pipeline never reads the
+//!   clock. Every counter/gauge/histogram is registered at construction
+//!   ([`PipelineMetrics::new`]), so the hot path only performs indexed adds
+//!   — the counting-allocator test in `tests/zero_alloc.rs` runs with
+//!   metrics on.
 //!
 //! The registry layout (names are stable; DESIGN.md documents the full
 //! set): `pipeline.*` conversion/calibration/error totals, `acquire.*`
@@ -24,7 +25,6 @@
 //! to stderr when `PTSIM_TRACE` is set).
 
 use crate::health::HealthStatus;
-#[cfg(feature = "obs")]
 use ptsim_obs::{CounterId, HistogramId, Registry, Snapshot};
 use std::time::Duration;
 
@@ -62,7 +62,6 @@ impl Stage {
     }
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone, Copy)]
 struct Ids {
     conversions: CounterId,
@@ -91,14 +90,9 @@ struct Ids {
 /// The pipeline's pre-registered metric set. One lives (optionally) inside
 /// every [`Scratch`](crate::Scratch); the MC driver merges per-worker
 /// instances with [`PipelineMetrics::merge`].
-///
-/// With the `obs` feature disabled this is a zero-sized no-op type — the
-/// recording methods still exist so instrumentation sites need no `cfg`.
 #[derive(Debug, Clone)]
 pub struct PipelineMetrics {
-    #[cfg(feature = "obs")]
     reg: Registry,
-    #[cfg(feature = "obs")]
     ids: Ids,
 }
 
@@ -107,186 +101,153 @@ impl PipelineMetrics {
     /// an indexed, allocation-free update.
     #[must_use]
     pub fn new() -> Self {
-        #[cfg(feature = "obs")]
-        {
-            let mut reg = Registry::new();
-            let ids = Ids {
-                conversions: reg.counter("pipeline.conversions"),
-                calibrations: reg.counter("pipeline.calibrations"),
-                errors: reg.counter("pipeline.errors"),
-                replicas: reg.counter("acquire.replicas"),
-                implausible: reg.counter("acquire.implausible"),
-                saturated: reg.counter("acquire.saturated"),
-                outvoted: reg.counter("gate.outvoted"),
-                spread: reg.counter("gate.spread"),
-                retries: reg.counter("gate.retries"),
-                recovered: reg.counter("gate.recovered"),
-                channels_lost: reg.counter("gate.channels_lost"),
-                retunes: reg.counter("solve.retunes"),
-                rom_fallbacks: reg.counter("solve.rom_fallbacks"),
-                degraded_temp_only: reg.counter("solve.degraded_temp_only"),
-                newton_iterations: reg.counter("solve.newton_iterations"),
-                newton_backoffs: reg.counter("solve.newton_backoffs"),
-                health_nominal: reg.counter("health.nominal"),
-                health_recovered: reg.counter("health.recovered"),
-                health_degraded: reg.counter("health.degraded"),
-                // Paper nominal is 367.5 pJ/conversion; retries and widened
-                // windows push a faulted die to a few nJ, which the clamped
-                // top bin absorbs (still counted, see Histogram docs).
-                energy_pj: reg.histogram("energy.conversion_pj", 0.0, 2000.0, 80),
-                spans_us: [
-                    reg.histogram("span.acquire_us", 0.0, 50.0, 50),
-                    reg.histogram("span.gate_us", 0.0, 50.0, 50),
-                    reg.histogram("span.solve_us", 0.0, 50.0, 50),
-                    reg.histogram("span.output_us", 0.0, 50.0, 50),
-                    reg.histogram("span.conversion_us", 0.0, 200.0, 50),
-                    reg.histogram("span.calibration_us", 0.0, 400.0, 50),
-                ],
-            };
-            PipelineMetrics { reg, ids }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            PipelineMetrics {}
-        }
+        let mut reg = Registry::new();
+        let ids = Ids {
+            conversions: reg.counter("pipeline.conversions"),
+            calibrations: reg.counter("pipeline.calibrations"),
+            errors: reg.counter("pipeline.errors"),
+            replicas: reg.counter("acquire.replicas"),
+            implausible: reg.counter("acquire.implausible"),
+            saturated: reg.counter("acquire.saturated"),
+            outvoted: reg.counter("gate.outvoted"),
+            spread: reg.counter("gate.spread"),
+            retries: reg.counter("gate.retries"),
+            recovered: reg.counter("gate.recovered"),
+            channels_lost: reg.counter("gate.channels_lost"),
+            retunes: reg.counter("solve.retunes"),
+            rom_fallbacks: reg.counter("solve.rom_fallbacks"),
+            degraded_temp_only: reg.counter("solve.degraded_temp_only"),
+            newton_iterations: reg.counter("solve.newton_iterations"),
+            newton_backoffs: reg.counter("solve.newton_backoffs"),
+            health_nominal: reg.counter("health.nominal"),
+            health_recovered: reg.counter("health.recovered"),
+            health_degraded: reg.counter("health.degraded"),
+            // Paper nominal is 367.5 pJ/conversion; retries and widened
+            // windows push a faulted die to a few nJ, which the clamped
+            // top bin absorbs (still counted, see Histogram docs).
+            energy_pj: reg.histogram("energy.conversion_pj", 0.0, 2000.0, 80),
+            spans_us: [
+                reg.histogram("span.acquire_us", 0.0, 50.0, 50),
+                reg.histogram("span.gate_us", 0.0, 50.0, 50),
+                reg.histogram("span.solve_us", 0.0, 50.0, 50),
+                reg.histogram("span.output_us", 0.0, 50.0, 50),
+                reg.histogram("span.conversion_us", 0.0, 200.0, 50),
+                reg.histogram("span.calibration_us", 0.0, 400.0, 50),
+            ],
+        };
+        PipelineMetrics { reg, ids }
     }
 
     /// One completed conversion.
     #[inline]
     pub fn on_conversion(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.conversions);
     }
 
     /// One completed self-calibration.
     #[inline]
     pub fn on_calibration(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.calibrations);
     }
 
     /// One conversion or calibration that returned an error.
     #[inline]
     pub fn on_error(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.errors);
     }
 
     /// One raw replica measurement.
     #[inline]
     pub fn on_replica(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.replicas);
     }
 
     /// One replica sample rejected by its plausibility band.
     #[inline]
     pub fn on_implausible(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.implausible);
     }
 
     /// One replica sample lost to counter saturation.
     #[inline]
     pub fn on_saturated(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.saturated);
     }
 
     /// One replica outvoted by the majority.
     #[inline]
     pub fn on_outvoted(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.outvoted);
     }
 
     /// One vote with excess inlier spread.
     #[inline]
     pub fn on_spread(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.spread);
     }
 
     /// One widened-window retry.
     #[inline]
     pub fn on_retry(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.retries);
     }
 
     /// One channel recovered by a retry.
     #[inline]
     pub fn on_recovered(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.recovered);
     }
 
     /// One channel declared lost after exhausting retries.
     #[inline]
     pub fn on_channel_lost(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.channels_lost);
     }
 
     /// One solver escalation to the robust tuning.
     #[inline]
     pub fn on_solver_retuned(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.retunes);
     }
 
     /// One last-ditch ROM-bisection fallback.
     #[inline]
     pub fn on_rom_fallback(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.rom_fallbacks);
     }
 
     /// One conversion degraded to temperature-only mode.
     #[inline]
     pub fn on_degraded(&mut self) {
-        #[cfg(feature = "obs")]
         self.reg.inc(self.ids.degraded_temp_only);
     }
 
     /// Newton iterations (or ROM model evaluations) spent by one solve.
     #[inline]
     pub fn on_solver_iterations(&mut self, iterations: usize) {
-        #[cfg(feature = "obs")]
         self.reg.add(self.ids.newton_iterations, iterations as u64);
-        #[cfg(not(feature = "obs"))]
-        let _ = iterations;
     }
 
     /// Adaptive damping back-offs (reverted steps) spent by one solve.
     #[inline]
     pub fn on_newton_backoffs(&mut self, backoffs: u64) {
-        #[cfg(feature = "obs")]
         self.reg.add(self.ids.newton_backoffs, backoffs);
-        #[cfg(not(feature = "obs"))]
-        let _ = backoffs;
     }
 
     /// Energy of one completed conversion, in picojoules.
     #[inline]
     pub fn on_energy_pj(&mut self, pj: f64) {
-        #[cfg(feature = "obs")]
         self.reg.observe(self.ids.energy_pj, pj);
-        #[cfg(not(feature = "obs"))]
-        let _ = pj;
     }
 
     /// Final health status of one completed conversion or calibration.
     #[inline]
     pub fn on_health(&mut self, status: HealthStatus) {
-        #[cfg(feature = "obs")]
         self.reg.inc(match status {
             HealthStatus::Nominal => self.ids.health_nominal,
             HealthStatus::Recovered => self.ids.health_recovered,
             HealthStatus::Degraded => self.ids.health_degraded,
         });
-        #[cfg(not(feature = "obs"))]
-        let _ = status;
     }
 
     /// Wall-clock duration of one instrumented stage: recorded in the
@@ -294,33 +255,25 @@ impl PipelineMetrics {
     /// `PTSIM_TRACE` is set.
     #[inline]
     pub fn on_span(&mut self, stage: Stage, elapsed: Duration) {
-        #[cfg(feature = "obs")]
-        {
-            let id = self.ids.spans_us[stage as usize];
-            self.reg.observe(id, elapsed.as_secs_f64() * 1e6);
-            ptsim_obs::span::emit(stage.name(), elapsed);
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = (stage, elapsed);
+        let id = self.ids.spans_us[stage as usize];
+        self.reg.observe(id, elapsed.as_secs_f64() * 1e6);
+        ptsim_obs::span::emit(stage.name(), elapsed);
     }
 
     /// Folds another instance's registry into this one (counters sum,
     /// gauges max, histograms bin-wise) — how per-worker metrics become one
     /// campaign snapshot.
-    #[cfg(feature = "obs")]
     pub fn merge(&mut self, other: &PipelineMetrics) {
         self.reg.merge(&other.reg);
     }
 
     /// Direct access to the registry, for callers that attach their own
     /// metrics (e.g. the MC driver's worker gauges) next to the pipeline's.
-    #[cfg(feature = "obs")]
     pub fn registry_mut(&mut self) -> &mut Registry {
         &mut self.reg
     }
 
     /// Plain-data copy of every metric (see [`Snapshot::to_json`]).
-    #[cfg(feature = "obs")]
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         self.reg.snapshot()
@@ -333,12 +286,10 @@ impl Default for PipelineMetrics {
     }
 }
 
-/// Starts a stage timer only when metrics are active; compiles to a no-op
-/// without the `obs` feature, so the disabled pipeline never reads the
-/// clock.
+/// Starts a stage timer only when metrics are active, so a pipeline run
+/// without metrics never reads the clock.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StageTimer {
-    #[cfg(feature = "obs")]
     start: Option<std::time::Instant>,
 }
 
@@ -346,16 +297,8 @@ impl StageTimer {
     /// Reads the clock when `active` is true (i.e. metrics are present).
     #[inline]
     pub(crate) fn start(active: bool) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            StageTimer {
-                start: active.then(std::time::Instant::now),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = active;
-            StageTimer {}
+        StageTimer {
+            start: active.then(std::time::Instant::now),
         }
     }
 
@@ -363,13 +306,8 @@ impl StageTimer {
     /// metrics are live.
     #[inline]
     pub(crate) fn stop(self, metrics: &mut Option<PipelineMetrics>, stage: Stage) {
-        #[cfg(feature = "obs")]
         if let (Some(t0), Some(m)) = (self.start, metrics.as_mut()) {
             m.on_span(stage, t0.elapsed());
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (metrics, stage);
         }
     }
 }
@@ -389,20 +327,16 @@ mod tests {
         m.on_health(HealthStatus::Nominal);
         m.on_health(HealthStatus::Degraded);
         m.on_span(Stage::Solve, Duration::from_micros(3));
-        #[cfg(feature = "obs")]
-        {
-            let s = m.snapshot();
-            assert_eq!(s.counter("pipeline.conversions"), Some(2));
-            assert_eq!(s.counter("acquire.replicas"), Some(1));
-            assert_eq!(s.counter("solve.newton_iterations"), Some(7));
-            assert_eq!(s.counter("health.nominal"), Some(1));
-            assert_eq!(s.counter("health.degraded"), Some(1));
-            assert_eq!(s.histogram("energy.conversion_pj").unwrap().total, 1);
-            assert_eq!(s.histogram("span.solve_us").unwrap().total, 1);
-        }
+        let s = m.snapshot();
+        assert_eq!(s.counter("pipeline.conversions"), Some(2));
+        assert_eq!(s.counter("acquire.replicas"), Some(1));
+        assert_eq!(s.counter("solve.newton_iterations"), Some(7));
+        assert_eq!(s.counter("health.nominal"), Some(1));
+        assert_eq!(s.counter("health.degraded"), Some(1));
+        assert_eq!(s.histogram("energy.conversion_pj").unwrap().total, 1);
+        assert_eq!(s.histogram("span.solve_us").unwrap().total, 1);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn merge_sums_worker_instances() {
         let mut a = PipelineMetrics::new();

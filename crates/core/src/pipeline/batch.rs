@@ -25,8 +25,7 @@ use ptsim_device::process::Technology;
 use ptsim_device::units::Celsius;
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_mc::driver::{
-    die_field_seed, die_rng, run_parallel_chunked_metered, run_parallel_chunked_with,
-    run_parallel_with, McConfig,
+    die_field_seed, die_rng, run_parallel_chunked, run_parallel_with, McConfig,
 };
 use ptsim_mc::model::{DieSampler, VariationModel};
 use ptsim_mc::spatial::FieldMask;
@@ -208,15 +207,7 @@ impl BatchPlan {
         cfg: &McConfig,
         model: &VariationModel,
     ) -> Vec<Result<DieConversion, SensorError>> {
-        if self.prototype.characterized_model().is_some() {
-            return self.run_population_scalar(cfg, model);
-        }
-        run_parallel_chunked_with(
-            cfg,
-            LANES,
-            || self.lane_worker(model, Scratch::new()),
-            |ctx, start, len, out| self.lane_chunk(ctx, cfg.base_seed, start, len, out),
-        )
+        self.population(cfg, model, Scratch::new).0
     }
 
     /// [`BatchPlan::run_population`] with per-worker
@@ -231,42 +222,10 @@ impl BatchPlan {
         cfg: &McConfig,
         model: &VariationModel,
     ) -> (Vec<Result<DieConversion, SensorError>>, PipelineMetrics) {
-        if self.prototype.characterized_model().is_some() {
-            let base_seed = cfg.base_seed;
-            let (results, reports) = ptsim_mc::driver::run_parallel_metered(
-                cfg,
-                || self.scalar_worker(model, Scratch::with_metrics()),
-                |(sensor, scratch, sampler, vtn_mask, vtp_mask), i, rng| {
-                    let die = sampler.sample_die_sparse(
-                        rng,
-                        die_field_seed(base_seed, i),
-                        i,
-                        vtn_mask,
-                        vtp_mask,
-                    );
-                    sensor.reset_for_reuse();
-                    self.convert_with_scratch(sensor, &die, rng, scratch)
-                },
-            );
-            let mut total = PipelineMetrics::new();
-            for mut r in reports {
-                if let Some(m) = r.ctx.1.take_metrics() {
-                    total.merge(&m);
-                }
-            }
-            return (results, total);
-        }
-        let (results, reports) = run_parallel_chunked_metered(
-            cfg,
-            LANES,
-            || self.lane_worker(model, Scratch::with_metrics()),
-            |ctx, start, len, out| self.lane_chunk(ctx, cfg.base_seed, start, len, out),
-        );
+        let (results, scratches) = self.population(cfg, model, Scratch::with_metrics);
         let mut total = PipelineMetrics::new();
-        for mut r in reports {
-            if let Some(m) = r.ctx.scratch.take_metrics() {
-                total.merge(&m);
-            }
+        for m in scratches.into_iter().filter_map(|mut s| s.take_metrics()) {
+            total.merge(&m);
         }
         (results, total)
     }
@@ -284,10 +243,46 @@ impl BatchPlan {
         cfg: &McConfig,
         model: &VariationModel,
     ) -> Vec<Result<DieConversion, SensorError>> {
-        let base_seed = cfg.base_seed;
-        run_parallel_with(
+        self.scalar_population(cfg, model, Scratch::new).0
+    }
+
+    /// The one population body behind [`BatchPlan::run_population`] and
+    /// [`BatchPlan::run_population_with_metrics`]: they differ only in the
+    /// worker scratch `scratch` builds. Returns each worker's scratch.
+    fn population(
+        &self,
+        cfg: &McConfig,
+        model: &VariationModel,
+        scratch: fn() -> Scratch,
+    ) -> (Vec<Result<DieConversion, SensorError>>, Vec<Scratch>) {
+        if self.prototype.characterized_model().is_some() {
+            return self.scalar_population(cfg, model, scratch);
+        }
+        let (results, reports) = run_parallel_chunked(
             cfg,
-            || self.scalar_worker(model, Scratch::new()),
+            LANES,
+            || self.lane_worker(model, scratch()),
+            |ctx, start, len, out| self.lane_chunk(ctx, cfg.base_seed, start, len, out),
+        );
+        (
+            results,
+            reports.into_iter().map(|r| r.ctx.scratch).collect(),
+        )
+    }
+
+    /// The scalar population path (see [`BatchPlan::run_population_scalar`])
+    /// with the worker scratch built by `scratch`. Returns each worker's
+    /// scratch.
+    fn scalar_population(
+        &self,
+        cfg: &McConfig,
+        model: &VariationModel,
+        scratch: fn() -> Scratch,
+    ) -> (Vec<Result<DieConversion, SensorError>>, Vec<Scratch>) {
+        let base_seed = cfg.base_seed;
+        let (results, reports) = run_parallel_with(
+            cfg,
+            || self.scalar_worker(model, scratch()),
             |(sensor, scratch, sampler, vtn_mask, vtp_mask), i, rng| {
                 let die = sampler.sample_die_sparse(
                     rng,
@@ -301,7 +296,8 @@ impl BatchPlan {
                 sensor.reset_for_reuse();
                 self.convert_with_scratch(sensor, &die, rng, scratch)
             },
-        )
+        );
+        (results, reports.into_iter().map(|r| r.ctx.1).collect())
     }
 
     /// Per-worker context of the scalar population path: sensor clone,

@@ -1,5 +1,3 @@
-#![cfg(feature = "obs")]
-
 //! Observability-layer contract tests:
 //!
 //! * metrics **read, never perturb** — a conversion with a metrics-enabled
@@ -15,7 +13,7 @@ use ptsim_core::{PipelineMetrics, Scratch};
 use ptsim_device::process::Technology;
 use ptsim_device::units::Celsius;
 use ptsim_mc::die::{DieSample, DieSite};
-use ptsim_mc::driver::{run_parallel_metered, McConfig};
+use ptsim_mc::driver::{run_parallel_with, McConfig};
 use ptsim_mc::model::VariationModel;
 use ptsim_rng::Pcg64;
 
@@ -121,7 +119,7 @@ fn merged_worker_metrics_match_the_sequential_run() {
             .read_at(&[40.0, 85.0]);
         let mut cfg = McConfig::new(12, 0xcafe);
         cfg.threads = threads;
-        let (_, reports) = run_parallel_metered(
+        let (_, reports) = run_parallel_with(
             &cfg,
             || (plan.sensor(), Scratch::with_metrics()),
             |(s, sc), i, rng| {

@@ -5,7 +5,8 @@
 //!
 //! Integration tests are separate binaries, so installing a counting
 //! `#[global_allocator]` here observes every allocation the conversion
-//! makes without affecting any other test.
+//! makes without affecting any other test. The count is per thread: each
+//! test measures its own single-threaded hot path.
 
 use ptsim_circuit::energy::EnergyLedger;
 use ptsim_core::health::Health;
@@ -18,19 +19,33 @@ use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_rng::Pcg64;
 use ptsim_thermal::{step_transient_with, StackConfig, ThermalStack, TransientScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Forwards to the system allocator, counting every allocation.
+/// Forwards to the system allocator, counting every allocation made by the
+/// calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per-thread, so the tests of this binary, which the harness runs on
+    // parallel threads, never see each other's allocations.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // Tests are not built with `--cfg ptsim` pedantry: unsafe is confined to the
-// trait forwarding below and the counter is a relaxed atomic (exactness per
-// thread is all the single-threaded test needs).
+// trait forwarding below.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -39,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -76,7 +91,7 @@ fn warm_conversion_path_is_allocation_free() {
 
     // Measured region: every subsequent conversion must reuse the warmed
     // scratch without touching the heap.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut checksum = 0.0;
     for _ in 0..8 {
         for &t in &temps {
@@ -90,7 +105,7 @@ fn warm_conversion_path_is_allocation_free() {
             checksum += r.temperature.0;
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert!(checksum.is_finite());
     assert_eq!(
@@ -130,7 +145,7 @@ fn warm_conversion_path_with_metrics_is_allocation_free() {
     .unwrap();
     assert!(warm.temperature.0.is_finite());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut checksum = 0.0;
     for _ in 0..8 {
         for &t in &temps {
@@ -144,7 +159,7 @@ fn warm_conversion_path_with_metrics_is_allocation_free() {
             checksum += r.temperature.0;
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert!(checksum.is_finite());
     assert_eq!(
@@ -154,11 +169,8 @@ fn warm_conversion_path_with_metrics_is_allocation_free() {
         after - before
     );
     // And the metrics actually observed the measured conversions.
-    #[cfg(feature = "obs")]
-    {
-        let snap = scratch.metrics().expect("metrics attached").snapshot();
-        assert_eq!(snap.counter("pipeline.conversions"), Some(33));
-    }
+    let snap = scratch.metrics().expect("metrics attached").snapshot();
+    assert_eq!(snap.counter("pipeline.conversions"), Some(33));
 }
 
 #[test]
@@ -178,7 +190,7 @@ fn warm_transient_step_is_allocation_free() {
     // Warm-up step.
     assert!(step_transient_with(&mut stack, dt, &mut scratch) >= 1);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..16usize {
         // A moving hotspot, written straight into the stored map.
         let map = stack.power_mut(0).unwrap();
@@ -186,7 +198,7 @@ fn warm_transient_step_is_allocation_free() {
         map.set_cell((i + 7) % 16, i % 16, Watt(0.5));
         step_transient_with(&mut stack, dt, &mut scratch);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     let probe = stack.max_temperature(0).unwrap();
     assert!(probe.0.is_finite() && probe.0 > 25.0);
@@ -244,12 +256,12 @@ fn warm_lane_kernel_is_allocation_free() {
     let warm = run(&mut batch, &mut scratch);
     assert!(warm.is_finite());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut checksum = 0.0;
     for _ in 0..8 {
         checksum += run(&mut batch, &mut scratch);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert!(checksum.is_finite());
     assert_eq!(

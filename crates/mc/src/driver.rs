@@ -4,28 +4,12 @@
 //! *deterministic* per-die seeding: die `i` always sees the same RNG stream
 //! regardless of thread count or scheduling, so experiment results are
 //! reproducible and bisectable. Zero external dependencies — work
-//! distribution is a lock-free atomic cursor and result collection a
-//! `std::sync::Mutex`.
+//! distribution is a lock-free atomic cursor, and each worker's results
+//! come back through its join handle.
 
 use ptsim_rng::{Pcg64, SplitMix64};
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// Recovers the guarded data from a possibly-poisoned mutex.
-///
-/// The per-die closures run *outside* every lock, and the merge-side
-/// critical sections only move already-computed data, so a poisoned lock
-/// carries no torn state — recovering it reports the panic that poisoned it
-/// through the panicking worker itself (via [`std::thread::scope`] or
-/// [`run_parallel_caught`]) instead of cascading a second panic into every
-/// surviving worker, which is how one bad die used to take the whole
-/// campaign down.
-fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Configuration for a Monte-Carlo run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,110 +94,59 @@ where
     T: Send,
     F: Fn(u64, &mut Pcg64) -> T + Sync,
 {
-    run_parallel_with(cfg, || (), |(), i, rng| f(i, rng))
+    run_parallel_with(cfg, || (), |(), i, rng| f(i, rng)).0
 }
 
 /// [`run_parallel`] with a per-worker context: `init()` runs once on each
 /// worker thread and its result is threaded through every die that worker
-/// processes.
+/// processes, then handed back in that worker's [`WorkerReport`].
 ///
 /// This is how per-run setup (a cloned sensor prototype with its design
-/// bands and characterized model already built, scratch buffers, …) is
-/// amortized across dies without requiring the context to be `Send`:
-/// the context never crosses a thread boundary. Determinism is unchanged —
-/// die `i` still sees exactly `die_rng(base_seed, i)` and the context must
-/// not leak state between dies in any result-visible way.
-pub fn run_parallel_with<C, T, FI, F>(cfg: &McConfig, init: FI, f: F) -> Vec<T>
-where
-    T: Send,
-    FI: Fn() -> C + Sync,
-    F: Fn(&mut C, u64, &mut Pcg64) -> T + Sync,
-{
-    let threads = cfg.effective_threads().max(1).min(cfg.n_dies.max(1));
-    if cfg.n_dies == 0 {
-        return Vec::new();
-    }
-    // Hoist the per-die loop invariants (seed base, die count) out of the
-    // dispatch loops — `die_rng` then only pays the per-index mix.
-    let n = cfg.n_dies as u64;
-    let base = cfg.base_seed;
-    if threads == 1 {
-        let mut ctx = init();
-        let mut out = Vec::with_capacity(cfg.n_dies);
-        for i in 0..n {
-            let mut rng = die_rng(base, i);
-            out.push(f(&mut ctx, i, &mut rng));
-        }
-        return out;
-    }
-
-    // Work distribution: a shared atomic cursor hands out die indices one at
-    // a time, so fast workers naturally steal load from slow ones. Workers
-    // buffer results locally (pre-sized for an even share; stealing beyond
-    // it grows the buffer, never the critical section) and merge under the
-    // mutex once, at exit.
-    let per_worker = cfg.n_dies / threads + 1;
-    let next = AtomicU64::new(0);
-    let results: Mutex<Vec<(u64, T)>> = Mutex::new(Vec::with_capacity(cfg.n_dies));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut ctx = init();
-                let mut local: Vec<(u64, T)> = Vec::with_capacity(per_worker);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut rng = die_rng(base, i);
-                    local.push((i, f(&mut ctx, i, &mut rng)));
-                }
-                recover(results.lock()).extend(local);
-            });
-        }
-    });
-
-    let mut out = recover(results.into_inner());
-    out.sort_by_key(|(i, _)| *i);
-    out.into_iter().map(|(_, t)| t).collect()
-}
-
-/// [`run_parallel_with`] over fixed-size *chunks* of consecutive dies: the
-/// closure receives `(ctx, start_die, len, out)` and must push exactly
-/// `len` results for dies `start_die .. start_die + len`, in die order,
-/// deriving each die's stream itself via [`die_rng`]`(cfg.base_seed, i)`.
-///
-/// Work is distributed by *chunk index*, so the partition of dies into
-/// chunks — and therefore anything chunk-shaped the closure computes, like
-/// a lane-parallel solve across the chunk — is **identical for every
-/// `threads` setting**: determinism holds chunk-wise, not just die-wise.
-/// The final chunk is short when `n_dies` is not a multiple of `chunk`.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero or the closure pushes a wrong result count.
-pub fn run_parallel_chunked_with<C, T, FI, F>(
+/// bands and characterized model already built, scratch buffers, a metrics
+/// registry, …) is amortized across dies. Determinism is unchanged — die
+/// `i` still sees exactly `die_rng(base_seed, i)` and the context must not
+/// leak state between dies in any result-visible way. Callers that only
+/// want the results take `.0`.
+pub fn run_parallel_with<C, T, FI, F>(
     cfg: &McConfig,
-    chunk: usize,
     init: FI,
     f: F,
-) -> Vec<T>
+) -> (Vec<T>, Vec<WorkerReport<C>>)
 where
     C: Send,
     T: Send,
     FI: Fn() -> C + Sync,
-    F: Fn(&mut C, u64, usize, &mut Vec<T>) + Sync,
+    F: Fn(&mut C, u64, &mut Pcg64) -> T + Sync,
 {
-    run_parallel_chunked_metered(cfg, chunk, init, f).0
+    let base = cfg.base_seed;
+    run_parallel_chunked(cfg, 1, init, |ctx, i, _, out| {
+        let mut rng = die_rng(base, i);
+        out.push(f(ctx, i, &mut rng));
+    })
 }
 
-/// [`run_parallel_chunked_with`] plus per-worker execution reports (see
-/// [`run_parallel_metered`]) — `dies` counts dies, not chunks.
+/// The Monte-Carlo engine: runs the dies in fixed-size *chunks* of
+/// consecutive dies across a pool of scoped workers. The closure receives
+/// `(ctx, start_die, len, out)` and must push exactly `len` results for
+/// dies `start_die .. start_die + len`, in die order, deriving each die's
+/// stream itself via [`die_rng`]`(cfg.base_seed, i)`. Results come back in
+/// die order, alongside one [`WorkerReport`] per worker that ran (at most
+/// `threads`, in no particular order).
+///
+/// Work is distributed by *chunk index* from a shared atomic cursor, so
+/// fast workers naturally take load from slow ones while the partition of
+/// dies into chunks — and therefore anything chunk-shaped the closure
+/// computes, like a lane-parallel solve across the chunk — is **identical
+/// for every `threads` setting**: determinism holds chunk-wise, not just
+/// die-wise. The final chunk is short when `n_dies` is not a multiple of
+/// `chunk`. With one worker the loop runs on the calling thread. A
+/// panicking closure propagates its panic to the caller once every worker
+/// has stopped.
 ///
 /// # Panics
 ///
 /// Panics if `chunk` is zero or the closure pushes a wrong result count.
-pub fn run_parallel_chunked_metered<C, T, FI, F>(
+pub fn run_parallel_chunked<C, T, FI, F>(
     cfg: &McConfig,
     chunk: usize,
     init: FI,
@@ -229,98 +162,77 @@ where
     if cfg.n_dies == 0 {
         return (Vec::new(), Vec::new());
     }
-    let n = cfg.n_dies as u64;
-    let chunk_u = chunk as u64;
     let n_chunks = cfg.n_dies.div_ceil(chunk);
     let threads = cfg.effective_threads().max(1).min(n_chunks);
-    // Runs the chunks handed out by `take` on one worker, pushing
-    // `(start_die, results)` pairs into `local`.
-    let run_chunks =
-        |ctx: &mut C, local: &mut Vec<(u64, Vec<T>)>, take: &dyn Fn() -> u64, dies: &mut u64| {
-            let mut buf: Vec<T> = Vec::with_capacity(chunk);
-            loop {
-                let c = take();
-                if c >= n_chunks as u64 {
-                    break;
-                }
-                let start = c * chunk_u;
-                let len = chunk_u.min(n - start) as usize;
-                buf.clear();
-                f(ctx, start, len, &mut buf);
-                assert_eq!(buf.len(), len, "chunk closure must push one result per die");
-                *dies += len as u64;
-                local.push((
-                    start,
-                    std::mem::replace(&mut buf, Vec::with_capacity(chunk)),
-                ));
-            }
-        };
+    let chunk_len = |c: usize| chunk.min(cfg.n_dies - c * chunk);
+    let next = AtomicUsize::new(0);
 
-    if threads == 1 {
+    // One worker: drain chunks from the cursor into a local buffer, noting
+    // which chunks it took (in increasing order, since the cursor is
+    // monotonic). Results are buffered locally and merged once, after the
+    // pool has stopped, so workers never contend on a lock.
+    let work = || {
         let start_t = Instant::now();
         let mut ctx = init();
-        let mut local: Vec<(u64, Vec<T>)> = Vec::with_capacity(n_chunks);
-        let mut dies = 0u64;
-        let cursor = std::cell::Cell::new(0u64);
-        run_chunks(
-            &mut ctx,
-            &mut local,
-            &|| {
-                let c = cursor.get();
-                cursor.set(c + 1);
-                c
-            },
-            &mut dies,
-        );
+        let mut results: Vec<T> = Vec::with_capacity((n_chunks / threads + 1) * chunk);
+        let mut taken: Vec<usize> = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
+            }
+            let before = results.len();
+            f(&mut ctx, (c * chunk) as u64, chunk_len(c), &mut results);
+            assert_eq!(
+                results.len() - before,
+                chunk_len(c),
+                "chunk closure must push one result per die"
+            );
+            taken.push(c);
+        }
         let report = WorkerReport {
             ctx,
-            dies,
+            dies: results.len() as u64,
             busy: start_t.elapsed(),
         };
-        let mut out = Vec::with_capacity(cfg.n_dies);
-        for (_, mut chunk_results) in local {
-            out.append(&mut chunk_results);
+        (report, results, taken)
+    };
+    let workers = if threads == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect::<Vec<_>>()
+        })
+    };
+
+    // Merge: chunk `c` was taken by worker `owner[c]`, and each worker's
+    // buffer holds its chunks in increasing order, so walking the chunks in
+    // order drains every buffer front to back.
+    let mut owner = vec![0usize; n_chunks];
+    let mut reports = Vec::with_capacity(workers.len());
+    let mut buffers = Vec::with_capacity(workers.len());
+    for (w, (report, results, taken)) in workers.into_iter().enumerate() {
+        for c in taken {
+            owner[c] = w;
         }
-        return (out, vec![report]);
+        reports.push(report);
+        buffers.push(results.into_iter());
     }
-
-    let next = AtomicU64::new(0);
-    let results: Mutex<Vec<(u64, Vec<T>)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    let reports: Mutex<Vec<WorkerReport<C>>> = Mutex::new(Vec::with_capacity(threads));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let start_t = Instant::now();
-                let mut ctx = init();
-                let mut local: Vec<(u64, Vec<T>)> = Vec::new();
-                let mut dies = 0u64;
-                run_chunks(
-                    &mut ctx,
-                    &mut local,
-                    &|| next.fetch_add(1, Ordering::Relaxed),
-                    &mut dies,
-                );
-                let busy = start_t.elapsed();
-                recover(results.lock()).extend(local);
-                recover(reports.lock()).push(WorkerReport { ctx, dies, busy });
-            });
-        }
-    });
-
-    let mut merged = recover(results.into_inner());
-    merged.sort_by_key(|(start, _)| *start);
     let mut out = Vec::with_capacity(cfg.n_dies);
-    for (_, mut chunk_results) in merged {
-        out.append(&mut chunk_results);
+    for (c, &w) in owner.iter().enumerate() {
+        out.extend(buffers[w].by_ref().take(chunk_len(c)));
     }
-    let reports = recover(reports.into_inner());
     (out, reports)
 }
 
-/// Per-worker execution report returned by [`run_parallel_metered`]: the
-/// worker's context handed back after the run (e.g. a scratch workspace
-/// carrying a metrics registry), how many dies it processed, and the
-/// wall-clock time it spent in its processing loop.
+/// Per-worker execution report returned by the driver: the worker's
+/// context handed back after the run (e.g. a scratch workspace carrying a
+/// metrics registry), how many dies it processed, and the wall-clock time
+/// it spent in its processing loop.
 ///
 /// Die results are deterministic; the *partition* of dies across workers and
 /// the `busy` durations are scheduling-dependent, so reports are diagnostic
@@ -336,157 +248,33 @@ pub struct WorkerReport<C> {
     pub busy: Duration,
 }
 
-/// [`run_parallel_with`] plus per-worker execution reports, for observability.
-///
-/// Die results are **bit-identical** to [`run_parallel_with`] — the same
-/// cursor-based work distribution and the same `die_rng(base_seed, i)`
-/// per-die streams; the metering only reads a monotonic clock around each
-/// worker's loop. Unlike [`run_parallel_with`], the context must be `Send`
-/// so it can be handed back to the caller after the run. Reports come back
-/// in no particular order, one per worker that ran (at most `threads`).
-pub fn run_parallel_metered<C, T, FI, F>(
-    cfg: &McConfig,
-    init: FI,
-    f: F,
-) -> (Vec<T>, Vec<WorkerReport<C>>)
-where
-    C: Send,
-    T: Send,
-    FI: Fn() -> C + Sync,
-    F: Fn(&mut C, u64, &mut Pcg64) -> T + Sync,
-{
-    let threads = cfg.effective_threads().max(1).min(cfg.n_dies.max(1));
-    if cfg.n_dies == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let n = cfg.n_dies as u64;
-    let base = cfg.base_seed;
-    if threads == 1 {
-        let start = Instant::now();
-        let mut ctx = init();
-        let mut out = Vec::with_capacity(cfg.n_dies);
-        for i in 0..n {
-            let mut rng = die_rng(base, i);
-            out.push(f(&mut ctx, i, &mut rng));
-        }
-        let report = WorkerReport {
-            ctx,
-            dies: n,
-            busy: start.elapsed(),
-        };
-        return (out, vec![report]);
-    }
-
-    let per_worker = cfg.n_dies / threads + 1;
-    let next = AtomicU64::new(0);
-    let results: Mutex<Vec<(u64, T)>> = Mutex::new(Vec::with_capacity(cfg.n_dies));
-    let reports: Mutex<Vec<WorkerReport<C>>> = Mutex::new(Vec::with_capacity(threads));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let start = Instant::now();
-                let mut ctx = init();
-                let mut dies = 0u64;
-                let mut local: Vec<(u64, T)> = Vec::with_capacity(per_worker);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut rng = die_rng(base, i);
-                    local.push((i, f(&mut ctx, i, &mut rng)));
-                    dies += 1;
-                }
-                let busy = start.elapsed();
-                recover(results.lock()).extend(local);
-                recover(reports.lock()).push(WorkerReport { ctx, dies, busy });
-            });
-        }
-    });
-
-    let mut out = recover(results.into_inner());
-    out.sort_by_key(|(i, _)| *i);
-    let reports = recover(reports.into_inner());
-    (out.into_iter().map(|(_, t)| t).collect(), reports)
-}
-
-/// One die's closure panicked inside [`run_parallel_caught`].
-///
-/// Carries the die index and the stringified panic payload, so a campaign
-/// can report *which* die died and why while every other die's result still
-/// arrives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Die whose closure panicked.
-    pub die: u64,
-    /// Stringified panic payload (`"<non-string panic payload>"` when the
-    /// payload was neither `String` nor `&str`).
-    pub message: String,
-}
-
-impl fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "die {} panicked: {}", self.die, self.message)
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
-
-/// Stringifies a `catch_unwind` payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// [`run_parallel_with`] with per-die panic isolation: a die whose closure
-/// panics yields `Err(WorkerPanic)` in its slot while every other die's
-/// result arrives untouched — one poisoned die no longer takes down the
-/// whole campaign.
-///
-/// After a caught panic the worker's context is dropped and rebuilt with
-/// `init()` before the next die, because an unwound closure may have left
-/// it in a logically-torn state (half-updated caches, mid-conversion
-/// scratch). Determinism of the surviving dies is unchanged — die `i` still
-/// sees exactly `die_rng(base_seed, i)` and contexts never leak
-/// result-visible state between dies.
-pub fn run_parallel_caught<C, T, FI, F>(
-    cfg: &McConfig,
-    init: FI,
-    f: F,
-) -> Vec<Result<T, WorkerPanic>>
-where
-    T: Send,
-    FI: Fn() -> C + Sync,
-    F: Fn(&mut C, u64, &mut Pcg64) -> T + Sync,
-{
-    run_parallel_with(
-        cfg,
-        || None::<C>,
-        |slot, i, rng| {
-            let ctx = slot.get_or_insert_with(&init);
-            match catch_unwind(AssertUnwindSafe(|| f(ctx, i, rng))) {
-                Ok(t) => Ok(t),
-                Err(payload) => {
-                    let message = panic_message(&*payload);
-                    // The context unwound mid-update; rebuild it for the
-                    // next die rather than trusting torn state.
-                    *slot = None;
-                    Err(WorkerPanic { die: i, message })
-                }
-            }
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ptsim_rng::Rng;
+
+    ptsim_rng::forall! {
+        #[test]
+        fn engine_matches_sequential_per_die_reference(
+            n in 0usize..40,
+            threads in 1usize..5,
+            chunk in 1usize..9,
+            base in 0u64..1000,
+        ) {
+            let cfg = McConfig { n_dies: n, base_seed: base, threads };
+            let reference: Vec<(u64, u64)> = (0..n as u64)
+                .map(|i| (i, die_rng(base, i).gen::<u64>()))
+                .collect();
+            let (out, reports) = run_parallel_chunked(&cfg, chunk, || (), |(), start, len, out| {
+                for i in start..start + len as u64 {
+                    out.push((i, die_rng(base, i).gen::<u64>()));
+                }
+            });
+            assert_eq!(out, reference);
+            assert_eq!(reports.iter().map(|r| r.dies).sum::<u64>(), n as u64);
+            assert!(reports.len() <= threads);
+        }
+    }
 
     #[test]
     fn results_in_die_order() {
@@ -522,16 +310,18 @@ mod tests {
 
     #[test]
     fn zero_dies_is_empty() {
-        let out = run_parallel(&McConfig::new(0, 1), |i, _| i);
+        let (out, reports) = run_parallel_with(&McConfig::new(0, 1), || (), |(), i, _| i);
         assert!(out.is_empty());
+        assert!(reports.is_empty());
     }
 
     #[test]
     fn more_threads_than_dies_is_fine() {
         let mut cfg = McConfig::new(3, 11);
         cfg.threads = 16;
-        let out = run_parallel(&cfg, |i, _| i);
+        let (out, reports) = run_parallel_with(&cfg, || (), |(), i, _| i);
         assert_eq!(out, vec![0, 1, 2]);
+        assert!(reports.len() <= 3);
     }
 
     #[test]
@@ -543,7 +333,7 @@ mod tests {
         let mut four = McConfig::new(40, 3);
         four.threads = 4;
         let plain = run_parallel(&four, |i, rng| (i, rng.gen::<u64>()));
-        let with_ctx = run_parallel_with(
+        let (with_ctx, _) = run_parallel_with(
             &one,
             || 0u64,
             |calls, i, rng| {
@@ -555,22 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn metered_results_match_unmetered_bit_for_bit() {
-        let mut cfg = McConfig::new(48, 21);
-        cfg.threads = 4;
-        let plain = run_parallel_with(&cfg, || 0u64, |_, i, rng| (i, rng.gen::<u64>()));
-        let (metered, reports) =
-            run_parallel_metered(&cfg, || 0u64, |_, i, rng| (i, rng.gen::<u64>()));
-        assert_eq!(plain, metered);
-        assert!(!reports.is_empty() && reports.len() <= 4);
-        assert_eq!(reports.iter().map(|r| r.dies).sum::<u64>(), 48);
-    }
-
-    #[test]
-    fn metered_single_thread_returns_one_report_with_context() {
+    fn single_thread_returns_one_report_with_context() {
         let mut cfg = McConfig::new(5, 9);
         cfg.threads = 1;
-        let (out, reports) = run_parallel_metered(
+        let (out, reports) = run_parallel_with(
             &cfg,
             || 0u64,
             |calls, i, _| {
@@ -582,104 +360,6 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].dies, 5);
         assert_eq!(reports[0].ctx, 5);
-    }
-
-    #[test]
-    fn metered_zero_dies_is_empty() {
-        let (out, reports) = run_parallel_metered(&McConfig::new(0, 1), || (), |(), i, _| i);
-        assert!(out.is_empty());
-        assert!(reports.is_empty());
-    }
-
-    /// Silences the default panic-hook stderr spew for tests that inject
-    /// panics on purpose, restoring the previous hook afterwards. The hook
-    /// is process-global, so quiet sections are serialized.
-    fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-        static HOOK_LOCK: Mutex<()> = Mutex::new(());
-        let _guard = recover(HOOK_LOCK.lock());
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let r = f();
-        std::panic::set_hook(prev);
-        r
-    }
-
-    #[test]
-    fn caught_panic_reports_die_and_spares_the_rest() {
-        // Regression for the cascade: one panicking conversion used to
-        // unwind through the scope and (via the poisoned result mutex)
-        // abort every surviving worker's merge. Now the bad die reports a
-        // typed WorkerPanic and all other dies' results still arrive.
-        with_quiet_panics(|| {
-            let mut cfg = McConfig::new(64, 17);
-            cfg.threads = 4;
-            let out = run_parallel_caught(
-                &cfg,
-                || 0u64,
-                |calls, i, rng| {
-                    *calls += 1;
-                    if i == 13 {
-                        panic!("injected conversion failure on die {i}");
-                    }
-                    (i, rng.gen::<u64>())
-                },
-            );
-            assert_eq!(out.len(), 64);
-            let reference = run_parallel(&cfg, |i, rng| (i, rng.gen::<u64>()));
-            for (i, slot) in out.iter().enumerate() {
-                if i == 13 {
-                    let p = slot.as_ref().unwrap_err();
-                    assert_eq!(p.die, 13);
-                    assert!(p.message.contains("die 13"), "{}", p.message);
-                    assert!(p.to_string().contains("panicked"));
-                } else {
-                    // Surviving dies are bit-identical to an uncaught run.
-                    assert_eq!(slot.as_ref().unwrap(), &reference[i]);
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn caught_panic_rebuilds_worker_context() {
-        with_quiet_panics(|| {
-            let mut cfg = McConfig::new(10, 3);
-            cfg.threads = 1;
-            // The context counts dies since (re)build; a panic must reset it.
-            let out = run_parallel_caught(
-                &cfg,
-                || 0u64,
-                |since_init, i, _| {
-                    *since_init += 1;
-                    if i == 4 {
-                        panic!("boom");
-                    }
-                    *since_init
-                },
-            );
-            // Dies 0..=3 count 1..=4; die 4 panics; dies 5.. restart from 1.
-            assert_eq!(out[3].as_ref().unwrap(), &4);
-            assert!(out[4].is_err());
-            assert_eq!(out[5].as_ref().unwrap(), &1);
-            assert_eq!(out[9].as_ref().unwrap(), &5);
-        });
-    }
-
-    #[test]
-    fn non_string_panic_payload_is_reported() {
-        with_quiet_panics(|| {
-            let mut cfg = McConfig::new(1, 1);
-            cfg.threads = 1;
-            let out = run_parallel_caught(
-                &cfg,
-                || (),
-                |(), _, _| -> u64 { std::panic::panic_any(42i32) },
-            );
-            assert_eq!(
-                out[0].as_ref().unwrap_err().message,
-                "<non-string panic payload>"
-            );
-        });
     }
 
     #[test]

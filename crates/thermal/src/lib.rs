@@ -12,11 +12,10 @@
 //! [`solve::step_transient`] (stability-substepped explicit Euler) produce
 //! the ground-truth temperature fields the sensor is evaluated against.
 //!
-//! Three steady-state solvers share the identical linear system (see
+//! Two steady-state solvers share the identical linear system (see
 //! DESIGN.md, "Thermal solver hierarchy"): the lexicographic Gauss–Seidel
 //! oracle ([`solve::solve_steady_state`], the bit-exact default at small
-//! sizes), matrix-free conjugate gradients ([`cg::solve_steady_state_cg`]),
-//! and the geometric multigrid production solver
+//! sizes) and the geometric multigrid production solver
 //! ([`multigrid::solve_steady_state_mg`]) that makes 32²–64²-per-tier
 //! grids routine.
 //!
@@ -43,7 +42,6 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
-pub mod cg;
 pub mod error;
 mod linalg;
 pub mod material;
@@ -52,7 +50,6 @@ pub mod power;
 pub mod solve;
 pub mod stack;
 
-pub use cg::{solve_steady_state_cg, CgOptions};
 pub use error::ThermalError;
 pub use material::Material;
 pub use multigrid::{solve_steady_state_mg, MgOptions, MultigridSolver};

@@ -1,5 +1,5 @@
-//! Small dense-vector helpers shared by the iterative solvers
-//! ([`crate::cg`] and [`crate::multigrid`]).
+//! Small dense-vector helpers for the iterative solver
+//! ([`crate::multigrid`]).
 
 /// Dot product `Σ aᵢ·bᵢ` (plain left-to-right accumulation — solver
 /// convergence checks must stay bit-stable across refactors).

@@ -38,7 +38,7 @@
 //!
 //! The solver is graded on the residual 2-norm of the *same* linear
 //! system the lexicographic [`crate::solve::solve_steady_state`] oracle
-//! and the [`crate::cg`] solver assemble (`A·T = b` with
+//! solves (`A·T = b` with
 //! `b = P + g_boundary·T_ambient`), not on sweep-order identity: the
 //! oracle remains the default/bit-exact reference at small sizes, and the
 //! multigrid path converges to it within the tolerance documented in
@@ -63,8 +63,7 @@ const SMOOTH_OMEGA: f64 = 1.3;
 /// Options for the multigrid steady-state solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MgOptions {
-    /// Convergence tolerance on the residual 2-norm relative to `‖b‖`
-    /// (the same criterion as [`crate::cg::CgOptions`]).
+    /// Convergence tolerance on the residual 2-norm relative to `‖b‖`.
     pub tolerance: f64,
     /// Maximum number of V-cycles before giving up.
     pub max_cycles: usize,
@@ -164,9 +163,8 @@ impl Level {
         self.tiers * self.nx * self.ny
     }
 
-    /// Builds the finest level straight from the stack's RC network; the
-    /// resulting operator is identical to
-    /// [`ThermalStack::apply_conductance`].
+    /// Builds the finest level straight from the stack's RC network: the
+    /// same conductances the Gauss–Seidel oracle sweeps with.
     fn from_stack(stack: &ThermalStack) -> Level {
         let (tiers, nx, ny) = stack.grid();
         let n_cells = nx * ny;
@@ -796,8 +794,8 @@ fn prolong_add(fine: &Level, coarse: &Level, tr: &Transfer, x_coarse: &[f64], x_
 
 /// Solves the stack to steady state in place with a freshly built
 /// multigrid hierarchy — the convenience counterpart of
-/// [`crate::solve::solve_steady_state`] (the lexicographic oracle) and
-/// [`crate::cg::solve_steady_state_cg`]. Re-solving the same geometry
+/// [`crate::solve::solve_steady_state`] (the lexicographic oracle).
+/// Re-solving the same geometry
 /// repeatedly is cheaper through a retained [`MultigridSolver`].
 ///
 /// # Errors

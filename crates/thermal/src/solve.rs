@@ -2,8 +2,8 @@
 //!
 //! [`solve_steady_state`] is the lexicographic Gauss–Seidel/SOR solver —
 //! deliberately kept sweep-order-exact: it is the bit-identity oracle the
-//! golden gates pin, and the reference the [`crate::cg`] and
-//! [`crate::multigrid`] production solvers are graded against on
+//! golden gates pin, and the reference the [`crate::multigrid`]
+//! production solver is graded against on
 //! residual-norm convergence (see DESIGN.md, "Thermal solver hierarchy").
 
 use crate::error::ThermalError;

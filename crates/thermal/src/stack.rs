@@ -408,57 +408,6 @@ impl ThermalStack {
         self.power[tier].cell(ix, iy).0
     }
 
-    /// Applies the conductance matrix: `out = A·x`, where
-    /// `A·x|i = (Σ_j g_ij + g_boundary,i)·x_i − Σ_j g_ij·x_j` over grid
-    /// neighbours `j`. Boundary conductances contribute to the diagonal
-    /// only; their ambient drive belongs in the right-hand side. `A` is
-    /// symmetric positive-definite, which is what lets conjugate gradients
-    /// solve the steady state.
-    pub(crate) fn apply_conductance(&self, x: &[f64], out: &mut [f64]) {
-        let (tiers, nx, ny) = self.grid();
-        debug_assert_eq!(x.len(), tiers * nx * ny);
-        debug_assert_eq!(out.len(), x.len());
-        for tier in 0..tiers {
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let i = self.idx(tier, ix, iy);
-                    let cell = iy * nx + ix;
-                    let mut g_sum = 0.0;
-                    let mut gx_sum = 0.0;
-                    let mut visit = |g: f64, xv: f64| {
-                        g_sum += g;
-                        gx_sum += g * xv;
-                    };
-                    if ix > 0 {
-                        visit(self.g_lat, x[self.idx(tier, ix - 1, iy)]);
-                    }
-                    if ix + 1 < nx {
-                        visit(self.g_lat, x[self.idx(tier, ix + 1, iy)]);
-                    }
-                    if iy > 0 {
-                        visit(self.g_lat, x[self.idx(tier, ix, iy - 1)]);
-                    }
-                    if iy + 1 < ny {
-                        visit(self.g_lat, x[self.idx(tier, ix, iy + 1)]);
-                    }
-                    if tier > 0 {
-                        visit(self.g_vert[tier - 1][cell], x[self.idx(tier - 1, ix, iy)]);
-                    }
-                    if tier + 1 < tiers {
-                        visit(self.g_vert[tier][cell], x[self.idx(tier + 1, ix, iy)]);
-                    }
-                    if tier == 0 {
-                        g_sum += self.g_board;
-                    }
-                    if tier + 1 == tiers {
-                        g_sum += self.g_sink;
-                    }
-                    out[i] = g_sum * x[i] - gx_sum;
-                }
-            }
-        }
-    }
-
     /// Right-hand side of the steady-state system `A·T = b`:
     /// `b_i = P_i + g_boundary,i·T_ambient`.
     pub(crate) fn steady_state_rhs(&self, out: &mut [f64]) {
@@ -487,7 +436,7 @@ impl ThermalStack {
 
     // ---- network coefficients (used by `multigrid` to build its finest
     // level; the hierarchy must see the exact conductances
-    // `apply_conductance` and `neighbours_sum` use) ----------------------
+    // `neighbours_sum` uses) --------------------------------------------
 
     /// Lateral in-plane conductance, W/K.
     pub(crate) fn g_lat(&self) -> f64 {

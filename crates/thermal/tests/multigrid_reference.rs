@@ -16,7 +16,7 @@ use ptsim_thermal::solve::{solve_steady_state, SolveOptions};
 use ptsim_thermal::stack::{StackConfig, ThermalStack};
 
 /// Worst-case disagreement allowed between the oracle and multigrid once
-/// both report convergence (same bound the CG suite uses).
+/// both report convergence (same bound as the cross-solver property).
 const AGREE_TOL: f64 = 1e-3;
 
 fn assert_fields_agree(oracle: &ThermalStack, mg: &ThermalStack, what: &str) {

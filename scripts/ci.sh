@@ -47,6 +47,14 @@ print(f"metrics snapshot: {len(snap['counters'])} counters, "
       f"{len(snap['gauges'])} gauges, {len(snap['histograms'])} histograms, schema OK")
 EOF
 
+echo "==> experiment runner smoke (run_all T1 energy total, unknown ID rejected)"
+cargo run -q --release --offline -p ptsim-bench --bin run_all T1 > target/run_all_t1.txt
+grep -q "^total: 367.5[0-9]* pJ" target/run_all_t1.txt \
+    || { echo "run_all T1: 367.5 pJ total missing"; cat target/run_all_t1.txt; exit 1; }
+if cargo run -q --release --offline -p ptsim-bench --bin run_all NOPE 2> /dev/null; then
+    echo "run_all NOPE: expected a non-zero exit"; exit 1
+fi
+
 echo "==> R3 DTM-campaign smoke (8 dies, closed-loop DVFS gates)"
 PTSIM_BENCH_DIES=8 PTSIM_DTM_STEPS=80 \
     cargo run -q --release --offline -p ptsim-bench --bin dtm_campaign > /dev/null
@@ -146,12 +154,12 @@ assert {"service/read_seq", "service/read_seq_v2", "service/read_concurrent",
 print(f"service bench: {len(lines) - 1} scenarios, schema OK")
 EOF
 
-echo "==> solver-equivalence smoke (GS oracle vs CG vs multigrid, release FP paths)"
+echo "==> solver-equivalence smoke (GS oracle vs multigrid, release FP paths)"
 # Debug-mode `cargo test` above already runs the full equivalence suites;
 # this re-runs the cross-solver and bit-determinism gates against the
 # release binaries, whose float codegen is what the benches and the fault
 # campaign actually execute.
-cargo test -q --release --offline -p ptsim-thermal --test properties all_three_steady_solvers_agree
+cargo test -q --release --offline -p ptsim-thermal --test properties gauss_seidel_and_multigrid_agree
 cargo test -q --release --offline -p ptsim-thermal --test determinism
 
 echo "==> SoA-vs-scalar bit-identity smoke (lane kernel, release FP paths)"
