@@ -16,15 +16,22 @@
 use ptsim_service::{Fleet, FleetConfig, Server, ServerConfig};
 use std::time::Duration;
 
+/// Reads `name` as a decimal or `0x` hex integer, or `default` when it is
+/// unset. A set value that does not parse stops the daemon (exit 2) with a
+/// message naming the variable and its value, rather than silently
+/// serving the default.
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| {
-            let v = v.trim();
-            v.strip_prefix("0x")
-                .map_or_else(|| v.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
+    let Some(raw) = std::env::var_os(name) else {
+        return default;
+    };
+    let raw = raw.to_string_lossy();
+    let v = raw.trim();
+    v.strip_prefix("0x")
+        .map_or_else(|| v.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
+        .unwrap_or_else(|| {
+            eprintln!("error: {name}={raw:?} is not a valid number");
+            std::process::exit(2);
         })
-        .unwrap_or(default)
 }
 
 fn main() {

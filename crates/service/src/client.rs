@@ -2,6 +2,7 @@
 //! the chaos campaign, and the load generator. One TCP connection, one
 //! in-flight request at a time.
 
+use crate::json;
 use crate::protocol::{
     begin_frame, finish_frame, read_frame_into, FrameError, ProtoError, Request, Response,
     MAX_FRAME,
@@ -78,32 +79,23 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Propagates connect/handshake failures; [`ClientError::Frame`] if
-    /// the server's hello is malformed.
+    /// Propagates connect/handshake failures;
+    /// [`ClientError::Proto`] with [`ProtoError::BadField`]`("hello")` if
+    /// the reply does not start with the magic (a pre-v2 daemon answers
+    /// the hello with a JSON frame).
     pub fn connect_v2(addr: &str) -> Result<Self, ClientError> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
+        let mut client = Self::connect(addr)?;
         let mut hello = [0u8; 5];
         hello[..4].copy_from_slice(&WIRE_MAGIC);
         hello[4] = WIRE_V2;
-        stream.write_all(&hello)?;
-        stream.flush()?;
-        let mut reply = [0u8; 5];
-        stream.read_exact(&mut reply)?;
-        if reply[..4] != WIRE_MAGIC {
-            return Err(ClientError::Frame(FrameError::Truncated { missing: 0 }));
+        client.stream.write_all(&hello)?;
+        client.stream.flush()?;
+        client.stream.read_exact(&mut hello)?;
+        if hello[..4] != WIRE_MAGIC {
+            return Err(ClientError::Proto(ProtoError::BadField("hello")));
         }
-        let version = if reply[4] >= WIRE_V2 {
-            WIRE_V2
-        } else {
-            WIRE_V1
-        };
-        Ok(Client {
-            stream,
-            version,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-        })
+        client.version = wire::accepted_version(hello[4]);
+        Ok(client)
     }
 
     /// The wire version this connection negotiated ([`WIRE_V1`] or
@@ -134,7 +126,7 @@ impl Client {
         if self.version >= WIRE_V2 {
             wire::encode_request(req, &mut self.wbuf);
         } else {
-            self.wbuf.extend_from_slice(req.to_json().as_bytes());
+            json::encode(req, &mut self.wbuf);
         }
         finish_frame(&mut self.wbuf)?;
         self.stream.write_all(&self.wbuf)?;

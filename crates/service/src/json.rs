@@ -1,13 +1,17 @@
-//! Minimal hand-rolled JSON — the wire format of the fleet protocol.
+//! Minimal hand-rolled JSON — the v1 wire format of the fleet protocol.
 //!
 //! Zero-dependency by design (the workspace allows only `std`): a
-//! recursive-descent parser with explicit depth and size bounds, and a
-//! writer that escapes control characters and renders non-finite numbers
-//! as `null` (JSON has no NaN/∞). Objects are ordered `(key, value)`
-//! vectors — lookups are linear, which is exactly right for frames with a
-//! handful of fields, and serialization is deterministic.
+//! recursive-descent parser with explicit depth and size bounds, and the
+//! JSON codec of the message schema in [`crate::protocol`] — a reader over
+//! the parsed object and a writer that emits compact text straight into
+//! the frame buffer, escaping control characters and rendering non-finite
+//! numbers as `null` (JSON has no NaN/∞). Objects are ordered
+//! `(key, value)` vectors — lookups are linear, which is exactly right for
+//! frames with a handful of fields.
 
+use crate::protocol::{Coded, Decode, Encode, Header, Message, ProtoError};
 use std::fmt;
+use std::io::Write;
 
 /// Maximum nesting depth [`parse`] accepts. Protocol frames are flat
 /// (depth ≤ 3); the bound exists so a hostile frame of `[[[[…` cannot
@@ -374,61 +378,218 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-impl fmt::Display for Value {
-    /// Renders compact JSON (no whitespace). Non-finite numbers render as
-    /// `null` — they cannot appear in frames built from checked fields.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => write!(f, "null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Num(x) if x.is_finite() => write!(f, "{x}"),
-            Value::Num(_) => write!(f, "null"),
-            Value::Str(s) => write_escaped(f, s),
-            Value::Arr(items) => {
-                write!(f, "[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Value::Obj(pairs) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                write!(f, "}}")
-            }
+// ---- the JSON codec of the message schema ----
+
+/// Writes a message as compact JSON text straight into a frame buffer.
+struct Writer<'a>(&'a mut Vec<u8>);
+
+impl Writer<'_> {
+    /// Starts member `key`: after a comma, unless it is the first member
+    /// of the object just opened.
+    fn key(&mut self, key: &str) {
+        if self.0.last() != Some(&b'{') {
+            self.0.push(b',');
         }
+        write_str(self.0, key);
+        self.0.push(b':');
+    }
+
+    fn display(&mut self, key: &str, v: impl fmt::Display) {
+        self.key(key);
+        write!(self.0, "{v}").expect("writing to a Vec cannot fail");
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
+/// Appends `s` as a JSON string literal, escaping quotes, backslashes and
+/// control characters.
+fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
     for c in s.chars() {
         match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            '"' => out.extend_from_slice(b"\\\""),
+            '\\' => out.extend_from_slice(b"\\\\"),
+            '\n' => out.extend_from_slice(b"\\n"),
+            '\r' => out.extend_from_slice(b"\\r"),
+            '\t' => out.extend_from_slice(b"\\t"),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a Vec cannot fail");
+            }
+            c => out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes()),
         }
     }
-    write!(f, "\"")
+    out.push(b'"');
 }
 
-/// Convenience: an object from key/value pairs.
-#[must_use]
-pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+impl Encode for Writer<'_> {
+    fn open(&mut self, h: &Header) {
+        self.0.push(b'{');
+        if let Some(ok) = h.ok {
+            self.display("ok", ok);
+        }
+        if let Some(op) = h.op {
+            self.text("op", op);
+        }
+    }
+
+    fn close(&mut self) {
+        self.0.push(b'}');
+    }
+
+    fn uint(&mut self, key: &str, v: &u64) {
+        self.display(key, v);
+    }
+
+    fn byte(&mut self, key: &str, v: &u8) {
+        self.display(key, v);
+    }
+
+    /// JSON has no NaN/∞: a non-finite value renders as `null` (which the
+    /// decoder then refuses as a mistyped field).
+    fn float(&mut self, key: &str, v: &f64) {
+        if v.is_finite() {
+            self.display(key, v);
+        } else {
+            self.display(key, "null");
+        }
+    }
+
+    fn text(&mut self, key: &str, v: &str) {
+        self.key(key);
+        write_str(self.0, v);
+    }
+
+    fn code<T: Coded>(&mut self, key: &str, v: &T) {
+        self.text(key, v.entry().1);
+    }
+
+    fn list<T: Message>(&mut self, key: &str, v: &[T]) {
+        self.key(key);
+        self.0.push(b'[');
+        for (i, item) in v.iter().enumerate() {
+            if i > 0 {
+                self.0.push(b',');
+            }
+            item.put(self);
+        }
+        self.0.push(b']');
+    }
+
+    fn map(&mut self, key: &str, v: &[(String, u64)]) {
+        self.key(key);
+        self.0.push(b'{');
+        for (name, value) in v {
+            self.display(name, value);
+        }
+        self.close();
+    }
+}
+
+/// Reads a message's fields from one parsed JSON object.
+struct Reader<'a> {
+    obj: &'a Value,
+}
+
+impl<'a> Reader<'a> {
+    fn field<T>(
+        &self,
+        key: &'static str,
+        get: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, ProtoError> {
+        self.obj
+            .get(key)
+            .and_then(get)
+            .ok_or(ProtoError::BadField(key))
+    }
+}
+
+impl Decode for Reader<'_> {
+    fn open(&mut self, headers: &[Header]) -> Result<usize, ProtoError> {
+        let ok = headers[0]
+            .ok
+            .map(|_| self.field("ok", Value::as_bool))
+            .transpose()?;
+        let op = self.obj.get("op").and_then(Value::as_str);
+        headers
+            .iter()
+            .position(|h| h.ok == ok && (h.op.is_none() || h.op == op))
+            .ok_or_else(|| match op {
+                Some(op) => ProtoError::UnknownOp(op.to_string()),
+                None => ProtoError::BadField("op"),
+            })
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.obj.get(key).is_some()
+    }
+
+    fn uint(&mut self, key: &'static str) -> Result<u64, ProtoError> {
+        self.field(key, Value::as_u64)
+    }
+
+    /// A JSON number can exceed what the v2 byte holds; that is a bound
+    /// violation, not a mistyped field.
+    fn byte(&mut self, key: &'static str) -> Result<u8, ProtoError> {
+        let x = self.uint(key)?;
+        u8::try_from(x).map_err(|_| ProtoError::OutOfBounds {
+            field: key,
+            bound: format!("{x} > {}", u8::MAX),
+        })
+    }
+
+    fn float(&mut self, key: &'static str) -> Result<f64, ProtoError> {
+        self.field(key, Value::as_f64)
+    }
+
+    fn text(&mut self, key: &'static str) -> Result<String, ProtoError> {
+        self.field(key, |v| v.as_str().map(str::to_string))
+    }
+
+    fn code<T: Coded>(&mut self, key: &'static str) -> Result<T, ProtoError> {
+        let name = self.field(key, Value::as_str)?;
+        T::CODES
+            .iter()
+            .find(|e| e.1 == name)
+            .map(|e| e.0)
+            .ok_or(ProtoError::BadField(key))
+    }
+
+    fn list<T: Message>(&mut self, key: &'static str) -> Result<Vec<T>, ProtoError> {
+        self.field(key, Value::as_arr)?
+            .iter()
+            .map(|obj| T::get(&mut Reader { obj }))
+            .collect()
+    }
+
+    fn map(&mut self, key: &'static str) -> Result<Vec<(String, u64)>, ProtoError> {
+        let Some(Value::Obj(pairs)) = self.obj.get(key) else {
+            return Err(ProtoError::BadField(key));
+        };
+        pairs
+            .iter()
+            .map(|(name, v)| Some((name.clone(), v.as_u64()?)))
+            .collect::<Option<_>>()
+            .ok_or(ProtoError::BadField(key))
+    }
+}
+
+/// Appends the JSON encoding of `msg` to `out` (usually a frame buffer
+/// started with [`crate::protocol::begin_frame`]).
+pub(crate) fn encode<T: Message>(msg: &T, out: &mut Vec<u8>) {
+    msg.put(&mut Writer(out));
+}
+
+/// The JSON encoding of `msg` as a string.
+pub(crate) fn to_string<T: Message>(msg: &T) -> String {
+    let mut out = Vec::new();
+    encode(msg, &mut out);
+    String::from_utf8(out).expect("the JSON writer emits UTF-8")
+}
+
+/// Parses one JSON payload and decodes a message from it.
+pub(crate) fn decode<T: Message>(payload: &[u8]) -> Result<T, ProtoError> {
+    T::get(&mut Reader {
+        obj: &parse(payload)?,
+    })
 }
 
 #[cfg(test)]
@@ -447,14 +608,11 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_display() {
-        let v = obj(vec![
-            ("s", Value::Str("a\"b\\c\nd\u{1}é漢".into())),
-            ("n", Value::Num(-1.25e-3)),
-            ("a", Value::Arr(vec![Value::Bool(false), Value::Null])),
-            ("o", obj(vec![("k", Value::Num(2.0))])),
-        ]);
-        assert_eq!(parse(v.to_string().as_bytes()).unwrap(), v);
+    fn escaped_strings_round_trip_through_the_parser() {
+        let s = "a\"b\\c\nd\u{1}é漢\t\r";
+        let mut out = Vec::new();
+        write_str(&mut out, s);
+        assert_eq!(parse(&out).unwrap(), Value::Str(s.into()));
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   [`shard`]).
 //! * **Protocol hardening** — length-prefixed frames with a hard
 //!   frame-size bound enforced before allocation, per-field bounds on
-//!   every request, slow-client write timeouts, and idle-connection
-//!   reaping ([`protocol`], [`server`]). Two codecs share that framing:
-//!   JSON (v1, the fallback every client speaks) and a fixed-width binary
-//!   codec negotiated by magic at connect (v2, [`wire`]).
+//!   every request checked in one place, slow-client write timeouts, and
+//!   idle-connection reaping ([`protocol`], [`server`]). Two codecs share
+//!   that framing and one message schema: JSON (v1, the fallback every
+//!   client speaks, [`json`]) and a fixed-width binary codec negotiated
+//!   by magic at connect (v2, [`wire`]).
 //! * **Graceful degradation** — a die whose process readout dies keeps
 //!   serving temperature-only readings carrying an explicit
 //!   `"degraded"` quality flag ([`shard`]).

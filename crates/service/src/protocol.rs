@@ -1,20 +1,24 @@
-//! Wire protocol of the fleet daemon: length-prefixed JSON frames with
-//! hard field bounds.
+//! Wire protocol of the fleet daemon: the message set, its one schema,
+//! the request bounds, and the length-prefixed framing both codecs share.
 //!
 //! A frame is a 4-byte big-endian payload length followed by exactly that
-//! many bytes of JSON. Both directions use the same framing; the length
-//! prefix is bounded by [`MAX_FRAME`] *before* any allocation, so an
-//! adversarial prefix cannot make the server reserve gigabytes. Every
-//! request field has an explicit bound ([`MAX_PRIORITY`],
-//! [`MAX_DEADLINE_MS`], [`TEMP_BOUNDS`], [`MAX_PAD`]) and violations
-//! surface as typed [`ProtoError`]s that the server answers with a
-//! [`Rejection::BadRequest`] — malformed input is a *client* failure and
-//! must never take a worker down (see the fuzz suite in
-//! `tests/protocol.rs`).
+//! many payload bytes: JSON (v1, [`crate::json`]) or fixed-width binary
+//! (v2, [`crate::wire`]). The length prefix is bounded by [`MAX_FRAME`]
+//! *before* any allocation, so an adversarial prefix cannot make the server
+//! reserve gigabytes. Each message is described once — its variants' v2
+//! tags and JSON op names, and one ordered field walk with per-field JSON
+//! defaults — and both codecs run that description. Every request field has
+//! an explicit bound ([`MAX_PRIORITY`], [`MAX_DEADLINE_MS`], [`TEMP_BOUNDS`],
+//! [`MAX_PAD`], [`MAX_BATCH`]), checked in one place after either codec
+//! decoded; violations surface as typed [`ProtoError`]s that the server
+//! answers with a [`Rejection::BadRequest`] — malformed input is a *client*
+//! failure and must never take a worker down (see the fuzz suites in
+//! `tests/protocol.rs` and `tests/wire.rs`).
 
-use crate::json::{self, obj, Value};
+use crate::json;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
+use std::mem::discriminant;
 
 /// Hard upper bound on a frame payload, bytes. Checked against the length
 /// prefix before any payload allocation.
@@ -120,18 +124,6 @@ pub enum InjectKind {
     StallMs(u64),
 }
 
-impl InjectKind {
-    fn name(self) -> &'static str {
-        match self {
-            InjectKind::DegradeDie => "degrade",
-            InjectKind::HealDie => "heal",
-            InjectKind::PanicConversion => "panic_conversion",
-            InjectKind::PanicWorker => "panic_worker",
-            InjectKind::StallMs(_) => "stall",
-        }
-    }
-}
-
 /// Reading quality flag, mirroring
 /// [`HealthStatus`](ptsim_core::HealthStatus).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,27 +135,6 @@ pub enum Quality {
     /// Reduced mode (e.g. temperature-only with a dead PSRO bank) —
     /// reduced accuracy guarantees, flagged, still served.
     Degraded,
-}
-
-impl Quality {
-    /// Wire name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Quality::Nominal => "nominal",
-            Quality::Recovered => "recovered",
-            Quality::Degraded => "degraded",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "nominal" => Some(Quality::Nominal),
-            "recovered" => Some(Quality::Recovered),
-            "degraded" => Some(Quality::Degraded),
-            _ => None,
-        }
-    }
 }
 
 /// Why a request was refused. Every refusal is typed — the one thing the
@@ -184,33 +155,6 @@ pub enum Rejection {
     WorkerPanicked,
     /// The conversion failed with a typed sensor error.
     ConversionFailed,
-}
-
-impl Rejection {
-    /// Wire name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Rejection::Timeout => "timeout",
-            Rejection::Overloaded => "overloaded",
-            Rejection::ShardDown => "shard_down",
-            Rejection::BadRequest => "bad_request",
-            Rejection::WorkerPanicked => "worker_panicked",
-            Rejection::ConversionFailed => "conversion_failed",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "timeout" => Some(Rejection::Timeout),
-            "overloaded" => Some(Rejection::Overloaded),
-            "shard_down" => Some(Rejection::ShardDown),
-            "bad_request" => Some(Rejection::BadRequest),
-            "worker_panicked" => Some(Rejection::WorkerPanicked),
-            "conversion_failed" => Some(Rejection::ConversionFailed),
-            _ => None,
-        }
-    }
 }
 
 /// Health summary of one shard, as serialized into a health response.
@@ -381,459 +325,391 @@ impl From<json::JsonError> for ProtoError {
     }
 }
 
-fn field_u64(v: &Value, name: &'static str) -> Result<u64, ProtoError> {
-    v.get(name)
-        .ok_or(ProtoError::BadField(name))?
-        .as_u64()
-        .ok_or(ProtoError::BadField(name))
+// ---- the message schema ----
+//
+// Every message is described once, in the `schema!` invocations below: per
+// variant its v2 tag and JSON `ok`/`op` marks, then its fields in wire
+// order, each with the kind that carries it, its JSON key and, where JSON
+// may omit it, its default. The macro turns each description into a
+// `Message` impl that drives any codec through the `Encode`/`Decode`
+// traits — binary v2 in `wire.rs`, JSON v1 in `json.rs` — so the two cannot
+// disagree on a message's shape.
+
+/// How one variant of a message is marked on the wire.
+pub(crate) struct Header {
+    /// v2 tag byte (`None` for a struct, which has one shape).
+    pub(crate) tag: Option<u8>,
+    /// JSON `"ok"` member (responses and batch items).
+    pub(crate) ok: Option<bool>,
+    /// JSON `"op"` member.
+    pub(crate) op: Option<&'static str>,
 }
 
-fn field_f64(v: &Value, name: &'static str) -> Result<f64, ProtoError> {
-    v.get(name)
-        .ok_or(ProtoError::BadField(name))?
-        .as_f64()
-        .ok_or(ProtoError::BadField(name))
-}
+/// The writing half of a codec: one method per kind of field the schema
+/// names. Encoding cannot fail.
+pub(crate) trait Encode {
+    /// Starts a message (or a nested element) of variant `h`.
+    fn open(&mut self, h: &Header);
+    /// Ends what [`Encode::open`] started.
+    fn close(&mut self) {}
+    /// An integer (8 bytes in v2).
+    fn uint(&mut self, key: &str, v: &u64);
+    /// A small integer (1 byte in v2).
+    fn byte(&mut self, key: &str, v: &u8);
+    /// A float.
+    fn float(&mut self, key: &str, v: &f64);
+    /// A string.
+    fn text(&mut self, key: &str, v: &str);
+    /// A [`Coded`] enum.
+    fn code<T: Coded>(&mut self, key: &str, v: &T);
+    /// A sequence of nested messages.
+    fn list<T: Message>(&mut self, key: &str, v: &[T]);
+    /// Named counters.
+    fn map(&mut self, key: &str, v: &[(String, u64)]);
+    /// A v2 slot of eight zero bytes that the variant leaves unused (JSON
+    /// omits it).
+    fn pad(&mut self, _key: &str) {}
 
-fn bounded_u64(v: &Value, name: &'static str, default: u64, max: u64) -> Result<u64, ProtoError> {
-    let x = match v.get(name) {
-        None => return Ok(default),
-        Some(field) => field.as_u64().ok_or(ProtoError::BadField(name))?,
-    };
-    if x > max {
-        return Err(ProtoError::OutOfBounds {
-            field: name,
-            bound: format!("{x} > {max}"),
-        });
+    /// An [`InjectKind`]: its code, then an `ms` field — the stall length
+    /// for a stall, and for every other kind a slot both codecs ignore.
+    fn inject(&mut self, key: &str, v: &InjectKind) {
+        self.code(key, v);
+        match v {
+            InjectKind::StallMs(ms) => self.uint("ms", ms),
+            _ => self.pad("ms"),
+        }
     }
-    Ok(x)
+}
+
+/// The reading half of a codec, the mirror of [`Encode`]. Every method
+/// refuses malformed input with a typed [`ProtoError`] and never panics.
+pub(crate) trait Decode {
+    /// Reads a message's marks; returns the index of its variant in
+    /// `headers`.
+    fn open(&mut self, headers: &[Header]) -> Result<usize, ProtoError>;
+    /// Whether field `key` is present (JSON may omit optional fields; v2
+    /// always carries every field).
+    fn has(&self, _key: &str) -> bool {
+        true
+    }
+    /// See [`Encode::uint`].
+    fn uint(&mut self, key: &'static str) -> Result<u64, ProtoError>;
+    /// See [`Encode::byte`].
+    fn byte(&mut self, key: &'static str) -> Result<u8, ProtoError>;
+    /// See [`Encode::float`].
+    fn float(&mut self, key: &'static str) -> Result<f64, ProtoError>;
+    /// See [`Encode::text`].
+    fn text(&mut self, key: &'static str) -> Result<String, ProtoError>;
+    /// See [`Encode::code`].
+    fn code<T: Coded>(&mut self, key: &'static str) -> Result<T, ProtoError>;
+    /// See [`Encode::list`].
+    fn list<T: Message>(&mut self, key: &'static str) -> Result<Vec<T>, ProtoError>;
+    /// See [`Encode::map`].
+    fn map(&mut self, key: &'static str) -> Result<Vec<(String, u64)>, ProtoError>;
+    /// See [`Encode::pad`].
+    fn pad(&mut self, _key: &'static str) -> Result<(), ProtoError> {
+        Ok(())
+    }
+
+    /// See [`Encode::inject`]. JSON may omit a stall's `ms` (it is 0).
+    fn inject(&mut self, key: &'static str) -> Result<InjectKind, ProtoError> {
+        match self.code(key)? {
+            InjectKind::StallMs(_) if !self.has("ms") => Ok(InjectKind::StallMs(0)),
+            InjectKind::StallMs(_) => Ok(InjectKind::StallMs(self.uint("ms")?)),
+            other => self.pad("ms").map(|()| other),
+        }
+    }
+}
+
+/// A message type of the schema (generated by `schema!`).
+pub(crate) trait Message: Sized {
+    /// Every variant's marks, in declaration order.
+    const HEADERS: &'static [Header];
+    /// Writes one message.
+    fn put<E: Encode>(&self, c: &mut E);
+    /// Reads one message.
+    fn get<D: Decode>(c: &mut D) -> Result<Self, ProtoError>;
+}
+
+/// An enum carried as one value: a JSON name and a v2 code per variant,
+/// in one table both codecs read.
+pub(crate) trait Coded: Copy + 'static {
+    /// Every variant with its JSON name and v2 code.
+    const CODES: &'static [(Self, &'static str, u8)];
+
+    /// This value's table entry (matched by variant, ignoring payload).
+    fn entry(&self) -> &'static (Self, &'static str, u8) {
+        let here = discriminant(self);
+        Self::CODES
+            .iter()
+            .find(|e| discriminant(&e.0) == here)
+            .expect("every variant has a code")
+    }
+}
+
+impl Coded for Quality {
+    const CODES: &'static [(Self, &'static str, u8)] = &[
+        (Quality::Nominal, "nominal", 0),
+        (Quality::Recovered, "recovered", 1),
+        (Quality::Degraded, "degraded", 2),
+    ];
+}
+
+impl Coded for Rejection {
+    const CODES: &'static [(Self, &'static str, u8)] = &[
+        (Rejection::Timeout, "timeout", 0),
+        (Rejection::Overloaded, "overloaded", 1),
+        (Rejection::ShardDown, "shard_down", 2),
+        (Rejection::BadRequest, "bad_request", 3),
+        (Rejection::WorkerPanicked, "worker_panicked", 4),
+        (Rejection::ConversionFailed, "conversion_failed", 5),
+    ];
+}
+
+/// `StallMs` decodes as `StallMs(0)`; [`Decode::inject`] reads its `ms`.
+impl Coded for InjectKind {
+    const CODES: &'static [(Self, &'static str, u8)] = &[
+        (InjectKind::DegradeDie, "degrade", 0),
+        (InjectKind::HealDie, "heal", 1),
+        (InjectKind::PanicConversion, "panic_conversion", 2),
+        (InjectKind::PanicWorker, "panic_worker", 3),
+        (InjectKind::StallMs(0), "stall", 4),
+    ];
+}
+
+/// Turns a message description into its [`Message`] impl.
+///
+/// An enum lists each variant as `Name [tag ok <bool> op "<op>"] shape`
+/// (`ok` and `op` only where JSON carries them); a struct lists its shape
+/// alone. A shape is `{ field as "key": kind = default, … }`, in wire
+/// order: `kind` names the [`Encode`]/[`Decode`] method that carries the
+/// field, `as "key"` is there where the JSON key differs from the field
+/// name, and `= default` where JSON may omit the field. A variant wrapping
+/// a struct writes `(Struct { … })`; the struct's fields travel inline.
+macro_rules! schema {
+    (enum $ty:ident { $($var:ident [$tag:literal $(ok $ok:literal)? $(op $op:literal)?] $shape:tt)* }) => {
+        impl Message for $ty {
+            const HEADERS: &'static [Header] = &[$(schema!(@header $tag [$($ok)?] [$($op)?])),*];
+
+            fn put<E: Encode>(&self, c: &mut E) {
+                match self {
+                    $(schema!(@pat $shape [$ty::$var]) => {
+                        c.open(&schema!(@header $tag [$($ok)?] [$($op)?]));
+                        schema!(@put c $shape);
+                    })*
+                }
+                c.close();
+            }
+
+            fn get<D: Decode>(c: &mut D) -> Result<Self, ProtoError> {
+                let tag = Self::HEADERS[c.open(Self::HEADERS)?].tag;
+                Ok(match tag {
+                    $(Some($tag) => schema!(@get c $shape [$ty::$var]),)*
+                    _ => unreachable!("open() indexes HEADERS"),
+                })
+            }
+        }
+    };
+    (struct $ty:ident $shape:tt) => {
+        impl Message for $ty {
+            const HEADERS: &'static [Header] = &[Header { tag: None, ok: None, op: None }];
+
+            fn put<E: Encode>(&self, c: &mut E) {
+                let schema!(@pat $shape [$ty]) = self;
+                c.open(&Self::HEADERS[0]);
+                schema!(@put c $shape);
+                c.close();
+            }
+
+            fn get<D: Decode>(c: &mut D) -> Result<Self, ProtoError> {
+                c.open(Self::HEADERS)?;
+                Ok(schema!(@get c $shape [$ty]))
+            }
+        }
+    };
+    (@header $tag:literal [$($ok:literal)?] [$($op:literal)?]) => {
+        Header { tag: Some($tag), ok: schema!(@opt $($ok)?), op: schema!(@opt $($op)?) }
+    };
+    (@opt) => { None };
+    (@opt $x:expr) => { Some($x) };
+    (@pat { $($f:ident $(as $key:literal)?: $kind:ident $(= $d:expr)?),* } [$($path:tt)*]) => {
+        $($path)* { $($f),* }
+    };
+    (@pat ($inner:ident $fields:tt) [$($path:tt)*]) => {
+        $($path)*(schema!(@pat $fields [$inner]))
+    };
+    (@put $c:ident { $($f:ident $(as $key:literal)?: $kind:ident $(= $d:expr)?),* }) => {
+        $($c.$kind(schema!(@key $f $($key)?), $f);)*
+    };
+    (@put $c:ident ($inner:ident $fields:tt)) => { schema!(@put $c $fields) };
+    (@get $c:ident { $($f:ident $(as $key:literal)?: $kind:ident $(= $d:expr)?),* } [$($path:tt)*]) => {
+        $($path)* { $($f: schema!(@field $c $kind, schema!(@key $f $($key)?) $(, $d)?)),* }
+    };
+    (@get $c:ident ($inner:ident $fields:tt) [$($path:tt)*]) => {
+        $($path)*(schema!(@get $c $fields [$inner]))
+    };
+    (@field $c:ident $kind:ident, $key:expr) => { $c.$kind($key)? };
+    (@field $c:ident $kind:ident, $key:expr, $d:expr) => {
+        if $c.has($key) { $c.$kind($key)? } else { $d }
+    };
+    (@key $f:ident) => { stringify!($f) };
+    (@key $f:ident $key:literal) => { $key };
+}
+
+schema! {
+    enum Request {
+        Read [1 op "read"] {
+            die: uint, temp_c: float, priority: byte = 1, deadline_ms: uint = DEFAULT_DEADLINE_MS
+        }
+        BatchRead [2 op "batch_read"] {
+            die0: uint, count: uint, temp_c: float, priority: byte = 1,
+            deadline_ms: uint = DEFAULT_DEADLINE_MS
+        }
+        Calibrate [3 op "calibrate"] { die: uint, deadline_ms: uint = DEFAULT_DEADLINE_MS }
+        Health [4 op "health"] {}
+        Ping [5 op "ping"] { pad: uint = 0 }
+        Inject [6 op "inject"] { die: uint, kind as "fault": inject }
+        Shutdown [7 op "shutdown"] {}
+    }
+}
+
+schema! {
+    enum Response {
+        Reading [1 ok true op "read"] {
+            die: uint, temp_c: float, d_vtn_mv: float, d_vtp_mv: float, energy_pj: float,
+            quality: code
+        }
+        Batch [2 ok true op "batch_read"] { items: list }
+        Calibrated [3 ok true op "calibrate"] { die: uint, quality: code }
+        // `coalesce_max` and `wire_version` are absent on pre-v2 daemons; a
+        // new client still health-checks an old fleet.
+        Health [4 ok true op "health"] (HealthWire {
+            uptime_ms: uint, coalesce_max: uint = 0, wire_version: uint = 1, shards: list,
+            counters: map
+        })
+        Pong [5 ok true op "ping"] { pad: text }
+        Injected [6 ok true op "inject"] { die: uint }
+        Rejected [7 ok false] { rejection as "error": code, detail: text = String::new() }
+        ShuttingDown [8 ok true op "shutdown"] {}
+    }
+}
+
+schema! {
+    enum BatchItem {
+        Reading [1 ok true] {
+            die: uint, temp_c: float, d_vtn_mv: float, d_vtp_mv: float, energy_pj: float,
+            quality: code
+        }
+        Rejected [0 ok false] { die: uint, rejection as "error": code, detail: text = String::new() }
+    }
+}
+
+schema! {
+    struct ShardHealthWire { id: uint, state: text, restarts: uint, queue_len: uint, dies: uint }
 }
 
 impl Request {
-    /// Parses and bounds-checks one request payload.
+    /// The request bounds, each checked here and nowhere else; both codecs
+    /// run this on every request they decode.
+    pub(crate) fn check_bounds(self) -> Result<Self, ProtoError> {
+        if let Request::BatchRead { die0, count, .. } = self {
+            if count == 0 || count > MAX_BATCH {
+                return Err(ProtoError::OutOfBounds {
+                    field: "count",
+                    bound: format!("{count} outside 1..={MAX_BATCH}"),
+                });
+            }
+            if die0.checked_add(count).is_none() {
+                return Err(ProtoError::OutOfBounds {
+                    field: "die0",
+                    bound: format!("{die0} + {count} overflows the die index space"),
+                });
+            }
+        }
+        if let Request::Ping { pad } = self {
+            at_most("pad", pad, MAX_PAD)?;
+        }
+        let (reading, deadline) = match self {
+            Request::Read {
+                temp_c,
+                priority,
+                deadline_ms,
+                ..
+            }
+            | Request::BatchRead {
+                temp_c,
+                priority,
+                deadline_ms,
+                ..
+            } => (Some((temp_c, priority)), Some(("deadline_ms", deadline_ms))),
+            Request::Calibrate { deadline_ms, .. } => (None, Some(("deadline_ms", deadline_ms))),
+            Request::Inject {
+                kind: InjectKind::StallMs(ms),
+                ..
+            } => (None, Some(("ms", ms))),
+            _ => (None, None),
+        };
+        if let Some((temp_c, priority)) = reading {
+            if !(TEMP_BOUNDS.0..=TEMP_BOUNDS.1).contains(&temp_c) {
+                return Err(ProtoError::OutOfBounds {
+                    field: "temp_c",
+                    bound: format!("{temp_c} outside {TEMP_BOUNDS:?}"),
+                });
+            }
+            at_most("priority", u64::from(priority), u64::from(MAX_PRIORITY))?;
+        }
+        if let Some((field, ms)) = deadline {
+            at_most(field, ms, MAX_DEADLINE_MS)?;
+        }
+        Ok(self)
+    }
+
+    /// Parses and bounds-checks one JSON request payload.
     ///
     /// # Errors
     ///
     /// Returns a typed [`ProtoError`] for malformed JSON, unknown ops,
     /// missing/mistyped fields, or bound violations. Never panics.
     pub fn from_json_bytes(payload: &[u8]) -> Result<Self, ProtoError> {
-        let v = json::parse(payload)?;
-        let op = v
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or(ProtoError::BadField("op"))?;
-        match op {
-            "read" => {
-                let die = field_u64(&v, "die")?;
-                let temp_c = field_f64(&v, "temp_c")?;
-                if !(TEMP_BOUNDS.0..=TEMP_BOUNDS.1).contains(&temp_c) {
-                    return Err(ProtoError::OutOfBounds {
-                        field: "temp_c",
-                        bound: format!("{temp_c} outside {:?}", TEMP_BOUNDS),
-                    });
-                }
-                let priority = bounded_u64(&v, "priority", 1, u64::from(MAX_PRIORITY))? as u8;
-                let deadline_ms =
-                    bounded_u64(&v, "deadline_ms", DEFAULT_DEADLINE_MS, MAX_DEADLINE_MS)?;
-                Ok(Request::Read {
-                    die,
-                    temp_c,
-                    priority,
-                    deadline_ms,
-                })
-            }
-            "batch_read" => {
-                let die0 = field_u64(&v, "die0")?;
-                let count = field_u64(&v, "count")?;
-                if count == 0 || count > MAX_BATCH {
-                    return Err(ProtoError::OutOfBounds {
-                        field: "count",
-                        bound: format!("{count} outside 1..={MAX_BATCH}"),
-                    });
-                }
-                if die0.checked_add(count).is_none() {
-                    return Err(ProtoError::OutOfBounds {
-                        field: "die0",
-                        bound: format!("{die0} + {count} overflows the die index space"),
-                    });
-                }
-                let temp_c = field_f64(&v, "temp_c")?;
-                if !(TEMP_BOUNDS.0..=TEMP_BOUNDS.1).contains(&temp_c) {
-                    return Err(ProtoError::OutOfBounds {
-                        field: "temp_c",
-                        bound: format!("{temp_c} outside {:?}", TEMP_BOUNDS),
-                    });
-                }
-                let priority = bounded_u64(&v, "priority", 1, u64::from(MAX_PRIORITY))? as u8;
-                let deadline_ms =
-                    bounded_u64(&v, "deadline_ms", DEFAULT_DEADLINE_MS, MAX_DEADLINE_MS)?;
-                Ok(Request::BatchRead {
-                    die0,
-                    count,
-                    temp_c,
-                    priority,
-                    deadline_ms,
-                })
-            }
-            "calibrate" => Ok(Request::Calibrate {
-                die: field_u64(&v, "die")?,
-                deadline_ms: bounded_u64(&v, "deadline_ms", DEFAULT_DEADLINE_MS, MAX_DEADLINE_MS)?,
-            }),
-            "health" => Ok(Request::Health),
-            "ping" => Ok(Request::Ping {
-                pad: bounded_u64(&v, "pad", 0, MAX_PAD)?,
-            }),
-            "inject" => {
-                let die = field_u64(&v, "die")?;
-                let kind = match v.get("fault").and_then(Value::as_str) {
-                    Some("degrade") => InjectKind::DegradeDie,
-                    Some("heal") => InjectKind::HealDie,
-                    Some("panic_conversion") => InjectKind::PanicConversion,
-                    Some("panic_worker") => InjectKind::PanicWorker,
-                    Some("stall") => {
-                        InjectKind::StallMs(bounded_u64(&v, "ms", 0, MAX_DEADLINE_MS)?)
-                    }
-                    _ => return Err(ProtoError::BadField("fault")),
-                };
-                Ok(Request::Inject { die, kind })
-            }
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtoError::UnknownOp(other.to_string())),
-        }
+        json::decode(payload).and_then(Request::check_bounds)
     }
 
     /// Serializes the request as a JSON payload (the client side of
     /// [`Request::from_json_bytes`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let v = match self {
-            Request::Read {
-                die,
-                temp_c,
-                priority,
-                deadline_ms,
-            } => obj(vec![
-                ("op", Value::Str("read".into())),
-                ("die", Value::Num(*die as f64)),
-                ("temp_c", Value::Num(*temp_c)),
-                ("priority", Value::Num(f64::from(*priority))),
-                ("deadline_ms", Value::Num(*deadline_ms as f64)),
-            ]),
-            Request::BatchRead {
-                die0,
-                count,
-                temp_c,
-                priority,
-                deadline_ms,
-            } => obj(vec![
-                ("op", Value::Str("batch_read".into())),
-                ("die0", Value::Num(*die0 as f64)),
-                ("count", Value::Num(*count as f64)),
-                ("temp_c", Value::Num(*temp_c)),
-                ("priority", Value::Num(f64::from(*priority))),
-                ("deadline_ms", Value::Num(*deadline_ms as f64)),
-            ]),
-            Request::Calibrate { die, deadline_ms } => obj(vec![
-                ("op", Value::Str("calibrate".into())),
-                ("die", Value::Num(*die as f64)),
-                ("deadline_ms", Value::Num(*deadline_ms as f64)),
-            ]),
-            Request::Health => obj(vec![("op", Value::Str("health".into()))]),
-            Request::Ping { pad } => obj(vec![
-                ("op", Value::Str("ping".into())),
-                ("pad", Value::Num(*pad as f64)),
-            ]),
-            Request::Inject { die, kind } => {
-                let mut pairs = vec![
-                    ("op", Value::Str("inject".into())),
-                    ("die", Value::Num(*die as f64)),
-                    ("fault", Value::Str(kind.name().into())),
-                ];
-                if let InjectKind::StallMs(ms) = kind {
-                    pairs.push(("ms", Value::Num(*ms as f64)));
-                }
-                obj(pairs)
-            }
-            Request::Shutdown => obj(vec![("op", Value::Str("shutdown".into()))]),
-        };
-        v.to_string()
+        json::to_string(self)
     }
+}
+
+fn at_most(field: &'static str, x: u64, max: u64) -> Result<(), ProtoError> {
+    if x > max {
+        return Err(ProtoError::OutOfBounds {
+            field,
+            bound: format!("{x} > {max}"),
+        });
+    }
+    Ok(())
 }
 
 impl Response {
     /// Serializes the response as a JSON payload.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let v = match self {
-            Response::Reading {
-                die,
-                temp_c,
-                d_vtn_mv,
-                d_vtp_mv,
-                energy_pj,
-                quality,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("read".into())),
-                ("die", Value::Num(*die as f64)),
-                ("temp_c", Value::Num(*temp_c)),
-                ("d_vtn_mv", Value::Num(*d_vtn_mv)),
-                ("d_vtp_mv", Value::Num(*d_vtp_mv)),
-                ("energy_pj", Value::Num(*energy_pj)),
-                ("quality", Value::Str(quality.name().into())),
-            ]),
-            Response::Batch { items } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("batch_read".into())),
-                (
-                    "items",
-                    Value::Arr(
-                        items
-                            .iter()
-                            .map(|item| match item {
-                                BatchItem::Reading {
-                                    die,
-                                    temp_c,
-                                    d_vtn_mv,
-                                    d_vtp_mv,
-                                    energy_pj,
-                                    quality,
-                                } => obj(vec![
-                                    ("die", Value::Num(*die as f64)),
-                                    ("ok", Value::Bool(true)),
-                                    ("temp_c", Value::Num(*temp_c)),
-                                    ("d_vtn_mv", Value::Num(*d_vtn_mv)),
-                                    ("d_vtp_mv", Value::Num(*d_vtp_mv)),
-                                    ("energy_pj", Value::Num(*energy_pj)),
-                                    ("quality", Value::Str(quality.name().into())),
-                                ]),
-                                BatchItem::Rejected {
-                                    die,
-                                    rejection,
-                                    detail,
-                                } => obj(vec![
-                                    ("die", Value::Num(*die as f64)),
-                                    ("ok", Value::Bool(false)),
-                                    ("error", Value::Str(rejection.name().into())),
-                                    ("detail", Value::Str(detail.clone())),
-                                ]),
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Calibrated { die, quality } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("calibrate".into())),
-                ("die", Value::Num(*die as f64)),
-                ("quality", Value::Str(quality.name().into())),
-            ]),
-            Response::Health(h) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("health".into())),
-                ("uptime_ms", Value::Num(h.uptime_ms as f64)),
-                ("coalesce_max", Value::Num(h.coalesce_max as f64)),
-                ("wire_version", Value::Num(h.wire_version as f64)),
-                (
-                    "shards",
-                    Value::Arr(
-                        h.shards
-                            .iter()
-                            .map(|s| {
-                                obj(vec![
-                                    ("id", Value::Num(s.id as f64)),
-                                    ("state", Value::Str(s.state.clone())),
-                                    ("restarts", Value::Num(s.restarts as f64)),
-                                    ("queue_len", Value::Num(s.queue_len as f64)),
-                                    ("dies", Value::Num(s.dies as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "counters",
-                    Value::Obj(
-                        h.counters
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Value::Num(*v as f64)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Pong { pad } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("ping".into())),
-                ("pad", Value::Str(pad.clone())),
-            ]),
-            Response::Injected { die } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("inject".into())),
-                ("die", Value::Num(*die as f64)),
-            ]),
-            Response::Rejected { rejection, detail } => obj(vec![
-                ("ok", Value::Bool(false)),
-                ("error", Value::Str(rejection.name().into())),
-                ("detail", Value::Str(detail.clone())),
-            ]),
-            Response::ShuttingDown => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("shutdown".into())),
-            ]),
-        };
-        v.to_string()
+        json::to_string(self)
     }
 
-    /// Parses a response payload (the client side).
+    /// Parses a JSON response payload (the client side).
     ///
     /// # Errors
     ///
     /// Returns a typed [`ProtoError`]; never panics.
     pub fn from_json_bytes(payload: &[u8]) -> Result<Self, ProtoError> {
-        let v = json::parse(payload)?;
-        let ok = v
-            .get("ok")
-            .and_then(Value::as_bool)
-            .ok_or(ProtoError::BadField("ok"))?;
-        if !ok {
-            let rejection = v
-                .get("error")
-                .and_then(Value::as_str)
-                .and_then(Rejection::from_name)
-                .ok_or(ProtoError::BadField("error"))?;
-            let detail = v
-                .get("detail")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string();
-            return Ok(Response::Rejected { rejection, detail });
-        }
-        let op = v
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or(ProtoError::BadField("op"))?;
-        match op {
-            "read" => Ok(Response::Reading {
-                die: field_u64(&v, "die")?,
-                temp_c: field_f64(&v, "temp_c")?,
-                d_vtn_mv: field_f64(&v, "d_vtn_mv")?,
-                d_vtp_mv: field_f64(&v, "d_vtp_mv")?,
-                energy_pj: field_f64(&v, "energy_pj")?,
-                quality: v
-                    .get("quality")
-                    .and_then(Value::as_str)
-                    .and_then(Quality::from_name)
-                    .ok_or(ProtoError::BadField("quality"))?,
-            }),
-            "batch_read" => {
-                let items = v
-                    .get("items")
-                    .and_then(Value::as_arr)
-                    .ok_or(ProtoError::BadField("items"))?
-                    .iter()
-                    .map(|item| {
-                        let die = field_u64(item, "die")?;
-                        let served = item
-                            .get("ok")
-                            .and_then(Value::as_bool)
-                            .ok_or(ProtoError::BadField("items"))?;
-                        if served {
-                            Ok(BatchItem::Reading {
-                                die,
-                                temp_c: field_f64(item, "temp_c")?,
-                                d_vtn_mv: field_f64(item, "d_vtn_mv")?,
-                                d_vtp_mv: field_f64(item, "d_vtp_mv")?,
-                                energy_pj: field_f64(item, "energy_pj")?,
-                                quality: item
-                                    .get("quality")
-                                    .and_then(Value::as_str)
-                                    .and_then(Quality::from_name)
-                                    .ok_or(ProtoError::BadField("quality"))?,
-                            })
-                        } else {
-                            Ok(BatchItem::Rejected {
-                                die,
-                                rejection: item
-                                    .get("error")
-                                    .and_then(Value::as_str)
-                                    .and_then(Rejection::from_name)
-                                    .ok_or(ProtoError::BadField("error"))?,
-                                detail: item
-                                    .get("detail")
-                                    .and_then(Value::as_str)
-                                    .unwrap_or_default()
-                                    .to_string(),
-                            })
-                        }
-                    })
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                Ok(Response::Batch { items })
-            }
-            "calibrate" => Ok(Response::Calibrated {
-                die: field_u64(&v, "die")?,
-                quality: v
-                    .get("quality")
-                    .and_then(Value::as_str)
-                    .and_then(Quality::from_name)
-                    .ok_or(ProtoError::BadField("quality"))?,
-            }),
-            "health" => {
-                let shards = v
-                    .get("shards")
-                    .and_then(Value::as_arr)
-                    .ok_or(ProtoError::BadField("shards"))?
-                    .iter()
-                    .map(|s| {
-                        Ok(ShardHealthWire {
-                            id: field_u64(s, "id")?,
-                            state: s
-                                .get("state")
-                                .and_then(Value::as_str)
-                                .ok_or(ProtoError::BadField("state"))?
-                                .to_string(),
-                            restarts: field_u64(s, "restarts")?,
-                            queue_len: field_u64(s, "queue_len")?,
-                            dies: field_u64(s, "dies")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                let counters = match v.get("counters") {
-                    Some(Value::Obj(pairs)) => pairs
-                        .iter()
-                        .map(|(k, val)| {
-                            Ok((
-                                k.clone(),
-                                val.as_u64().ok_or(ProtoError::BadField("counters"))?,
-                            ))
-                        })
-                        .collect::<Result<Vec<_>, ProtoError>>()?,
-                    _ => return Err(ProtoError::BadField("counters")),
-                };
-                Ok(Response::Health(HealthWire {
-                    shards,
-                    counters,
-                    uptime_ms: field_u64(&v, "uptime_ms")?,
-                    // Absent on pre-v2 daemons; default rather than reject so a
-                    // new client can still health-check an old fleet.
-                    coalesce_max: field_u64(&v, "coalesce_max").unwrap_or(0),
-                    wire_version: field_u64(&v, "wire_version").unwrap_or(1),
-                }))
-            }
-            "ping" => Ok(Response::Pong {
-                pad: v
-                    .get("pad")
-                    .and_then(Value::as_str)
-                    .ok_or(ProtoError::BadField("pad"))?
-                    .to_string(),
-            }),
-            "inject" => Ok(Response::Injected {
-                die: field_u64(&v, "die")?,
-            }),
-            "shutdown" => Ok(Response::ShuttingDown),
-            other => Err(ProtoError::UnknownOp(other.to_string())),
-        }
+        json::decode(payload)
     }
 }
+
+// ---- framing ----
 
 /// How reading one frame ended.
 #[derive(Debug)]
@@ -877,35 +753,18 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes one length-prefixed frame.
-///
-/// # Errors
-///
-/// Propagates I/O errors (including write timeouts — a slow client
-/// surfaces as `WouldBlock`/`TimedOut` here). Payloads longer than
-/// [`MAX_FRAME`] are refused with `InvalidInput` rather than sent.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame payload exceeds MAX_FRAME",
-        ));
-    }
-    let len = (payload.len() as u32).to_be_bytes();
-    w.write_all(&len)?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-fn is_poll_timeout(e: &io::Error) -> bool {
+/// Whether `e` is a read or write timeout (`WouldBlock`/`TimedOut`).
+pub(crate) fn is_poll_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
 }
 
-/// Reads one length-prefixed frame, refusing oversize prefixes before any
-/// allocation.
+/// Reads one length-prefixed frame into a caller-owned buffer, reusing its
+/// capacity, and refuses an oversize prefix before growing the buffer. A
+/// warm connection that recycles the same buffer serves every frame at or
+/// below the high-water mark without touching the allocator.
 ///
 /// A read timeout **at a frame boundary** (zero bytes consumed) surfaces
 /// as [`FrameError::Io`] with a `WouldBlock`/`TimedOut` kind — the server
@@ -918,117 +777,46 @@ fn is_poll_timeout(e: &io::Error) -> bool {
 /// [`FrameError::Closed`] on clean EOF at a frame boundary,
 /// [`FrameError::Oversize`] / [`FrameError::Truncated`] on protocol
 /// violations, [`FrameError::Io`] otherwise.
-pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Vec<u8>, FrameError> {
-    let mut payload = Vec::new();
-    read_frame_into(r, max, &mut payload)?;
-    Ok(payload)
-}
-
-/// Reads one length-prefixed frame into a caller-owned buffer, reusing its
-/// capacity. A warm connection that recycles the same buffer serves every
-/// frame at or below the high-water mark without touching the allocator.
-///
-/// Same timeout/truncation semantics as [`read_frame`].
-///
-/// # Errors
-///
-/// As [`read_frame`].
 pub fn read_frame_into<R: Read>(
     r: &mut R,
     max: usize,
     buf: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
-    let header = read_prefix(r)?;
-    read_body_into(r, header, max, buf)
-}
-
-/// Reads the 4-byte frame prefix, tolerating idle-poll timeouts only when
-/// zero bytes have been consumed (the frame-boundary rule of
-/// [`read_frame`]). The server also calls this directly during version
-/// negotiation: the first four bytes of a connection are either the v2
-/// magic or a JSON frame's length prefix.
-///
-/// # Errors
-///
-/// [`FrameError::Closed`] on clean EOF before any byte,
-/// [`FrameError::Truncated`] on EOF/timeout mid-prefix, [`FrameError::Io`]
-/// otherwise.
-pub fn read_prefix<R: Read>(r: &mut R) -> Result<[u8; 4], FrameError> {
-    let mut header = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                return Err(if got == 0 {
-                    FrameError::Closed
-                } else {
-                    FrameError::Truncated { missing: 4 - got }
-                })
-            }
-            Ok(n) => got += n,
+    let mut prefix = [0u8; 4];
+    let first = loop {
+        match r.read(&mut prefix) {
+            Ok(0) => return Err(FrameError::Closed),
+            Ok(n) => break n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_poll_timeout(&e) && got > 0 => {
-                return Err(FrameError::Truncated { missing: 4 - got })
-            }
             Err(e) => return Err(FrameError::Io(e)),
         }
-    }
-    Ok(header)
-}
-
-/// Reads one byte mid-stream (the v2 version byte during negotiation).
-/// Unlike the prefix read, a timeout here is always [`FrameError::Truncated`]
-/// — the peer already committed to a handshake.
-///
-/// # Errors
-///
-/// [`FrameError::Truncated`] on EOF/timeout, [`FrameError::Io`] otherwise.
-pub fn read_byte<R: Read>(r: &mut R) -> Result<u8, FrameError> {
-    let mut b = [0u8; 1];
-    loop {
-        match r.read(&mut b) {
-            Ok(0) => return Err(FrameError::Truncated { missing: 1 }),
-            Ok(_) => return Ok(b[0]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_poll_timeout(&e) => return Err(FrameError::Truncated { missing: 1 }),
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-}
-
-/// Reads a frame body whose 4-byte prefix was already consumed (by
-/// [`read_prefix`]), bounds-checking the advertised length before growing
-/// the buffer. The buffer's capacity is reused across calls.
-///
-/// # Errors
-///
-/// [`FrameError::Oversize`] / [`FrameError::Truncated`] on protocol
-/// violations, [`FrameError::Io`] otherwise.
-pub fn read_body_into<R: Read>(
-    r: &mut R,
-    header: [u8; 4],
-    max: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    let advertised = u32::from_be_bytes(header) as usize;
+    };
+    read_owed(r, &mut prefix[first..])?;
+    let advertised = u32::from_be_bytes(prefix) as usize;
     if advertised > max {
         return Err(FrameError::Oversize { advertised, max });
     }
     buf.clear();
     buf.resize(advertised, 0);
+    read_owed(r, buf)
+}
+
+/// Fills `dst` from a peer already committed to sending it: EOF or a read
+/// timeout here is a [`FrameError::Truncated`] naming the bytes still owed.
+pub(crate) fn read_owed<R: Read>(r: &mut R, dst: &mut [u8]) -> Result<(), FrameError> {
     let mut filled = 0;
-    while filled < advertised {
-        match r.read(&mut buf[filled..]) {
+    while filled < dst.len() {
+        match r.read(&mut dst[filled..]) {
             Ok(0) => {
                 return Err(FrameError::Truncated {
-                    missing: advertised - filled,
+                    missing: dst.len() - filled,
                 })
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if is_poll_timeout(&e) => {
                 return Err(FrameError::Truncated {
-                    missing: advertised - filled,
+                    missing: dst.len() - filled,
                 })
             }
             Err(e) => return Err(FrameError::Io(e)),
@@ -1050,8 +838,7 @@ pub fn begin_frame(buf: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Refuses payloads longer than [`MAX_FRAME`] with `InvalidInput`, mirroring
-/// [`write_frame`].
+/// Refuses payloads longer than [`MAX_FRAME`] with `InvalidInput`.
 pub fn finish_frame(buf: &mut [u8]) -> io::Result<()> {
     debug_assert!(buf.len() >= 4, "finish_frame on a buffer without a prefix");
     let payload = buf.len() - 4;
@@ -1072,14 +859,15 @@ mod tests {
     #[test]
     fn frame_round_trip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"{\"op\":\"health\"}").unwrap();
+        begin_frame(&mut buf);
+        buf.extend_from_slice(b"{\"op\":\"health\"}");
+        finish_frame(&mut buf).unwrap();
         let mut cursor = io::Cursor::new(buf);
-        assert_eq!(
-            read_frame(&mut cursor, MAX_FRAME).unwrap(),
-            b"{\"op\":\"health\"}"
-        );
+        let mut payload = Vec::new();
+        read_frame_into(&mut cursor, MAX_FRAME, &mut payload).unwrap();
+        assert_eq!(payload, b"{\"op\":\"health\"}");
         assert!(matches!(
-            read_frame(&mut cursor, MAX_FRAME),
+            read_frame_into(&mut cursor, MAX_FRAME, &mut payload),
             Err(FrameError::Closed)
         ));
     }
@@ -1088,7 +876,8 @@ mod tests {
     fn oversize_prefix_refused_before_allocation() {
         let mut buf = Vec::from(u32::MAX.to_be_bytes());
         buf.extend_from_slice(b"xx");
-        let err = read_frame(&mut io::Cursor::new(buf), MAX_FRAME).unwrap_err();
+        let err =
+            read_frame_into(&mut io::Cursor::new(buf), MAX_FRAME, &mut Vec::new()).unwrap_err();
         assert!(
             matches!(err, FrameError::Oversize { advertised, .. } if advertised == u32::MAX as usize)
         );
@@ -1098,7 +887,8 @@ mod tests {
     fn truncated_frame_reports_missing_bytes() {
         let mut buf = Vec::from(10u32.to_be_bytes());
         buf.extend_from_slice(b"abc");
-        let err = read_frame(&mut io::Cursor::new(buf), MAX_FRAME).unwrap_err();
+        let err =
+            read_frame_into(&mut io::Cursor::new(buf), MAX_FRAME, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, FrameError::Truncated { missing: 7 }));
     }
 
@@ -1223,10 +1013,10 @@ mod tests {
                 quality: Quality::Recovered,
             })
             .collect();
-        let payload = Response::Batch { items }.to_json();
         let mut buf = Vec::new();
-        write_frame(&mut buf, payload.as_bytes())
-            .expect("a full batch response must fit MAX_FRAME");
+        begin_frame(&mut buf);
+        buf.extend_from_slice(Response::Batch { items }.to_json().as_bytes());
+        finish_frame(&mut buf).expect("a full batch response must fit MAX_FRAME");
     }
 
     #[test]

@@ -11,18 +11,26 @@
 //! one peer.
 
 use crate::fleet::Fleet;
+use crate::json;
 use crate::protocol::{
-    begin_frame, finish_frame, read_body_into, read_byte, read_frame_into, read_prefix, FrameError,
-    Rejection, Request, Response, MAX_FRAME,
+    begin_frame, finish_frame, is_poll_timeout, read_frame_into, read_owed, FrameError, Rejection,
+    Request, Response, MAX_FRAME,
 };
 use crate::shard::recover;
 use crate::wire::{self, WIRE_MAGIC, WIRE_V1, WIRE_V2};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Malformed frames tolerated per connection before it is closed.
+pub const BAD_FRAME_STRIKES: u32 = 8;
+
+/// Per-`read` poll granularity of a connection thread: bounds how long it
+/// takes to notice shutdown and to reap an idle peer.
+const POLL: Duration = Duration::from_millis(100);
 
 /// Front-end tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -31,10 +39,6 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Drop a connection whose peer reads replies slower than this.
     pub write_timeout: Duration,
-    /// Malformed frames tolerated per connection before it is closed.
-    pub bad_frame_strikes: u32,
-    /// Per-`read` poll granularity (bounds shutdown latency).
-    pub poll: Duration,
 }
 
 impl Default for ServerConfig {
@@ -42,9 +46,18 @@ impl Default for ServerConfig {
         ServerConfig {
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(2),
-            bad_frame_strikes: 8,
-            poll: Duration::from_millis(100),
         }
+    }
+}
+
+/// Raises the shutdown flag and wakes the accept loop, which blocks in
+/// `accept`, by connecting to the listener at `wake` once: `accept` returns
+/// and the loop re-checks the flag. A failed wake leaves the loop parked
+/// until the next real connection; it still exits then.
+fn request_stop(stop: &AtomicBool, wake: Option<SocketAddr>) {
+    stop.store(true, Ordering::SeqCst);
+    if let Some(addr) = wake {
+        let _ = TcpStream::connect(addr);
     }
 }
 
@@ -71,7 +84,6 @@ impl Server {
     /// Propagates bind failures.
     pub fn bind(fleet: Fleet, addr: &str, cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let fleet = Arc::new(fleet);
@@ -97,10 +109,19 @@ impl Server {
         self.addr
     }
 
-    /// Requests shutdown without blocking (the accept loop notices within
-    /// one poll interval; a `shutdown` request frame does this too).
+    /// Requests shutdown without blocking: the accept loop exits at once,
+    /// connection threads within one poll interval. A `shutdown` request
+    /// frame does this too.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        // A wildcard bind is woken through loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        request_stop(&self.stop, Some(wake));
     }
 
     /// Blocks until the accept loop (and every connection thread) exits,
@@ -119,39 +140,33 @@ fn accept_loop(
     stop: &Arc<AtomicBool>,
     cfg: ServerConfig,
 ) {
-    let conns: Mutex<Vec<thread::JoinHandle<()>>> = Mutex::new(Vec::new());
+    let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
     let mut next_id: u64 = 0;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Everything per-connection — metrics included — happens on
-                // the connection thread: the accept loop only spawns, so a
-                // burst of setup work (or a contended front-metrics lock)
-                // never delays the next accept. This is what keeps the
-                // health-probe tail flat under load.
-                let fleet = Arc::clone(fleet);
-                let stop = Arc::clone(stop);
-                let handle = thread::Builder::new()
-                    .name(format!("ptsim-conn-{next_id}"))
-                    .spawn(move || serve_conn(stream, &fleet, &stop, cfg))
-                    .expect("spawn connection thread");
-                next_id += 1;
-                let mut guard = recover(conns.lock());
-                guard.push(handle);
-                // Opportunistically reap finished connection threads so a
-                // long-lived daemon does not accumulate handles.
-                guard.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // 1 ms, not 10: the accept-poll gap is the floor of every
-                // fresh connection's first-byte latency, and a coarse sleep
-                // here was the dominant term of the health p99 tail.
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
+        // An accept error belongs to one failed handshake (or a transient
+        // descriptor shortage); the listener itself is still good.
+        let Ok(stream) = conn else { continue };
+        // Everything per-connection — metrics included — happens on the
+        // connection thread: the accept loop only spawns, so a burst of
+        // setup work (or a contended front-metrics lock) never delays the
+        // next accept. This is what keeps the health-probe tail flat under
+        // load.
+        let fleet = Arc::clone(fleet);
+        let stop = Arc::clone(stop);
+        let handle = thread::Builder::new()
+            .name(format!("ptsim-conn-{next_id}"))
+            .spawn(move || serve_conn(stream, &fleet, &stop, cfg))
+            .expect("spawn connection thread");
+        next_id += 1;
+        conns.push(handle);
+        // Opportunistically reap finished connection threads so a
+        // long-lived daemon does not accumulate handles.
+        conns.retain(|h| !h.is_finished());
     }
-    for h in recover(conns.lock()).drain(..) {
+    for h in conns {
         let _ = h.join();
     }
 }
@@ -171,11 +186,50 @@ fn send_response(
     if v2 {
         wire::encode_response(resp, wbuf);
     } else {
-        wbuf.extend_from_slice(resp.to_json().as_bytes());
+        json::encode(resp, wbuf);
     }
     finish_frame(wbuf)?;
     stream.write_all(wbuf)?;
     stream.flush()
+}
+
+/// Settles a connection's codec from its first byte, without consuming
+/// it unless it starts a hello. A binary-capable client opens with
+/// `WIRE_MAGIC` + the version it wants and is answered with the magic and
+/// the accepted version. Anything else is a JSON frame's length prefix
+/// (always `0x00`-leading, since `MAX_FRAME` fits 17 bits) and is left
+/// unread for the frame reader.
+///
+/// # Errors
+///
+/// As [`read_frame_into`] at a frame boundary: a read timeout before the
+/// first byte is an idle tick. Five bytes starting with `b'P'` that are
+/// not a hello are what a v1 reader would take for an oversize prefix.
+fn negotiate(stream: &mut TcpStream) -> Result<u8, FrameError> {
+    let mut first = [0u8; 1];
+    match stream.peek(&mut first) {
+        Ok(0) => return Err(FrameError::Closed),
+        Ok(_) => {}
+        Err(e) => return Err(FrameError::Io(e)),
+    }
+    if first[0] != WIRE_MAGIC[0] {
+        return Ok(WIRE_V1);
+    }
+    let mut hello = [0u8; 5];
+    read_owed(stream, &mut hello)?;
+    if hello[..4] != WIRE_MAGIC {
+        let prefix = [hello[0], hello[1], hello[2], hello[3]];
+        return Err(FrameError::Oversize {
+            advertised: u32::from_be_bytes(prefix) as usize,
+            max: MAX_FRAME,
+        });
+    }
+    hello[4] = wire::accepted_version(hello[4]);
+    stream
+        .write_all(&hello)
+        .and_then(|()| stream.flush())
+        .map_err(FrameError::Io)?;
+    Ok(hello[4])
 }
 
 fn serve_conn(
@@ -184,7 +238,7 @@ fn serve_conn(
     stop: &Arc<AtomicBool>,
     cfg: ServerConfig,
 ) {
-    let _ = stream.set_read_timeout(Some(cfg.poll));
+    let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
     let _ = stream.set_nodelay(true);
     let mut strikes = 0u32;
@@ -198,89 +252,25 @@ fn serve_conn(
     };
     count(|m| m.conns);
 
-    // Version negotiation on the first four bytes. A binary-capable client
-    // opens with `WIRE_MAGIC` + the version it wants; anything else is a
-    // JSON frame's length prefix (always `0x00`-leading, since MAX_FRAME
-    // fits 17 bits) and locks the connection to v1 — the header already
-    // consumed becomes the first frame's prefix.
-    let mut v2 = false;
-    let mut consumed_header: Option<[u8; 4]> = None;
+    // `None` until the connection's first byte settles the codec.
+    let mut v2: Option<bool> = None;
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        match read_prefix(&mut stream) {
-            Ok(header) if header == WIRE_MAGIC => {
-                let wanted = match read_byte(&mut stream) {
-                    Ok(b) => b,
-                    Err(_) => {
-                        count(|m| m.bad_frames);
-                        return;
-                    }
-                };
-                let accepted = if wanted >= WIRE_V2 { WIRE_V2 } else { WIRE_V1 };
-                let mut hello = [0u8; 5];
-                hello[..4].copy_from_slice(&WIRE_MAGIC);
-                hello[4] = accepted;
-                if stream
-                    .write_all(&hello)
-                    .and_then(|()| stream.flush())
-                    .is_err()
-                {
-                    return;
-                }
-                v2 = accepted == WIRE_V2;
-                if v2 {
-                    count(|m| m.wire_v2_conns);
-                }
-                last_frame = Instant::now();
-                break;
-            }
-            Ok(header) => {
-                consumed_header = Some(header);
-                break;
-            }
-            Err(FrameError::Closed) => return,
-            Err(FrameError::Io(e))
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if last_frame.elapsed() >= cfg.idle_timeout {
-                    count(|m| m.idle_reaps);
-                    return;
-                }
-            }
-            Err(FrameError::Truncated { .. }) => {
-                count(|m| m.bad_frames);
-                return;
-            }
-            // read_prefix never length-checks, so Oversize cannot occur.
-            Err(FrameError::Oversize { .. }) | Err(FrameError::Io(_)) => return,
-        }
-    }
-
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // The negotiation loop may have consumed the first frame's prefix.
-        let read = match consumed_header.take() {
-            Some(header) => read_body_into(&mut stream, header, MAX_FRAME, &mut rbuf),
-            None => read_frame_into(&mut stream, MAX_FRAME, &mut rbuf),
+        let negotiating = v2.is_none();
+        let read = if negotiating {
+            negotiate(&mut stream).map(|accepted| v2 = Some(accepted == WIRE_V2))
+        } else {
+            read_frame_into(&mut stream, MAX_FRAME, &mut rbuf)
         };
+        let v2_reply = v2 == Some(true);
         match read {
             Ok(()) => {
                 last_frame = Instant::now();
             }
             Err(FrameError::Closed) => return,
-            Err(FrameError::Io(e))
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(FrameError::Io(e)) if is_poll_timeout(&e) => {
                 if last_frame.elapsed() >= cfg.idle_timeout {
                     count(|m| m.idle_reaps);
                     return;
@@ -296,7 +286,7 @@ fn serve_conn(
                     Rejection::BadRequest,
                     format!("frame of {advertised} bytes exceeds the {max}-byte bound"),
                 );
-                let _ = send_response(&mut stream, &mut wbuf, &resp, v2);
+                let _ = send_response(&mut stream, &mut wbuf, &resp, v2_reply);
                 return;
             }
             Err(FrameError::Truncated { .. }) => {
@@ -305,8 +295,14 @@ fn serve_conn(
             }
             Err(FrameError::Io(_)) => return,
         }
+        if negotiating {
+            if v2_reply {
+                count(|m| m.wire_v2_conns);
+            }
+            continue;
+        }
 
-        let parsed = if v2 {
+        let parsed = if v2_reply {
             count(|m| m.wire_v2_frames);
             wire::decode_request(&rbuf)
         } else {
@@ -319,8 +315,9 @@ fn serve_conn(
                 Response::rejected(Rejection::BadRequest, e.to_string())
             }
             Ok(Request::Shutdown) => {
-                let _ = send_response(&mut stream, &mut wbuf, &Response::ShuttingDown, v2);
-                stop.store(true, Ordering::SeqCst);
+                let _ = send_response(&mut stream, &mut wbuf, &Response::ShuttingDown, v2_reply);
+                // This connection's local address is the listener's.
+                request_stop(stop, stream.local_addr().ok());
                 return;
             }
             Ok(req) => fleet.submit(req),
@@ -332,21 +329,16 @@ fn serve_conn(
         {
             count(|m| m.rej_bad_request);
         }
-        match send_response(&mut stream, &mut wbuf, &response, v2) {
+        match send_response(&mut stream, &mut wbuf, &response, v2_reply) {
             Ok(()) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if is_poll_timeout(&e) => {
                 // The peer stopped reading; do not let it wedge a thread.
                 count(|m| m.slow_client_drops);
                 return;
             }
             Err(_) => return,
         }
-        if strikes >= cfg.bad_frame_strikes {
+        if strikes >= BAD_FRAME_STRIKES {
             return;
         }
     }

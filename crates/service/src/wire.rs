@@ -1,11 +1,15 @@
 //! Wire protocol v2: fixed-width binary frames negotiated at connect.
 //!
-//! JSON (v1, [`crate::protocol`]) spends a large share of each request's
+//! JSON (v1, [`crate::json`]) spends a large share of each request's
 //! budget formatting and re-parsing floats. v2 keeps the outer framing —
 //! the same 4-byte big-endian length prefix, bounded by
 //! [`MAX_FRAME`] before any allocation — but the payload is a tag byte
 //! followed by fixed-width **little-endian** fields, so a `read` request
-//! is 26 bytes encoded and decoded with no intermediate tree.
+//! is 26 bytes encoded and decoded with no intermediate tree. The tags and
+//! field order come from the message schema in [`crate::protocol`]; this
+//! module only says how each field kind is laid out: integers and floats
+//! at their width, enum codes as one byte, strings as a `u16` length plus
+//! UTF-8, sequences as a `u32` count plus their elements.
 //!
 //! # Negotiation
 //!
@@ -16,26 +20,23 @@
 //! sides speak binary frames. A legitimate JSON frame can never collide
 //! with the hello: its length prefix is at most `MAX_FRAME` = 64 KiB, so
 //! its first byte on the wire is always `0x00`, while the magic starts
-//! with `b'P'`. Clients that skip the hello — the python CI smoke, older
-//! tooling — are therefore detected on their first frame and served JSON
-//! for the life of the connection.
+//! with `b'P'`. The server therefore peeks at a connection's first byte:
+//! clients that skip the hello — the python CI smoke, older tooling — are
+//! served JSON for the life of the connection.
 //!
 //! # Hardening
 //!
-//! Decoding enforces the exact bounds of the JSON parser
-//! ([`MAX_PRIORITY`], [`MAX_DEADLINE_MS`], [`TEMP_BOUNDS`], [`MAX_PAD`],
-//! [`MAX_BATCH`]) plus binary-specific checks: every field read is
-//! bounds-checked against the payload, string lengths are explicit and
-//! verified UTF-8, and trailing bytes after a complete message are
-//! refused. No byte sequence may panic the decoder (see
-//! `tests/wire.rs`). Encoding into a caller-owned buffer allocates
-//! nothing for string-free messages, which is what keeps the warm
-//! connection path of `server.rs`/`client.rs` allocation-free.
+//! Decoded requests pass the same bounds check as JSON ones (it runs after
+//! either codec decoded). On top, every field read is bounds-checked
+//! against the payload, string lengths are explicit and verified UTF-8, a
+//! sequence count larger than the bytes left is refused before the
+//! sequence is read, and trailing bytes after a complete message are
+//! refused. No byte sequence may panic the decoder (see `tests/wire.rs`).
+//! Encoding into a caller-owned buffer allocates nothing, which is what
+//! keeps the warm connection path of `server.rs`/`client.rs`
+//! allocation-free.
 
-use crate::protocol::{
-    BatchItem, HealthWire, InjectKind, ProtoError, Quality, Rejection, Request, Response,
-    ShardHealthWire, MAX_BATCH, MAX_DEADLINE_MS, MAX_PAD, MAX_PRIORITY, TEMP_BOUNDS,
-};
+use crate::protocol::{Coded, Decode, Encode, Header, Message, ProtoError, Request, Response};
 
 #[cfg(doc)]
 use crate::protocol::MAX_FRAME;
@@ -52,112 +53,71 @@ pub const WIRE_V1: u8 = 1;
 /// The binary protocol introduced here.
 pub const WIRE_V2: u8 = 2;
 
-// ---- request tags ----
-const REQ_READ: u8 = 1;
-const REQ_BATCH_READ: u8 = 2;
-const REQ_CALIBRATE: u8 = 3;
-const REQ_HEALTH: u8 = 4;
-const REQ_PING: u8 = 5;
-const REQ_INJECT: u8 = 6;
-const REQ_SHUTDOWN: u8 = 7;
+/// The version a hello asking for `wanted` settles on: [`WIRE_V2`] once
+/// the peer asks for it or later, JSON ([`WIRE_V1`]) otherwise.
+pub(crate) fn accepted_version(wanted: u8) -> u8 {
+    wanted.clamp(WIRE_V1, WIRE_V2)
+}
 
-// ---- response tags ----
-const RSP_READING: u8 = 1;
-const RSP_BATCH: u8 = 2;
-const RSP_CALIBRATED: u8 = 3;
-const RSP_HEALTH: u8 = 4;
-const RSP_PONG: u8 = 5;
-const RSP_INJECTED: u8 = 6;
-const RSP_REJECTED: u8 = 7;
-const RSP_SHUTTING_DOWN: u8 = 8;
+/// Appends fields to a frame buffer.
+struct Writer<'a>(&'a mut Vec<u8>);
 
-// ---- enum codes shared by both directions ----
-const QUALITY_NOMINAL: u8 = 0;
-const QUALITY_RECOVERED: u8 = 1;
-const QUALITY_DEGRADED: u8 = 2;
+impl Encode for Writer<'_> {
+    fn open(&mut self, h: &Header) {
+        if let Some(tag) = h.tag {
+            self.0.push(tag);
+        }
+    }
 
-const INJECT_DEGRADE: u8 = 0;
-const INJECT_HEAL: u8 = 1;
-const INJECT_PANIC_CONVERSION: u8 = 2;
-const INJECT_PANIC_WORKER: u8 = 3;
-const INJECT_STALL: u8 = 4;
+    fn uint(&mut self, _: &str, v: &u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
 
-fn quality_code(q: Quality) -> u8 {
-    match q {
-        Quality::Nominal => QUALITY_NOMINAL,
-        Quality::Recovered => QUALITY_RECOVERED,
-        Quality::Degraded => QUALITY_DEGRADED,
+    fn byte(&mut self, _: &str, v: &u8) {
+        self.0.push(*v);
+    }
+
+    fn float(&mut self, _: &str, v: &f64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Strings ride as a `u16` little-endian byte length plus UTF-8 bytes.
+    /// Every in-tree producer stays far under the 64 KiB cap (a longer
+    /// string would blow the frame bound anyway); defensively, over-long
+    /// strings are truncated at a char boundary rather than corrupting the
+    /// stream.
+    fn text(&mut self, _: &str, v: &str) {
+        let mut end = v.len().min(usize::from(u16::MAX));
+        while end > 0 && !v.is_char_boundary(end) {
+            end -= 1;
+        }
+        self.0.extend_from_slice(&(end as u16).to_le_bytes());
+        self.0.extend_from_slice(&v.as_bytes()[..end]);
+    }
+
+    fn code<T: Coded>(&mut self, _: &str, v: &T) {
+        self.0.push(v.entry().2);
+    }
+
+    fn list<T: Message>(&mut self, _: &str, v: &[T]) {
+        self.0.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        for item in v {
+            item.put(self);
+        }
+    }
+
+    fn map(&mut self, key: &str, v: &[(String, u64)]) {
+        self.0.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        for (name, value) in v {
+            self.text(key, name);
+            self.uint(key, value);
+        }
+    }
+
+    fn pad(&mut self, key: &str) {
+        self.uint(key, &0);
     }
 }
-
-fn quality_from(code: u8) -> Result<Quality, ProtoError> {
-    match code {
-        QUALITY_NOMINAL => Ok(Quality::Nominal),
-        QUALITY_RECOVERED => Ok(Quality::Recovered),
-        QUALITY_DEGRADED => Ok(Quality::Degraded),
-        _ => Err(ProtoError::BadField("quality")),
-    }
-}
-
-fn rejection_code(r: Rejection) -> u8 {
-    match r {
-        Rejection::Timeout => 0,
-        Rejection::Overloaded => 1,
-        Rejection::ShardDown => 2,
-        Rejection::BadRequest => 3,
-        Rejection::WorkerPanicked => 4,
-        Rejection::ConversionFailed => 5,
-    }
-}
-
-fn rejection_from(code: u8) -> Result<Rejection, ProtoError> {
-    match code {
-        0 => Ok(Rejection::Timeout),
-        1 => Ok(Rejection::Overloaded),
-        2 => Ok(Rejection::ShardDown),
-        3 => Ok(Rejection::BadRequest),
-        4 => Ok(Rejection::WorkerPanicked),
-        5 => Ok(Rejection::ConversionFailed),
-        _ => Err(ProtoError::BadField("error")),
-    }
-}
-
-// ---- encoding primitives ----
-
-fn put_u8(buf: &mut Vec<u8>, x: u8) {
-    buf.push(x);
-}
-
-fn put_u16(buf: &mut Vec<u8>, x: u16) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, x: u32) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, x: f64) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-/// Strings ride as a `u16` little-endian byte length plus UTF-8 bytes.
-/// Every in-tree producer stays far under the 64 KiB cap (a longer string
-/// would blow the frame bound anyway); defensively, over-long strings are
-/// truncated at a char boundary rather than corrupting the stream.
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let mut end = s.len().min(usize::from(u16::MAX));
-    while end > 0 && !s.is_char_boundary(end) {
-        end -= 1;
-    }
-    put_u16(buf, end as u16);
-    buf.extend_from_slice(&s.as_bytes()[..end]);
-}
-
-// ---- decoding primitives ----
 
 /// Bounds-checked reader over one frame payload. Every accessor returns a
 /// typed [`ProtoError`] on underrun; nothing here can panic on adversarial
@@ -167,153 +127,114 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError::BadField(field))?;
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self, key: &'static str) -> Result<[u8; N], ProtoError> {
         let bytes = self
             .buf
-            .get(self.pos..end)
-            .ok_or(ProtoError::BadField(field))?;
-        self.pos = end;
-        Ok(bytes)
+            .get(self.pos..)
+            .and_then(|rest| rest.first_chunk::<N>())
+            .ok_or(ProtoError::BadField(key))?;
+        self.pos += N;
+        Ok(*bytes)
     }
 
-    fn u8(&mut self, field: &'static str) -> Result<u8, ProtoError> {
-        Ok(self.take(1, field)?[0])
+    /// A sequence count. Every element takes at least one byte, so a count
+    /// beyond the bytes left is refused before any element is read.
+    fn count(&mut self, key: &'static str) -> Result<usize, ProtoError> {
+        let n = u32::from_le_bytes(self.take(key)?) as usize;
+        if n > self.buf.len() - self.pos {
+            return Err(ProtoError::OutOfBounds {
+                field: key,
+                bound: format!("{n} entries cannot fit the frame"),
+            });
+        }
+        Ok(n)
+    }
+}
+
+impl Decode for Reader<'_> {
+    fn open(&mut self, headers: &[Header]) -> Result<usize, ProtoError> {
+        if headers[0].tag.is_none() {
+            return Ok(0);
+        }
+        let [tag] = self.take("tag")?;
+        headers
+            .iter()
+            .position(|h| h.tag == Some(tag))
+            .ok_or_else(|| ProtoError::UnknownOp(format!("binary tag {tag}")))
     }
 
-    fn u16(&mut self, field: &'static str) -> Result<u16, ProtoError> {
-        let b = self.take(2, field)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    fn uint(&mut self, key: &'static str) -> Result<u64, ProtoError> {
+        self.take(key).map(u64::from_le_bytes)
     }
 
-    fn u32(&mut self, field: &'static str) -> Result<u32, ProtoError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    fn byte(&mut self, key: &'static str) -> Result<u8, ProtoError> {
+        self.take(key).map(|[b]| b)
     }
 
-    fn u64(&mut self, field: &'static str) -> Result<u64, ProtoError> {
-        let b = self.take(8, field)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
+    fn float(&mut self, key: &'static str) -> Result<f64, ProtoError> {
+        self.take(key).map(f64::from_le_bytes)
     }
 
-    fn f64(&mut self, field: &'static str) -> Result<f64, ProtoError> {
-        let b = self.take(8, field)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(f64::from_le_bytes(raw))
-    }
-
-    fn str(&mut self, field: &'static str) -> Result<String, ProtoError> {
-        let len = usize::from(self.u16(field)?);
-        let bytes = self.take(len, field)?;
+    fn text(&mut self, key: &'static str) -> Result<String, ProtoError> {
+        let len = usize::from(u16::from_le_bytes(self.take(key)?));
+        let bytes = self
+            .buf
+            .get(self.pos..self.pos + len)
+            .ok_or(ProtoError::BadField(key))?;
+        self.pos += len;
         std::str::from_utf8(bytes)
             .map(str::to_string)
-            .map_err(|_| ProtoError::BadField(field))
+            .map_err(|_| ProtoError::BadField(key))
     }
 
-    /// A complete message must consume the whole payload; trailing bytes
-    /// mean a desynchronized or malicious peer.
-    fn finish(&self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::OutOfBounds {
-                field: "frame",
-                bound: format!("{} trailing bytes", self.buf.len() - self.pos),
-            })
-        }
+    fn code<T: Coded>(&mut self, key: &'static str) -> Result<T, ProtoError> {
+        let [code] = self.take(key)?;
+        T::CODES
+            .iter()
+            .find(|e| e.2 == code)
+            .map(|e| e.0)
+            .ok_or(ProtoError::BadField(key))
     }
-}
 
-// ---- shared bounds checks (identical outcomes to the JSON parser) ----
+    fn list<T: Message>(&mut self, key: &'static str) -> Result<Vec<T>, ProtoError> {
+        (0..self.count(key)?).map(|_| T::get(self)).collect()
+    }
 
-fn check_temp(temp_c: f64) -> Result<f64, ProtoError> {
-    if (TEMP_BOUNDS.0..=TEMP_BOUNDS.1).contains(&temp_c) {
-        Ok(temp_c)
-    } else {
-        Err(ProtoError::OutOfBounds {
-            field: "temp_c",
-            bound: format!("{temp_c} outside {TEMP_BOUNDS:?}"),
-        })
+    fn map(&mut self, key: &'static str) -> Result<Vec<(String, u64)>, ProtoError> {
+        (0..self.count(key)?)
+            .map(|_| Ok((self.text(key)?, self.uint(key)?)))
+            .collect()
+    }
+
+    fn pad(&mut self, key: &'static str) -> Result<(), ProtoError> {
+        self.uint(key).map(drop)
     }
 }
 
-fn check_max(x: u64, max: u64, field: &'static str) -> Result<u64, ProtoError> {
-    if x > max {
-        Err(ProtoError::OutOfBounds {
-            field,
-            bound: format!("{x} > {max}"),
-        })
-    } else {
-        Ok(x)
+fn decode<T: Message>(payload: &[u8]) -> Result<T, ProtoError> {
+    let mut r = Reader {
+        buf: payload,
+        pos: 0,
+    };
+    let msg = T::get(&mut r)?;
+    // A complete message must consume the whole payload; trailing bytes
+    // mean a desynchronized or malicious peer.
+    let trailing = payload.len() - r.pos;
+    if trailing > 0 {
+        return Err(ProtoError::OutOfBounds {
+            field: "frame",
+            bound: format!("{trailing} trailing bytes"),
+        });
     }
+    Ok(msg)
 }
-
-// ---- requests ----
 
 /// Appends the binary encoding of a request to `buf` (which usually holds
 /// a frame started with [`crate::protocol::begin_frame`]). Allocates
 /// nothing beyond the buffer's own growth.
 pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
-    match req {
-        Request::Read {
-            die,
-            temp_c,
-            priority,
-            deadline_ms,
-        } => {
-            put_u8(buf, REQ_READ);
-            put_u64(buf, *die);
-            put_f64(buf, *temp_c);
-            put_u8(buf, *priority);
-            put_u64(buf, *deadline_ms);
-        }
-        Request::BatchRead {
-            die0,
-            count,
-            temp_c,
-            priority,
-            deadline_ms,
-        } => {
-            put_u8(buf, REQ_BATCH_READ);
-            put_u64(buf, *die0);
-            put_u64(buf, *count);
-            put_f64(buf, *temp_c);
-            put_u8(buf, *priority);
-            put_u64(buf, *deadline_ms);
-        }
-        Request::Calibrate { die, deadline_ms } => {
-            put_u8(buf, REQ_CALIBRATE);
-            put_u64(buf, *die);
-            put_u64(buf, *deadline_ms);
-        }
-        Request::Health => put_u8(buf, REQ_HEALTH),
-        Request::Ping { pad } => {
-            put_u8(buf, REQ_PING);
-            put_u64(buf, *pad);
-        }
-        Request::Inject { die, kind } => {
-            put_u8(buf, REQ_INJECT);
-            put_u64(buf, *die);
-            let (code, ms) = match kind {
-                InjectKind::DegradeDie => (INJECT_DEGRADE, 0),
-                InjectKind::HealDie => (INJECT_HEAL, 0),
-                InjectKind::PanicConversion => (INJECT_PANIC_CONVERSION, 0),
-                InjectKind::PanicWorker => (INJECT_PANIC_WORKER, 0),
-                InjectKind::StallMs(ms) => (INJECT_STALL, *ms),
-            };
-            put_u8(buf, code);
-            put_u64(buf, ms);
-        }
-        Request::Shutdown => put_u8(buf, REQ_SHUTDOWN),
-    }
+    req.put(&mut Writer(buf));
 }
 
 /// Decodes and bounds-checks one binary request payload.
@@ -324,203 +245,14 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
 /// trailing bytes, or bound violations — the same violations the JSON
 /// parser refuses. Never panics.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
-    let mut r = Reader::new(payload);
-    let req = match r.u8("tag")? {
-        REQ_READ => {
-            let die = r.u64("die")?;
-            let temp_c = check_temp(r.f64("temp_c")?)?;
-            let priority = check_max(
-                u64::from(r.u8("priority")?),
-                u64::from(MAX_PRIORITY),
-                "priority",
-            )? as u8;
-            let deadline_ms = check_max(r.u64("deadline_ms")?, MAX_DEADLINE_MS, "deadline_ms")?;
-            Request::Read {
-                die,
-                temp_c,
-                priority,
-                deadline_ms,
-            }
-        }
-        REQ_BATCH_READ => {
-            let die0 = r.u64("die0")?;
-            let count = r.u64("count")?;
-            if count == 0 || count > MAX_BATCH {
-                return Err(ProtoError::OutOfBounds {
-                    field: "count",
-                    bound: format!("{count} outside 1..={MAX_BATCH}"),
-                });
-            }
-            if die0.checked_add(count).is_none() {
-                return Err(ProtoError::OutOfBounds {
-                    field: "die0",
-                    bound: format!("{die0} + {count} overflows the die index space"),
-                });
-            }
-            let temp_c = check_temp(r.f64("temp_c")?)?;
-            let priority = check_max(
-                u64::from(r.u8("priority")?),
-                u64::from(MAX_PRIORITY),
-                "priority",
-            )? as u8;
-            let deadline_ms = check_max(r.u64("deadline_ms")?, MAX_DEADLINE_MS, "deadline_ms")?;
-            Request::BatchRead {
-                die0,
-                count,
-                temp_c,
-                priority,
-                deadline_ms,
-            }
-        }
-        REQ_CALIBRATE => Request::Calibrate {
-            die: r.u64("die")?,
-            deadline_ms: check_max(r.u64("deadline_ms")?, MAX_DEADLINE_MS, "deadline_ms")?,
-        },
-        REQ_HEALTH => Request::Health,
-        REQ_PING => Request::Ping {
-            pad: check_max(r.u64("pad")?, MAX_PAD, "pad")?,
-        },
-        REQ_INJECT => {
-            let die = r.u64("die")?;
-            let code = r.u8("fault")?;
-            let ms = check_max(r.u64("ms")?, MAX_DEADLINE_MS, "ms")?;
-            let kind = match code {
-                INJECT_DEGRADE => InjectKind::DegradeDie,
-                INJECT_HEAL => InjectKind::HealDie,
-                INJECT_PANIC_CONVERSION => InjectKind::PanicConversion,
-                INJECT_PANIC_WORKER => InjectKind::PanicWorker,
-                INJECT_STALL => InjectKind::StallMs(ms),
-                _ => return Err(ProtoError::BadField("fault")),
-            };
-            Request::Inject { die, kind }
-        }
-        REQ_SHUTDOWN => Request::Shutdown,
-        other => return Err(ProtoError::UnknownOp(format!("binary tag {other}"))),
-    };
-    r.finish()?;
-    Ok(req)
+    decode(payload).and_then(Request::check_bounds)
 }
 
-// ---- responses ----
-
-fn encode_batch_item(item: &BatchItem, buf: &mut Vec<u8>) {
-    match item {
-        BatchItem::Reading {
-            die,
-            temp_c,
-            d_vtn_mv,
-            d_vtp_mv,
-            energy_pj,
-            quality,
-        } => {
-            put_u8(buf, 1);
-            put_u64(buf, *die);
-            put_f64(buf, *temp_c);
-            put_f64(buf, *d_vtn_mv);
-            put_f64(buf, *d_vtp_mv);
-            put_f64(buf, *energy_pj);
-            put_u8(buf, quality_code(*quality));
-        }
-        BatchItem::Rejected {
-            die,
-            rejection,
-            detail,
-        } => {
-            put_u8(buf, 0);
-            put_u64(buf, *die);
-            put_u8(buf, rejection_code(*rejection));
-            put_str(buf, detail);
-        }
-    }
-}
-
-fn decode_batch_item(r: &mut Reader<'_>) -> Result<BatchItem, ProtoError> {
-    match r.u8("items")? {
-        1 => Ok(BatchItem::Reading {
-            die: r.u64("die")?,
-            temp_c: r.f64("temp_c")?,
-            d_vtn_mv: r.f64("d_vtn_mv")?,
-            d_vtp_mv: r.f64("d_vtp_mv")?,
-            energy_pj: r.f64("energy_pj")?,
-            quality: quality_from(r.u8("quality")?)?,
-        }),
-        0 => Ok(BatchItem::Rejected {
-            die: r.u64("die")?,
-            rejection: rejection_from(r.u8("error")?)?,
-            detail: r.str("detail")?,
-        }),
-        _ => Err(ProtoError::BadField("items")),
-    }
-}
-
-/// Appends the binary encoding of a response to `buf`. String-free
-/// responses (notably [`Response::Reading`]) allocate nothing beyond the
-/// buffer's own growth — the warm single-read path never touches the
-/// allocator.
+/// Appends the binary encoding of a response to `buf`. Allocates nothing
+/// beyond the buffer's own growth — the warm single-read path never
+/// touches the allocator.
 pub fn encode_response(rsp: &Response, buf: &mut Vec<u8>) {
-    match rsp {
-        Response::Reading {
-            die,
-            temp_c,
-            d_vtn_mv,
-            d_vtp_mv,
-            energy_pj,
-            quality,
-        } => {
-            put_u8(buf, RSP_READING);
-            put_u64(buf, *die);
-            put_f64(buf, *temp_c);
-            put_f64(buf, *d_vtn_mv);
-            put_f64(buf, *d_vtp_mv);
-            put_f64(buf, *energy_pj);
-            put_u8(buf, quality_code(*quality));
-        }
-        Response::Batch { items } => {
-            put_u8(buf, RSP_BATCH);
-            put_u32(buf, items.len() as u32);
-            for item in items {
-                encode_batch_item(item, buf);
-            }
-        }
-        Response::Calibrated { die, quality } => {
-            put_u8(buf, RSP_CALIBRATED);
-            put_u64(buf, *die);
-            put_u8(buf, quality_code(*quality));
-        }
-        Response::Health(h) => {
-            put_u8(buf, RSP_HEALTH);
-            put_u64(buf, h.uptime_ms);
-            put_u64(buf, h.coalesce_max);
-            put_u64(buf, h.wire_version);
-            put_u32(buf, h.shards.len() as u32);
-            for s in &h.shards {
-                put_u64(buf, s.id);
-                put_str(buf, &s.state);
-                put_u64(buf, s.restarts);
-                put_u64(buf, s.queue_len);
-                put_u64(buf, s.dies);
-            }
-            put_u32(buf, h.counters.len() as u32);
-            for (name, value) in &h.counters {
-                put_str(buf, name);
-                put_u64(buf, *value);
-            }
-        }
-        Response::Pong { pad } => {
-            put_u8(buf, RSP_PONG);
-            put_str(buf, pad);
-        }
-        Response::Injected { die } => {
-            put_u8(buf, RSP_INJECTED);
-            put_u64(buf, *die);
-        }
-        Response::Rejected { rejection, detail } => {
-            put_u8(buf, RSP_REJECTED);
-            put_u8(buf, rejection_code(*rejection));
-            put_str(buf, detail);
-        }
-        Response::ShuttingDown => put_u8(buf, RSP_SHUTTING_DOWN),
-    }
+    rsp.put(&mut Writer(buf));
 }
 
 /// Decodes one binary response payload (the client side).
@@ -530,95 +262,16 @@ pub fn encode_response(rsp: &Response, buf: &mut Vec<u8>) {
 /// Returns a typed [`ProtoError`] for unknown tags, truncated fields,
 /// malformed strings, or trailing bytes. Never panics.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
-    let mut r = Reader::new(payload);
-    let rsp = match r.u8("tag")? {
-        RSP_READING => Response::Reading {
-            die: r.u64("die")?,
-            temp_c: r.f64("temp_c")?,
-            d_vtn_mv: r.f64("d_vtn_mv")?,
-            d_vtp_mv: r.f64("d_vtp_mv")?,
-            energy_pj: r.f64("energy_pj")?,
-            quality: quality_from(r.u8("quality")?)?,
-        },
-        RSP_BATCH => {
-            let count = r.u32("items")? as usize;
-            // An item is ≥ 10 bytes encoded; an advertised count that
-            // cannot fit the remaining payload is refused before the
-            // allocation, same discipline as the frame length prefix.
-            if count > payload.len() / 10 + 1 {
-                return Err(ProtoError::OutOfBounds {
-                    field: "items",
-                    bound: format!("{count} items cannot fit the frame"),
-                });
-            }
-            let mut items = Vec::with_capacity(count);
-            for _ in 0..count {
-                items.push(decode_batch_item(&mut r)?);
-            }
-            Response::Batch { items }
-        }
-        RSP_CALIBRATED => Response::Calibrated {
-            die: r.u64("die")?,
-            quality: quality_from(r.u8("quality")?)?,
-        },
-        RSP_HEALTH => {
-            let uptime_ms = r.u64("uptime_ms")?;
-            let coalesce_max = r.u64("coalesce_max")?;
-            let wire_version = r.u64("wire_version")?;
-            let n_shards = r.u32("shards")? as usize;
-            if n_shards > payload.len() / 34 + 1 {
-                return Err(ProtoError::OutOfBounds {
-                    field: "shards",
-                    bound: format!("{n_shards} shards cannot fit the frame"),
-                });
-            }
-            let mut shards = Vec::with_capacity(n_shards);
-            for _ in 0..n_shards {
-                shards.push(ShardHealthWire {
-                    id: r.u64("id")?,
-                    state: r.str("state")?,
-                    restarts: r.u64("restarts")?,
-                    queue_len: r.u64("queue_len")?,
-                    dies: r.u64("dies")?,
-                });
-            }
-            let n_counters = r.u32("counters")? as usize;
-            if n_counters > payload.len() / 10 + 1 {
-                return Err(ProtoError::OutOfBounds {
-                    field: "counters",
-                    bound: format!("{n_counters} counters cannot fit the frame"),
-                });
-            }
-            let mut counters = Vec::with_capacity(n_counters);
-            for _ in 0..n_counters {
-                let name = r.str("counters")?;
-                let value = r.u64("counters")?;
-                counters.push((name, value));
-            }
-            Response::Health(HealthWire {
-                shards,
-                counters,
-                uptime_ms,
-                coalesce_max,
-                wire_version,
-            })
-        }
-        RSP_PONG => Response::Pong { pad: r.str("pad")? },
-        RSP_INJECTED => Response::Injected { die: r.u64("die")? },
-        RSP_REJECTED => Response::Rejected {
-            rejection: rejection_from(r.u8("error")?)?,
-            detail: r.str("detail")?,
-        },
-        RSP_SHUTTING_DOWN => Response::ShuttingDown,
-        other => return Err(ProtoError::UnknownOp(format!("binary tag {other}"))),
-    };
-    r.finish()?;
-    Ok(rsp)
+    decode(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{
+        BatchItem, HealthWire, InjectKind, Quality, Rejection, ShardHealthWire, MAX_PAD,
+        MAX_PRIORITY,
+    };
 
     fn round_trip_request(req: &Request) {
         let mut buf = Vec::new();

@@ -6,11 +6,25 @@
 use ptsim_rng::check::{vec_in, Strategy};
 use ptsim_rng::forall;
 use ptsim_service::protocol::{
-    read_frame, write_frame, BatchItem, FrameError, InjectKind, Quality, Rejection, Request,
-    Response, DEFAULT_DEADLINE_MS, MAX_BATCH, MAX_DEADLINE_MS, MAX_FRAME, MAX_PAD, MAX_PRIORITY,
-    TEMP_BOUNDS,
+    begin_frame, finish_frame, read_frame_into, BatchItem, FrameError, InjectKind, Quality,
+    Rejection, Request, Response, DEFAULT_DEADLINE_MS, MAX_BATCH, MAX_DEADLINE_MS, MAX_FRAME,
+    MAX_PAD, MAX_PRIORITY, TEMP_BOUNDS,
 };
-use std::io::Cursor;
+use std::io::{self, Cursor};
+
+/// Frames `payload` with the kept writer: `begin_frame` + `finish_frame`.
+fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
+    begin_frame(buf);
+    buf.extend_from_slice(payload);
+    finish_frame(buf)
+}
+
+/// Reads one frame with the kept reader, `read_frame_into`.
+fn read_frame(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
+    let mut payload = Vec::new();
+    read_frame_into(&mut Cursor::new(bytes), MAX_FRAME, &mut payload)?;
+    Ok(payload)
+}
 
 fn bytes(len: core::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     vec_in(Strategy::map(0u32..256, |b| b as u8), len)
@@ -95,7 +109,7 @@ forall! {
     fn frames_round_trip_any_payload(payload in bytes(0..2048)) {
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
-        assert_eq!(read_frame(&mut Cursor::new(buf), MAX_FRAME).unwrap(), payload);
+        assert_eq!(read_frame(&buf).unwrap(), payload);
     }
 
     #[test]
@@ -104,7 +118,7 @@ forall! {
         write_frame(&mut buf, &payload).unwrap();
         // Cut strictly inside the frame (header or payload).
         let cut = 1 + ((buf.len() - 2) as f64 * cut_frac) as usize;
-        let err = read_frame(&mut Cursor::new(&buf[..cut]), MAX_FRAME).unwrap_err();
+        let err = read_frame(&buf[..cut]).unwrap_err();
         assert!(
             matches!(err, FrameError::Truncated { .. }),
             "cut at {cut}/{} gave {err:?}",
@@ -116,7 +130,7 @@ forall! {
     fn garbage_bytes_never_panic_the_frame_reader(garbage in bytes(0..128)) {
         // Whatever happens, it is a typed result, not a panic — and an
         // oversize prefix must be refused before allocation.
-        match read_frame(&mut Cursor::new(&garbage), MAX_FRAME) {
+        match read_frame(&garbage) {
             Ok(payload) => assert!(payload.len() <= MAX_FRAME),
             Err(
                 FrameError::Closed

@@ -4,11 +4,12 @@
 //! clients, idle reaping).
 
 use ptsim_service::protocol::{
-    write_frame, BatchItem, InjectKind, Quality, Rejection, Request, Response,
+    begin_frame, finish_frame, BatchItem, InjectKind, Quality, Rejection, Request, Response,
 };
-use ptsim_service::{Client, Fleet, FleetConfig, Server, ServerConfig};
-use std::io::Write;
-use std::net::TcpStream;
+use ptsim_service::server::BAD_FRAME_STRIKES;
+use ptsim_service::{Client, ClientError, Fleet, FleetConfig, ProtoError, Server, ServerConfig};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn test_fleet_cfg() -> FleetConfig {
@@ -132,8 +133,33 @@ fn malformed_frames_get_typed_rejections_and_connection_survives() {
 
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_frame(&mut buf, payload).unwrap();
+    begin_frame(&mut buf);
+    buf.extend_from_slice(payload);
+    finish_frame(&mut buf).unwrap();
     buf
+}
+
+#[test]
+fn connect_v2_to_a_pre_v2_daemon_is_a_typed_protocol_error() {
+    // A pre-v2 daemon reads the hello as a JSON length prefix, refuses it
+    // as oversize, and answers with a JSON frame instead of the magic.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let old_daemon = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut hello = [0u8; 5];
+        stream.read_exact(&mut hello).unwrap();
+        let refusal = Response::rejected(Rejection::BadRequest, "frame exceeds the bound");
+        stream
+            .write_all(&frame(refusal.to_json().as_bytes()))
+            .unwrap();
+    });
+    let err = Client::connect_v2(&addr).unwrap_err();
+    assert!(
+        matches!(err, ClientError::Proto(ProtoError::BadField("hello"))),
+        "got {err:?}"
+    );
+    old_daemon.join().unwrap();
 }
 
 #[test]
@@ -168,13 +194,10 @@ fn oversize_prefix_is_answered_then_closed() {
 
 #[test]
 fn bad_frame_strike_budget_closes_the_connection() {
-    let (server, addr) = start_server(ServerConfig {
-        bad_frame_strikes: 3,
-        ..ServerConfig::default()
-    });
+    let (server, addr) = start_server(ServerConfig::default());
     let mut client = Client::connect(&addr).unwrap();
     let mut rejections = 0;
-    for _ in 0..10 {
+    for _ in 0..2 * BAD_FRAME_STRIKES {
         if client.send_raw(&frame(b"garbage")).is_err() {
             break;
         }
@@ -184,8 +207,9 @@ fn bad_frame_strike_budget_closes_the_connection() {
         }
     }
     assert!(
-        (3..10).contains(&rejections),
-        "strike budget of 3 should close after ~3 rejections, got {rejections}"
+        (BAD_FRAME_STRIKES..2 * BAD_FRAME_STRIKES).contains(&rejections),
+        "strike budget of {BAD_FRAME_STRIKES} should close after ~{BAD_FRAME_STRIKES} \
+         rejections, got {rejections}"
     );
     server.stop();
     server.join();
@@ -195,7 +219,6 @@ fn bad_frame_strike_budget_closes_the_connection() {
 fn idle_connections_are_reaped() {
     let (server, addr) = start_server(ServerConfig {
         idle_timeout: Duration::from_millis(150),
-        poll: Duration::from_millis(25),
         ..ServerConfig::default()
     });
     let mut client = Client::connect(&addr).unwrap();

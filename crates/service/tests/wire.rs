@@ -105,7 +105,7 @@ fn some_response(die: u64, temp: f64, mv: f64, pj: f64, pick: u32, q: u32) -> Re
                 dies: 16,
             }],
             counters: vec![("svc.served".to_string(), die), (String::new(), 0)],
-            uptime_ms: die * 7,
+            uptime_ms: die,
             coalesce_max: 1 + die % 64,
             wire_version: 2,
         }),
@@ -145,20 +145,63 @@ forall! {
 
     #[test]
     fn binary_and_json_codecs_agree(
-        die in 0u64..1_000_000,
-        temp in TEMP_BOUNDS.0..TEMP_BOUNDS.1,
-        priority in 0u32..4,
-        deadline in 1u64..MAX_DEADLINE_MS,
-        pick in 0u32..7
+        die in 0u64..1 << 53,
+        temp in TEMP_BOUNDS.0 - 50.0..TEMP_BOUNDS.1 + 50.0,
+        priority in 0u32..u32::from(MAX_PRIORITY) + 3,
+        raw in 0u64..2 * MAX_DEADLINE_MS,
+        pick in 0u32..7,
+        (mv, pj, rpick, q) in (-80.0f64..80.0, 0.0f64..1e6, 0u32..8, 0u32..3)
     ) {
-        // Both codecs are total over the request model: a value that
-        // survives one round-trip survives the other, unchanged.
-        let req = some_request(die, temp, priority as u8, deadline, pick);
+        // Both codecs run one schema and one bounds check, for die ids up
+        // to 2^53 (the JSON exact-integer limit). A request decodes to the
+        // same value through either, or is refused by both with the same
+        // error — out-of-range temperatures, priorities, deadlines, stall
+        // lengths, batch counts and ping pads included.
+        let requests = [
+            some_request(die, temp, priority as u8, raw, pick),
+            Request::BatchRead {
+                die0: die,
+                count: raw % (MAX_BATCH + 2),
+                temp_c: temp,
+                priority: priority as u8,
+                deadline_ms: raw,
+            },
+            Request::Ping { pad: raw },
+        ];
+        for req in &requests {
+            let mut buf = Vec::new();
+            encode_request(req, &mut buf);
+            let via_binary = decode_request(&buf);
+            let via_json = Request::from_json_bytes(req.to_json().as_bytes());
+            assert_eq!(via_binary, via_json, "{req:?}");
+            match via_binary {
+                Ok(back) => assert_eq!(&back, req),
+                Err(e) => assert!(matches!(e, ProtoError::OutOfBounds { .. }), "{req:?}: {e:?}"),
+            }
+        }
+
+        // An inject that is not a stall ignores `ms` in both codecs (v2
+        // always carries the slot; JSON may carry the member).
+        let (fault, code) = [
+            ("degrade", 0u8),
+            ("heal", 1),
+            ("panic_conversion", 2),
+            ("panic_worker", 3),
+            ("stall", 4),
+        ][(raw % 5) as usize];
+        let json = format!(r#"{{"op":"inject","die":{},"fault":"{fault}","ms":{raw}}}"#, die + 1);
+        let mut binary = vec![6u8];
+        binary.extend_from_slice(&(die + 1).to_le_bytes());
+        binary.push(code);
+        binary.extend_from_slice(&raw.to_le_bytes());
+        assert_eq!(decode_request(&binary), Request::from_json_bytes(json.as_bytes()), "{json}");
+
+        // A response decodes to itself through either codec.
+        let resp = some_response(die, temp, mv, pj, rpick, q);
         let mut buf = Vec::new();
-        encode_request(&req, &mut buf);
-        let via_binary = decode_request(&buf).unwrap();
-        let via_json = Request::from_json_bytes(req.to_json().as_bytes()).unwrap();
-        assert_eq!(via_binary, via_json);
+        encode_response(&resp, &mut buf);
+        assert_eq!(decode_response(&buf).unwrap(), resp);
+        assert_eq!(Response::from_json_bytes(resp.to_json().as_bytes()).unwrap(), resp);
     }
 
     #[test]

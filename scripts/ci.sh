@@ -11,8 +11,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline (all targets)"
 cargo build --release --offline --all-targets
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+echo "==> cargo test -q --offline --workspace (root gates + every crate suite)"
+cargo test -q --offline --workspace
+
+echo "==> perfbench build (outside the workspace; compiles against the service API)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --offline (deny warnings)"
 cargo clippy --offline --all-targets -- -D warnings
