@@ -5,7 +5,10 @@
 //! report alone. An unknown ID exits non-zero and lists the valid IDs.
 use ptsim_bench::experiments as exp;
 
-const SECTIONS: [(&str, fn() -> String); 15] = [
+/// One experiment: its ID and the function that renders its report.
+type Section = (&'static str, fn() -> String);
+
+const SECTIONS: [Section; 15] = [
     ("F1", exp::f1_ro_vs_temp::run),
     ("F2", exp::f2_ro_vs_vt::run),
     ("F3", exp::f3_temp_error::run),

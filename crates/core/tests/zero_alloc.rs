@@ -17,7 +17,8 @@ use ptsim_device::process::Technology;
 use ptsim_device::units::{Celsius, Seconds, Volt, Watt};
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_rng::Pcg64;
-use ptsim_thermal::{step_transient_with, StackConfig, ThermalStack, TransientScratch};
+use ptsim_thermal::{step_transient_with, TransientScratch};
+use ptsim_tsv::topology::StackTopology;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -175,20 +176,27 @@ fn warm_conversion_path_with_metrics_is_allocation_free() {
 
 #[test]
 fn warm_transient_step_is_allocation_free() {
-    // The 2 ms DTM control-loop tick: retune per-cell power in place
-    // (`power_mut` + `set_cell`), then advance the 16×16×4 stack with the
-    // caller-held scratch. The first step sizes the stencil and derivative
+    // The 2 ms DTM control-loop tick on the R3 stack (16×16×4 with a TSV
+    // array adding vertical conductance at every interface): retune
+    // per-cell power in place (`power_mut` + `set_cell`), then advance the
+    // stack with the caller-held scratch. Every substep writes the scratch
+    // field and swaps it with the stack's, so an odd substep count leaves
+    // the two buffers exchanged; the tick (25 substeps) and a double tick
+    // (50) cover both parities. The first step sizes the stencil and field
     // buffers; every warm step after that must not touch the heap.
-    let mut stack = ThermalStack::new(StackConfig::four_tier_5mm()).unwrap();
+    let mut stack = StackTopology::reference_four_tier()
+        .build_thermal()
+        .unwrap();
     stack
         .power_mut(0)
         .unwrap()
         .add_hotspot(0.5, 0.5, 0.15, Watt(2.0));
     let mut scratch = TransientScratch::new();
-    let dt = Seconds(0.002);
+    let tick = Seconds(0.002);
+    let double_tick = Seconds(0.004);
 
     // Warm-up step.
-    assert!(step_transient_with(&mut stack, dt, &mut scratch) >= 1);
+    assert_eq!(step_transient_with(&mut stack, tick, &mut scratch), 25);
 
     let before = allocations();
     for i in 0..16usize {
@@ -196,7 +204,12 @@ fn warm_transient_step_is_allocation_free() {
         let map = stack.power_mut(0).unwrap();
         map.set_cell(i % 16, (3 * i) % 16, Watt(4.0));
         map.set_cell((i + 7) % 16, i % 16, Watt(0.5));
-        step_transient_with(&mut stack, dt, &mut scratch);
+        let (dt, substeps) = if i % 2 == 0 {
+            (tick, 25)
+        } else {
+            (double_tick, 50)
+        };
+        assert_eq!(step_transient_with(&mut stack, dt, &mut scratch), substeps);
     }
     let after = allocations();
 

@@ -1006,7 +1006,7 @@ mod tests {
         let items = (0..MAX_BATCH)
             .map(|die| BatchItem::Reading {
                 die: u64::MAX - die,
-                temp_c: -99.123_456_789_012_345,
+                temp_c: -99.123_456_789_012_35,
                 d_vtn_mv: -123.456_789_012_345_67,
                 d_vtp_mv: -123.456_789_012_345_67,
                 energy_pj: 123_456.789_012_345_67,

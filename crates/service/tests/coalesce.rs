@@ -93,7 +93,11 @@ fn coalesced_reads_are_bit_identical_to_solo_reads() {
             .filter(|&die| die != stall_die)
             .map(|die| {
                 let temp_c = 40.0 + (rng.next_u64() % 600) as f64 / 10.0;
-                let deadline_ms = if rng.next_u64() % 4 == 0 { 1 } else { 30_000 };
+                let deadline_ms = if rng.next_u64().is_multiple_of(4) {
+                    1
+                } else {
+                    30_000
+                };
                 (die, temp_c, deadline_ms)
             })
             .collect();

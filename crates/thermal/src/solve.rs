@@ -100,17 +100,19 @@ pub fn solve_steady_state(
     })
 }
 
-/// Reusable workspace for [`step_transient_with`]: the flattened stencil
-/// and the derivative buffer, both refreshed in place each step.
+/// Reusable workspace for [`step_transient_with`]: the flattened stencil,
+/// refreshed in place each step, and the second temperature field each
+/// explicit-Euler substep writes into before it is swapped with the
+/// stack's own.
 ///
-/// A 2 ms control-loop tick on a 16×16×4 stack used to allocate a fresh
-/// stencil and `derivs` vector per call; keeping one scratch per loop makes
-/// the warm transient step allocation-free (gated by the counting-allocator
+/// Without it a 2 ms control-loop tick on a 16×16×4 stack would allocate
+/// a fresh stencil and field buffer per call; keeping one scratch per loop
+/// makes the warm transient step allocation-free (gated by the counting-allocator
 /// test in `ptsim-core`).
 #[derive(Debug, Clone, Default)]
 pub struct TransientScratch {
     stencil: Option<Stencil>,
-    derivs: Vec<f64>,
+    next: Vec<f64>,
 }
 
 impl TransientScratch {
@@ -125,9 +127,11 @@ impl TransientScratch {
 /// integration, automatically substepping to respect the stability limit
 /// `dt_cell < C / Σg`.
 ///
-/// Returns the number of substeps taken.
+/// Returns the number of substeps taken. A `dt` that is not finite and
+/// strictly positive (NaN, ±∞, zero, negative) is a no-op that takes 0
+/// substeps and leaves the field untouched.
 ///
-/// Allocates stencil and derivative buffers on every call; hot loops
+/// Allocates stencil and field buffers on every call; hot loops
 /// should hold a [`TransientScratch`] and call [`step_transient_with`],
 /// which is bit-identical and allocation-free once warm.
 pub fn step_transient(stack: &mut ThermalStack, dt: Seconds) -> usize {
@@ -138,11 +142,18 @@ pub fn step_transient(stack: &mut ThermalStack, dt: Seconds) -> usize {
 /// refreshed in place each call (power maps may have changed between
 /// steps), so results are bit-identical to [`step_transient`] while a warm
 /// scratch performs no heap allocation.
+///
+/// Each substep is one fused pass that writes the advanced field into the
+/// scratch buffer, which is then swapped with the stack's field: no
+/// derivative array, no copy back.
 pub fn step_transient_with(
     stack: &mut ThermalStack,
     dt: Seconds,
     scratch: &mut TransientScratch,
 ) -> usize {
+    if !positive(dt.0) {
+        return 0;
+    }
     let st = scratch.stencil.get_or_insert_with(Stencil::empty);
     stack.stencil_into(st);
     // Stability: the stiffest cell bounds the step. The stencil's
@@ -155,16 +166,18 @@ pub fn step_transient_with(
     let h = dt.0 / substeps as f64;
 
     let temps = stack.temps_mut();
-    scratch.derivs.clear();
-    scratch.derivs.resize(st.len(), 0.0);
-    let derivs = &mut scratch.derivs;
+    let next = &mut scratch.next;
+    next.resize(st.len(), 0.0);
     for _ in 0..substeps {
-        st.derivs_into(temps, cap, derivs);
-        for (t, d) in temps.iter_mut().zip(derivs.iter()) {
-            *t += h * d;
-        }
+        st.euler_step_into(temps, cap, h, next);
+        std::mem::swap(temps, next);
     }
     substeps
+}
+
+/// Whether `v` is a finite, strictly positive time span.
+fn positive(v: f64) -> bool {
+    v.is_finite() && v > 0.0
 }
 
 /// Runs the transient solver for `duration`, sampling the mean temperature
@@ -189,7 +202,6 @@ pub fn run_transient(
 ) -> Result<Vec<(Seconds, f64)>, ThermalError> {
     let mut out = Vec::new();
     out.push((Seconds(0.0), stack.mean_temperature(probe_tier)?.0));
-    let positive = |v: f64| v.is_finite() && v > 0.0;
     if !positive(duration.0) || !positive(sample_interval.0) {
         return Ok(out);
     }
@@ -654,6 +666,105 @@ mod tests {
                 assert_eq!(a, b);
             }
             assert_temps_bit_identical(&fast, &slow);
+        }
+    }
+
+    /// Grid extent for the random-geometry properties: the degenerate 1-
+    /// and 2-cell shapes (no interior run) a quarter of the time each,
+    /// else anything from 3 to 33.
+    fn extent() -> impl ptsim_rng::check::Strategy<Value = usize> {
+        use ptsim_rng::check::Strategy;
+        (0usize..4, 3usize..34).map(|(pick, n)| match pick {
+            0 => 1,
+            1 => 2,
+            _ => n,
+        })
+    }
+
+    /// A `tiers`×`nx`×`ny` stack with per-cell random TSV conductances on
+    /// every interface and a random hotspot plus a random block on every
+    /// tier, all drawn from `seed`.
+    fn random_stack(tiers: usize, nx: usize, ny: usize, seed: u64) -> ThermalStack {
+        use ptsim_rng::{Pcg64, Rng};
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let cfg = StackConfig {
+            nx,
+            ny,
+            tiers,
+            ..StackConfig::four_tier_5mm()
+        };
+        let mut s = ThermalStack::new(cfg).unwrap();
+        for iface in 0..tiers - 1 {
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let g = rng.gen_range(0.0..5e-4);
+                    s.add_vertical_conductance(
+                        iface,
+                        ix,
+                        iy,
+                        ptsim_device::units::WattPerKelvin(g),
+                    )
+                    .unwrap();
+                }
+            }
+        }
+        for tier in 0..tiers {
+            let mut p = PowerMap::zero(nx, ny).unwrap();
+            let (cx, cy, r) = (
+                rng.gen_range(0.0..1.0),
+                rng.gen_range(0.0..1.0),
+                rng.gen_range(0.02..0.3),
+            );
+            p.add_hotspot(cx, cy, r, Watt(rng.gen_range(0.0..3.0)));
+            let (x0, y0) = (rng.gen_range(0.0..0.8), rng.gen_range(0.0..0.8));
+            let (x1, y1) = (x0 + rng.gen_range(0.0..0.5), y0 + rng.gen_range(0.0..0.5));
+            p.add_block(x0, y0, x1, y1, Watt(rng.gen_range(0.0..2.0)));
+            s.set_power(tier, p).unwrap();
+        }
+        s
+    }
+
+    /// A `dt` that takes exactly `k` stability substeps on `stack`.
+    fn dt_for_substeps(stack: &ThermalStack, k: usize) -> Seconds {
+        let dt_stable = 0.5 * stack.cell_capacity() / stack.stencil().g_max();
+        Seconds(dt_stable * (k as f64 - 0.5))
+    }
+
+    ptsim_rng::forall! {
+        #[test]
+        fn fused_euler_step_is_bit_identical_to_reference_on_any_geometry(
+            tiers in 1usize..6, nx in extent(), ny in extent(), seed in 0u64..u64::MAX,
+            k in 1usize..60,
+        ) {
+            let mut fast = random_stack(tiers, nx, ny, seed);
+            let mut slow = fast.clone();
+            let mut scratch = TransientScratch::new();
+            // k and k + 1 substeps: one odd and one even count per case, so
+            // the scratch swap ends on both sides of the buffer pair.
+            for substeps in [k, k + 1] {
+                let dt = dt_for_substeps(&fast, substeps);
+                let a = step_transient_with(&mut fast, dt, &mut scratch);
+                let b = reference_step_transient(&mut slow, dt);
+                assert_eq!((a, b), (substeps, substeps));
+                assert_temps_bit_identical(&fast, &slow);
+            }
+        }
+
+        #[test]
+        fn non_positive_or_non_finite_dt_is_a_no_op(
+            tiers in 1usize..4, nx in extent(), ny in extent(), seed in 0u64..u64::MAX,
+            pick in 0usize..6, neg in 1e-9f64..10.0,
+        ) {
+            let mut stack = random_stack(tiers, nx, ny, seed);
+            let mut scratch = TransientScratch::new();
+            // Warm the scratch and move the field off ambient first.
+            let warm = dt_for_substeps(&stack, 3);
+            assert_eq!(step_transient_with(&mut stack, warm, &mut scratch), 3);
+            let before = stack.clone();
+            let dt = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -neg][pick];
+            assert_eq!(step_transient_with(&mut stack, Seconds(dt), &mut scratch), 0);
+            assert_eq!(step_transient(&mut stack, Seconds(dt)), 0);
+            assert_temps_bit_identical(&before, &stack);
         }
     }
 

@@ -844,17 +844,24 @@ impl Stencil {
         residual
     }
 
-    /// `dT/dt` of cell `i` from its neighbour sum: the historical
-    /// transient loop's `(Σg·T − Σg·t + P) / C` per-cell expression.
+    /// Explicit-Euler update of cell `i` from its neighbour sum: the
+    /// historical transient loop's `t + h·((Σg·T − Σg·t + P) / C)`, with
+    /// the derivative's division kept (no reciprocal, no FMA).
     #[inline(always)]
-    fn deriv_update(&self, temps: &[f64], i: usize, gt: f64, cap: f64, derivs: &mut [f64]) {
-        derivs[i] = (gt - self.g_sum[i] * temps[i] + self.power[i]) / cap;
+    fn euler_update(&self, temps: &[f64], i: usize, gt: f64, cap: f64, h: f64, out: &mut [f64]) {
+        let t = temps[i];
+        out[i] = t + h * ((gt - self.g_sum[i] * t + self.power[i]) / cap);
     }
 
-    /// One transient row, split like [`Stencil::sor_row`].
+    /// One explicit-Euler row: the `ix = 0` cell, the interior run, and
+    /// the `ix = nx − 1` cell. The interior reads pre-sliced neighbour
+    /// rows of one common length, so the loop carries no per-neighbour
+    /// bounds check and vectorises; each cell still performs the
+    /// [`Stencil::cell_gt`] accumulation and [`Stencil::euler_update`]
+    /// in the same order, so the result is bit-identical to the edge path.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn deriv_row<const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
+    fn euler_row<const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
         &self,
         temps: &[f64],
         i0: usize,
@@ -862,94 +869,151 @@ impl Stencil {
         below: &[f64],
         above: &[f64],
         cap: f64,
-        derivs: &mut [f64],
+        h: f64,
+        out: &mut [f64],
     ) {
         let nx = self.nx;
         if nx == 1 {
             let gt = self
                 .cell_gt::<false, false, UP, DOWN, BELOW, ABOVE>(temps, i0, cell0, below, above);
-            self.deriv_update(temps, i0, gt, cap, derivs);
+            self.euler_update(temps, i0, gt, cap, h, out);
             return;
         }
         let gt =
             self.cell_gt::<false, true, UP, DOWN, BELOW, ABOVE>(temps, i0, cell0, below, above);
-        self.deriv_update(temps, i0, gt, cap, derivs);
-        for dx in 1..nx - 1 {
-            let (i, cell) = (i0 + dx, cell0 + dx);
-            let gt =
-                self.cell_gt::<true, true, UP, DOWN, BELOW, ABOVE>(temps, i, cell, below, above);
-            self.deriv_update(temps, i, gt, cap, derivs);
+        self.euler_update(temps, i0, gt, cap, h, out);
+
+        // Interior cells `[s, e)` of the row (empty when nx == 2).
+        let (s, e) = (i0 + 1, i0 + nx - 1);
+        let (cs, ce) = (cell0 + 1, cell0 + nx - 1);
+        let n_cells = nx * self.ny;
+        let m = e - s;
+        let centre = &temps[s..e];
+        let left = &temps[s - 1..e - 1];
+        let right = &temps[s + 1..e + 1];
+        // Absent neighbours alias `centre`; their terms compile out.
+        let up = if UP { &temps[s - nx..e - nx] } else { centre };
+        let down = if DOWN { &temps[s + nx..e + nx] } else { centre };
+        let t_below = if BELOW {
+            &temps[s - n_cells..e - n_cells]
+        } else {
+            centre
+        };
+        let t_above = if ABOVE {
+            &temps[s + n_cells..e + n_cells]
+        } else {
+            centre
+        };
+        let g_below = if BELOW { &below[cs..ce] } else { centre };
+        let g_above = if ABOVE { &above[cs..ce] } else { centre };
+        let (centre, left, right, up, down) =
+            (&centre[..m], &left[..m], &right[..m], &up[..m], &down[..m]);
+        let (t_below, t_above, g_below, g_above) =
+            (&t_below[..m], &t_above[..m], &g_below[..m], &g_above[..m]);
+        let g_sum = &self.g_sum[s..e][..m];
+        let power = &self.power[s..e][..m];
+        let row_out = &mut out[s..e][..m];
+        let (g_lat, board_gt, sink_gt) = (self.g_lat, self.board_gt, self.sink_gt);
+        for k in 0..m {
+            let mut gt = 0.0;
+            gt += g_lat * left[k];
+            gt += g_lat * right[k];
+            if UP {
+                gt += g_lat * up[k];
+            }
+            if DOWN {
+                gt += g_lat * down[k];
+            }
+            if BELOW {
+                gt += g_below[k] * t_below[k];
+            }
+            if ABOVE {
+                gt += g_above[k] * t_above[k];
+            }
+            if !BELOW {
+                gt += board_gt;
+            }
+            if !ABOVE {
+                gt += sink_gt;
+            }
+            let t = centre[k];
+            row_out[k] = t + h * ((gt - g_sum[k] * t + power[k]) / cap);
         }
-        let (i, cell) = (i0 + nx - 1, cell0 + nx - 1);
-        let gt = self.cell_gt::<true, false, UP, DOWN, BELOW, ABOVE>(temps, i, cell, below, above);
-        self.deriv_update(temps, i, gt, cap, derivs);
+
+        let gt = self.cell_gt::<true, false, UP, DOWN, BELOW, ABOVE>(temps, e, ce, below, above);
+        self.euler_update(temps, e, gt, cap, h, out);
     }
 
-    /// One transient tier, split like [`Stencil::sor_tier`].
+    /// One explicit-Euler tier, split like [`Stencil::sor_tier`].
     #[inline(always)]
-    fn deriv_tier<const BELOW: bool, const ABOVE: bool>(
+    #[allow(clippy::too_many_arguments)]
+    fn euler_tier<const BELOW: bool, const ABOVE: bool>(
         &self,
         temps: &[f64],
         tier: usize,
         below: &[f64],
         above: &[f64],
         cap: f64,
-        derivs: &mut [f64],
+        h: f64,
+        out: &mut [f64],
     ) {
         let (nx, ny) = (self.nx, self.ny);
         let base = tier * nx * ny;
         if ny == 1 {
-            self.deriv_row::<false, false, BELOW, ABOVE>(temps, base, 0, below, above, cap, derivs);
+            self.euler_row::<false, false, BELOW, ABOVE>(temps, base, 0, below, above, cap, h, out);
             return;
         }
-        self.deriv_row::<false, true, BELOW, ABOVE>(temps, base, 0, below, above, cap, derivs);
+        self.euler_row::<false, true, BELOW, ABOVE>(temps, base, 0, below, above, cap, h, out);
         for iy in 1..ny - 1 {
             let row = iy * nx;
-            self.deriv_row::<true, true, BELOW, ABOVE>(
+            self.euler_row::<true, true, BELOW, ABOVE>(
                 temps,
                 base + row,
                 row,
                 below,
                 above,
                 cap,
-                derivs,
+                h,
+                out,
             );
         }
         let row = (ny - 1) * nx;
-        self.deriv_row::<true, false, BELOW, ABOVE>(
+        self.euler_row::<true, false, BELOW, ABOVE>(
             temps,
             base + row,
             row,
             below,
             above,
             cap,
-            derivs,
+            h,
+            out,
         );
     }
 
-    /// Writes `dT/dt` for every cell into `derivs` (Jacobi-style: all
-    /// reads before any write, matching the historical transient loop's
-    /// `(Σg·T − Σg·t + P) / C` per-cell expression bit-for-bit).
-    pub(crate) fn derivs_into(&self, temps: &[f64], cap: f64, derivs: &mut [f64]) {
+    /// One explicit-Euler substep of length `h` over every cell: writes
+    /// `t + h·((Σg·T − Σg·t + P) / C)` into `out`, reading only `temps`
+    /// (Jacobi-style), bit-identical to the historical two-pass
+    /// derivative-then-update loop.
+    pub(crate) fn euler_step_into(&self, temps: &[f64], cap: f64, h: f64, out: &mut [f64]) {
         let n = self.tiers * self.nx * self.ny;
         assert_eq!(temps.len(), n, "temperature field / stencil mismatch");
-        assert_eq!(derivs.len(), n);
+        assert_eq!(out.len(), n);
         assert_eq!(self.g_sum.len(), n);
         assert_eq!(self.power.len(), n);
         for tier in 0..self.tiers {
             let (below, above) = self.tier_ifaces(tier);
             match (tier > 0, tier + 1 < self.tiers) {
                 (false, false) => {
-                    self.deriv_tier::<false, false>(temps, tier, below, above, cap, derivs);
+                    self.euler_tier::<false, false>(temps, tier, below, above, cap, h, out);
                 }
                 (false, true) => {
-                    self.deriv_tier::<false, true>(temps, tier, below, above, cap, derivs);
+                    self.euler_tier::<false, true>(temps, tier, below, above, cap, h, out);
                 }
                 (true, true) => {
-                    self.deriv_tier::<true, true>(temps, tier, below, above, cap, derivs);
+                    self.euler_tier::<true, true>(temps, tier, below, above, cap, h, out);
                 }
                 (true, false) => {
-                    self.deriv_tier::<true, false>(temps, tier, below, above, cap, derivs);
+                    self.euler_tier::<true, false>(temps, tier, below, above, cap, h, out);
                 }
             }
         }

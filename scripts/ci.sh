@@ -17,8 +17,8 @@ cargo test -q --offline --workspace
 echo "==> perfbench build (outside the workspace; compiles against the service API)"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo clippy --offline (deny warnings)"
-cargo clippy --offline --all-targets -- -D warnings
+echo "==> cargo clippy --offline --workspace (deny warnings)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -164,6 +164,9 @@ echo "==> solver-equivalence smoke (GS oracle vs multigrid, release FP paths)"
 # campaign actually execute.
 cargo test -q --release --offline -p ptsim-thermal --test properties gauss_seidel_and_multigrid_agree
 cargo test -q --release --offline -p ptsim-thermal --test determinism
+# The fused transient kernel's row interiors are vectorised only under
+# release codegen; its bit-identity to the reference loop must hold there.
+cargo test -q --release --offline -p ptsim-thermal --lib fused_euler_step_is_bit_identical
 
 echo "==> SoA-vs-scalar bit-identity smoke (lane kernel, release FP paths)"
 # Same rationale: the lane kernel's bit-identity to the scalar oracle must
