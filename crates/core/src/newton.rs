@@ -208,6 +208,22 @@ impl Default for NewtonScratch {
     }
 }
 
+/// ∞-norm of a residual that propagates NaN. A plain `f64::max` fold
+/// would not: `0.0f64.max(NaN)` is `0.0`, so a NaN row would pass the
+/// convergence test. With this norm a solve converges only when every row
+/// satisfies `|r| < tol`, and a NaN norm triggers the adaptive revert and
+/// is what [`SensorError::SolverDiverged`] reports.
+fn residual_norm(rows: impl IntoIterator<Item = f64>) -> f64 {
+    rows.into_iter().fold(0.0f64, |m, v| {
+        let a = v.abs();
+        if a > m || a.is_nan() {
+            a
+        } else {
+            m
+        }
+    })
+}
+
 /// Damped Newton–Raphson on `residual(x) = 0`.
 ///
 /// Compatibility wrapper over [`newton_solve_with`] for callers that do not
@@ -303,7 +319,7 @@ where
 
     for iter in 1..=opts.max_iterations {
         residual(x, r);
-        let norm = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let norm = residual_norm(r.iter().copied());
         if norm < opts.tolerance {
             return Ok(iter);
         }
@@ -354,7 +370,7 @@ where
         }
     }
     residual(x, r);
-    let final_norm = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let final_norm = residual_norm(r.iter().copied());
     Err(SensorError::SolverDiverged {
         what,
         iterations: opts.max_iterations,
@@ -443,11 +459,7 @@ where
             if !active[l] {
                 continue;
             }
-            let mut norm = 0.0f64;
-            for row in &r {
-                norm = norm.max(row[l].abs());
-            }
-            if norm < opts.tolerance {
+            if residual_norm(r.iter().map(|row| row[l])) < opts.tolerance {
                 status[l] = LaneSolve::Converged(iter);
                 active[l] = false;
             }
@@ -888,6 +900,140 @@ mod tests {
         for l in 1..7 {
             assert!(matches!(status[l], LaneSolve::Converged(_)));
             assert!((x[0][l] - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn nan_residual_never_converges() {
+        // An all-NaN residual and a residual with one NaN row: neither may
+        // pass the convergence test (`0.0f64.max(NaN)` is `0.0`, so a
+        // plain max-fold norm once reported both as converged in one
+        // iteration).
+        let mut x = [1.0];
+        let r = newton_solve(
+            &mut x,
+            |_| vec![f64::NAN],
+            &[1e-6],
+            &[1.0],
+            &NewtonOptions::default(),
+            "nan",
+        );
+        assert!(r.is_err(), "{r:?}");
+        let mut x = [1.0, 2.0];
+        let r = newton_solve(
+            &mut x,
+            |_| vec![f64::NAN, 0.0],
+            &[1e-6, 1e-6],
+            &[1.0, 1.0],
+            &NewtonOptions::default(),
+            "nan-row",
+        );
+        assert!(r.is_err(), "{r:?}");
+    }
+
+    #[test]
+    fn diverged_error_reports_a_nan_final_residual() {
+        // x² + 1 has no root; the last residual evaluation (call
+        // 2·max_iterations + 1) returns NaN in row 0 beside a finite row 1.
+        let opts = NewtonOptions {
+            max_iterations: 4,
+            ..NewtonOptions::default()
+        };
+        let mut calls = 0;
+        let mut x = [1.0, 0.0];
+        let r = newton_solve(
+            &mut x,
+            |v| {
+                calls += 1;
+                let first = if calls == 3 * opts.max_iterations + 1 {
+                    f64::NAN
+                } else {
+                    v[0] * v[0] + 1.0
+                };
+                vec![first, v[1] - 5.0]
+            },
+            &[1e-6, 1e-6],
+            &[1.0, 1.0],
+            &opts,
+            "nan-final",
+        );
+        match r {
+            Err(SensorError::SolverDiverged { residual, .. }) => assert!(residual.is_nan()),
+            other => panic!("expected SolverDiverged, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn adaptive_damping_reverts_a_step_into_nan() {
+        // ln(x) + 2 = 0 from x = 3: the first damped step lands at x < 0,
+        // where the residual is NaN. The adaptive tuning must revert it and
+        // back off rather than report the NaN point as converged.
+        let mut scratch = NewtonScratch::new();
+        let mut x = [3.0];
+        newton_solve_with(
+            &mut scratch,
+            &mut x,
+            |v, out| out[0] = v[0].ln() + 2.0,
+            &[1e-7],
+            &[100.0],
+            &NewtonOptions::robust(),
+            "nan-revert",
+        )
+        .unwrap();
+        assert!((x[0] - (-2.0f64).exp()).abs() < 1e-9, "{x:?}");
+        assert!(scratch.backoffs() >= 1);
+    }
+
+    #[test]
+    fn nan_lanes_fail_while_neighbours_match_the_scalar_solver() {
+        // Lane 2 sees an all-NaN residual and lane 5 one NaN row; every
+        // other lane solves x·y = c, x + y = s. The NaN lanes must fail
+        // (the caller then re-runs them through the scalar ladder) and the
+        // neighbours must keep the scalar trajectory bit for bit.
+        let mut c = [0.0; LANES];
+        let mut s = [0.0; LANES];
+        for l in 0..LANES {
+            c[l] = 4.0 + l as f64;
+            s[l] = 5.0 + 0.5 * l as f64;
+        }
+        let rows = |l: usize, v: [f64; 2]| match l {
+            2 => [f64::NAN, f64::NAN],
+            5 => [v[0] * v[1] - c[l], f64::NAN],
+            _ => [v[0] * v[1] - c[l], v[0] + v[1] - s[l]],
+        };
+        let mut x = [[1.0; LANES], [4.0; LANES]];
+        let status = newton_solve_lanes(
+            &mut x,
+            [true; LANES],
+            |x, _, active, out| {
+                for l in 0..LANES {
+                    if active[l] {
+                        let r = rows(l, [x[0][l], x[1][l]]);
+                        out[0][l] = r[0];
+                        out[1][l] = r[1];
+                    }
+                }
+            },
+            &[1e-7, 1e-7],
+            &[10.0, 10.0],
+            "lane-nan",
+        );
+        assert_eq!(status[2], LaneSolve::Failed);
+        assert_eq!(status[5], LaneSolve::Failed);
+        for l in (0..LANES).filter(|&l| l != 2 && l != 5) {
+            let mut xs = [1.0, 4.0];
+            let iters = newton_solve(
+                &mut xs,
+                |v| rows(l, [v[0], v[1]]).to_vec(),
+                &[1e-7, 1e-7],
+                &[10.0, 10.0],
+                &NewtonOptions::default(),
+                "scalar-2d",
+            )
+            .unwrap();
+            assert_eq!(status[l], LaneSolve::Converged(iters), "lane {l}");
+            assert_eq!(x[0][l].to_bits(), xs[0].to_bits(), "lane {l}");
+            assert_eq!(x[1][l].to_bits(), xs[1].to_bits(), "lane {l}");
         }
     }
 

@@ -29,6 +29,22 @@
 //! therefore *bit-identical* to the retained scalar path, which remains
 //! the default for single reads and the oracle every golden gate runs on.
 //!
+//! **Shared bias factors.** Beyond the scalar memo, the lane residuals
+//! evaluate each device's softplus bias factor once per (polarity, supply,
+//! ΔVt column) and recombine it per ring (`RingRows`): the factor reads
+//! no ring geometry, so rings at bit-equal supplies with bit-equal polarity
+//! constants get the identical value. Per lane-iteration (base point plus
+//! one Jacobian column per unknown) the libm calls are:
+//!
+//! | solve | unshared | shared |
+//! |---|---|---|
+//! | 3×3 conversion (PSRO-N, PSRO-P share `vdd_low`) | 54 | 42 |
+//! | 4×4 calibration (the PSROs share each supply) | 68 | 44 |
+//!
+//! The conversion counts one `powf` (thermal point) and two `exp` (drain
+//! factors) for the base point and the temperature column, two calls per
+//! bias factor (`exp`, `ln_1p`) and one `ln` per residual row.
+//!
 //! **Masking and fallback.** Partial chunks (population size not a
 //! multiple of [`LANES`]) leave trailing lanes masked: they are excluded
 //! from convergence checks and never updated. A lane whose Newton solve
@@ -55,8 +71,10 @@ use crate::pipeline::solve::{self, Solved};
 use crate::pipeline::Scratch;
 use crate::sensor::{PtSensor, SensorInputs};
 use ptsim_circuit::energy::EnergyLedger;
-use ptsim_device::delay::DelayCache;
+use ptsim_circuit::ring::RingCache;
+use ptsim_device::delay::{DelayCache, ThermalPoint};
 use ptsim_device::units::{Celsius, Volt};
+use ptsim_device::MosPolarity;
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_rng::Rng;
 use std::time::Instant;
@@ -191,6 +209,82 @@ impl LaneBatch {
     }
 }
 
+const NMOS: MosPolarity = MosPolarity::Nmos;
+const PMOS: MosPolarity = MosPolarity::Pmos;
+
+/// The model rows of one lane solve — each row's ring and supply — and,
+/// per polarity, which row's bias factor each row reuses.
+///
+/// A device's bias factor (`softplus`, one `exp` and one `ln_1p`) reads
+/// only its polarity constants, `2n`, the thermal point, the supply and the
+/// threshold column, never the ring geometry. Rows whose supplies are
+/// bit-equal and whose devices [share the
+/// factor](DelayCache::shares_bias_factor) therefore get the identical
+/// value from one evaluation; each row still recombines it with its own
+/// geometry. The share is derived here from the operands, never assumed:
+/// rows that differ in any of them evaluate their own factor.
+struct RingRows<'a, const R: usize> {
+    rings: [&'a RingCache; R],
+    vdds: [Volt; R],
+    /// `share_n[i]`: the first row whose NMOS factor row `i` reuses
+    /// (`i` itself when no earlier row shares it).
+    share_n: [usize; R],
+    /// PMOS counterpart of `share_n`.
+    share_p: [usize; R],
+}
+
+impl<'a, const R: usize> RingRows<'a, R> {
+    fn new(rings: [&'a RingCache; R], vdds: [Volt; R]) -> Self {
+        let share = |pol| {
+            core::array::from_fn(|i| {
+                (0..i)
+                    .find(|&j| {
+                        vdds[j].0.to_bits() == vdds[i].0.to_bits()
+                            && rings[j].delay().shares_bias_factor(rings[i].delay(), pol)
+                    })
+                    .unwrap_or(i)
+            })
+        };
+        RingRows {
+            rings,
+            vdds,
+            share_n: share(NMOS),
+            share_p: share(PMOS),
+        }
+    }
+
+    /// Polarity-`pol` on-currents of every row at threshold column `dvt`:
+    /// each distinct bias factor is evaluated once, then recombined per
+    /// ring. Bit-identical, per row and lane, to
+    /// [`DelayCache::nmos_current`]/[`DelayCache::pmos_current`].
+    // One SoA column per parameter, as in the device-level lane kernels.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn currents(
+        &self,
+        pol: MosPolarity,
+        th: &[ThermalPoint; LANES],
+        dvt: &[f64; LANES],
+        mu: &[f64; LANES],
+        drains: [&[f64; LANES]; R],
+        live: &[bool; LANES],
+        out: &mut [[f64; LANES]; R],
+    ) {
+        let share = match pol {
+            MosPolarity::Nmos => &self.share_n,
+            MosPolarity::Pmos => &self.share_p,
+        };
+        let mut g = [[0.0; LANES]; R];
+        for i in 0..R {
+            let delay = self.rings[i].delay();
+            if share[i] == i {
+                delay.bias_factor_lanes(pol, th, self.vdds[i], dvt, live, &mut g[i]);
+            }
+            delay.current_from_bias_lanes(pol, th, &g[share[i]], mu, drains[i], live, &mut out[i]);
+        }
+    }
+}
+
 /// Lane-parallel form of the scalar `solve_gated` solver:
 /// solves every occupied lane of `batch` jointly, writing lane `l`'s result
 /// to `out[l]` and recording its health events in `healths[l]`.
@@ -222,167 +316,7 @@ pub fn solve_gated_lanes(
     if n == 0 {
         return;
     }
-    debug_assert!(
-        sensor.characterized_model().is_none(),
-        "the lane kernel is analytic-only; characterized sensors take the scalar path"
-    );
-    let spec = sensor.spec;
-    let rings = [
-        sensor.cache.ring(RoClass::Tsro),
-        sensor.cache.ring(RoClass::PsroN),
-        sensor.cache.ring(RoClass::PsroP),
-    ];
-    let vdds = [spec.bank.vdd_tsro, spec.bank.vdd_low, spec.bank.vdd_low];
-    let mut active = [false; LANES];
-    active[..n].fill(true);
-    let mut x = batch.x;
-
-    // Base-point cache replicating the scalar residual's exact memoization:
-    // the thermal point and both drain factors are functions of the
-    // temperature column only, and each device's currents are untouched by
-    // the *other* device's threshold column, so the perturbed Jacobian
-    // columns replay these stored values exactly as the scalar memo does.
-    let th_seed = sensor.cache.thermal(spec.calib_temp);
-    let mut th = [th_seed; LANES];
-    let mut dt = [0.0; LANES];
-    let mut dl = [0.0; LANES];
-    let mut ions_n = [[0.0; LANES]; 3];
-    let mut ions_p = [[0.0; LANES]; 3];
-
-    let statuses = newton_solve_lanes(
-        &mut x,
-        active,
-        |x: &[[f64; LANES]; 3],
-         col: Option<usize>,
-         live: &[bool; LANES],
-         out: &mut [[f64; LANES]; 3]| {
-            let rows = |nn: &[[f64; LANES]; 3],
-                        pp: &[[f64; LANES]; 3],
-                        out: &mut [[f64; LANES]; 3]| {
-                let mut f = [0.0; LANES];
-                for i in 0..3 {
-                    rings[i].frequency_from_currents_lanes(&nn[i], &pp[i], vdds[i], live, &mut f);
-                    if i == 0 {
-                        for l in 0..LANES {
-                            if live[l] {
-                                out[0][l] = f[l].ln() - batch.ln_ft[l] + batch.ln_scale[l];
-                            }
-                        }
-                    } else {
-                        let ln_m = if i == 1 { &batch.ln_fn } else { &batch.ln_fp };
-                        for l in 0..LANES {
-                            if live[l] {
-                                out[i][l] = f[l].ln() - ln_m[l];
-                            }
-                        }
-                    }
-                }
-            };
-            match col {
-                None => {
-                    // Base point: refresh every cached column (live lanes
-                    // only — a retired lane's stale cache is never read).
-                    th = rings[0].delay().thermal_lanes(&x[0], live);
-                    DelayCache::drain_factor_lanes(&th, spec.bank.vdd_tsro, live, &mut dt);
-                    DelayCache::drain_factor_lanes(&th, spec.bank.vdd_low, live, &mut dl);
-                    for i in 0..3 {
-                        let drains = if i == 0 { &dt } else { &dl };
-                        rings[i].delay().nmos_current_lanes(
-                            &th,
-                            vdds[i],
-                            &x[1],
-                            &batch.mu_n,
-                            drains,
-                            live,
-                            &mut ions_n[i],
-                        );
-                        rings[i].delay().pmos_current_lanes(
-                            &th,
-                            vdds[i],
-                            &x[2],
-                            &batch.mu_p,
-                            drains,
-                            live,
-                            &mut ions_p[i],
-                        );
-                    }
-                    rows(&ions_n, &ions_p, out);
-                }
-                Some(0) => {
-                    // Temperature column: everything depends on it — fresh
-                    // locals, the base cache stays resident for columns 1–2.
-                    let th0 = rings[0].delay().thermal_lanes(&x[0], live);
-                    let mut dt0 = [0.0; LANES];
-                    let mut dl0 = [0.0; LANES];
-                    DelayCache::drain_factor_lanes(&th0, spec.bank.vdd_tsro, live, &mut dt0);
-                    DelayCache::drain_factor_lanes(&th0, spec.bank.vdd_low, live, &mut dl0);
-                    let mut nn = [[0.0; LANES]; 3];
-                    let mut pp = [[0.0; LANES]; 3];
-                    for i in 0..3 {
-                        let drains = if i == 0 { &dt0 } else { &dl0 };
-                        rings[i].delay().nmos_current_lanes(
-                            &th0,
-                            vdds[i],
-                            &x[1],
-                            &batch.mu_n,
-                            drains,
-                            live,
-                            &mut nn[i],
-                        );
-                        rings[i].delay().pmos_current_lanes(
-                            &th0,
-                            vdds[i],
-                            &x[2],
-                            &batch.mu_p,
-                            drains,
-                            live,
-                            &mut pp[i],
-                        );
-                    }
-                    rows(&nn, &pp, out);
-                }
-                Some(1) => {
-                    // ΔVtn column: temperature unchanged — reuse the base
-                    // thermal/drain cache and the untouched PMOS currents.
-                    let mut nn = [[0.0; LANES]; 3];
-                    for i in 0..3 {
-                        let drains = if i == 0 { &dt } else { &dl };
-                        rings[i].delay().nmos_current_lanes(
-                            &th,
-                            vdds[i],
-                            &x[1],
-                            &batch.mu_n,
-                            drains,
-                            live,
-                            &mut nn[i],
-                        );
-                    }
-                    rows(&nn, &ions_p, out);
-                }
-                Some(2) => {
-                    // ΔVtp column: reuse base cache and NMOS currents.
-                    let mut pp = [[0.0; LANES]; 3];
-                    for i in 0..3 {
-                        let drains = if i == 0 { &dt } else { &dl };
-                        rings[i].delay().pmos_current_lanes(
-                            &th,
-                            vdds[i],
-                            &x[2],
-                            &batch.mu_p,
-                            drains,
-                            live,
-                            &mut pp[i],
-                        );
-                    }
-                    rows(&ions_n, &pp, out);
-                }
-                Some(j) => unreachable!("3x3 solve has no column {j}"),
-            }
-        },
-        &CONV_FD_STEPS,
-        &CONV_STEP_LIMITS,
-        "conversion decoupling",
-    );
+    let (x, statuses) = solve_conversion_lanes(sensor, batch);
 
     let Scratch {
         newton, metrics, ..
@@ -423,6 +357,133 @@ pub fn solve_gated_lanes(
     }
 }
 
+/// Lane-parallel form of the analytic 3×3 conversion decoupling under the
+/// default Newton tuning: solves the occupied lanes of `batch` jointly and
+/// returns the unknowns column-wise (`x[j][l]` = unknown `j` of lane `l`)
+/// with each lane's outcome. Failed lanes are reported for the caller to
+/// escalate through the scalar ladder.
+///
+/// Bit-identical per converged lane to the scalar conversion solve with
+/// default options on the same calibration and measurements.
+pub(crate) fn solve_conversion_lanes(
+    sensor: &PtSensor,
+    batch: &LaneBatch,
+) -> ([[f64; LANES]; 3], [LaneSolve; LANES]) {
+    debug_assert!(
+        sensor.characterized_model().is_none(),
+        "the lane kernel is analytic-only; characterized sensors take the scalar path"
+    );
+    let spec = sensor.spec;
+    let rows = RingRows::new(
+        [
+            sensor.cache.ring(RoClass::Tsro),
+            sensor.cache.ring(RoClass::PsroN),
+            sensor.cache.ring(RoClass::PsroP),
+        ],
+        [spec.bank.vdd_tsro, spec.bank.vdd_low, spec.bank.vdd_low],
+    );
+    let mut active = [false; LANES];
+    active[..batch.len()].fill(true);
+    let mut x = batch.x;
+
+    // Base-point cache replicating the scalar residual's exact memoization:
+    // the thermal point and both drain factors are functions of the
+    // temperature column only, and each device's currents are untouched by
+    // the *other* device's threshold column, so the perturbed Jacobian
+    // columns replay these stored values exactly as the scalar memo does.
+    let th_seed = sensor.cache.thermal(spec.calib_temp);
+    let mut th = [th_seed; LANES];
+    let mut dt = [0.0; LANES];
+    let mut dl = [0.0; LANES];
+    let mut ions_n = [[0.0; LANES]; 3];
+    let mut ions_p = [[0.0; LANES]; 3];
+
+    let statuses = newton_solve_lanes(
+        &mut x,
+        active,
+        |x: &[[f64; LANES]; 3],
+         col: Option<usize>,
+         live: &[bool; LANES],
+         out: &mut [[f64; LANES]; 3]| {
+            let residuals =
+                |nn: &[[f64; LANES]; 3], pp: &[[f64; LANES]; 3], out: &mut [[f64; LANES]; 3]| {
+                    let mut f = [0.0; LANES];
+                    for i in 0..3 {
+                        rows.rings[i].frequency_from_currents_lanes(
+                            &nn[i],
+                            &pp[i],
+                            rows.vdds[i],
+                            live,
+                            &mut f,
+                        );
+                        if i == 0 {
+                            for l in 0..LANES {
+                                if live[l] {
+                                    out[0][l] = f[l].ln() - batch.ln_ft[l] + batch.ln_scale[l];
+                                }
+                            }
+                        } else {
+                            let ln_m = if i == 1 { &batch.ln_fn } else { &batch.ln_fp };
+                            for l in 0..LANES {
+                                if live[l] {
+                                    out[i][l] = f[l].ln() - ln_m[l];
+                                }
+                            }
+                        }
+                    }
+                };
+            match col {
+                None => {
+                    // Base point: refresh every cached column (live lanes
+                    // only — a retired lane's stale cache is never read).
+                    th = rows.rings[0].delay().thermal_lanes(&x[0], live);
+                    DelayCache::drain_factor_lanes(&th, spec.bank.vdd_tsro, live, &mut dt);
+                    DelayCache::drain_factor_lanes(&th, spec.bank.vdd_low, live, &mut dl);
+                    let drains = [&dt, &dl, &dl];
+                    rows.currents(NMOS, &th, &x[1], &batch.mu_n, drains, live, &mut ions_n);
+                    rows.currents(PMOS, &th, &x[2], &batch.mu_p, drains, live, &mut ions_p);
+                    residuals(&ions_n, &ions_p, out);
+                }
+                Some(0) => {
+                    // Temperature column: everything depends on it — fresh
+                    // locals, the base cache stays resident for columns 1–2.
+                    let th0 = rows.rings[0].delay().thermal_lanes(&x[0], live);
+                    let mut dt0 = [0.0; LANES];
+                    let mut dl0 = [0.0; LANES];
+                    DelayCache::drain_factor_lanes(&th0, spec.bank.vdd_tsro, live, &mut dt0);
+                    DelayCache::drain_factor_lanes(&th0, spec.bank.vdd_low, live, &mut dl0);
+                    let drains = [&dt0, &dl0, &dl0];
+                    let mut nn = [[0.0; LANES]; 3];
+                    let mut pp = [[0.0; LANES]; 3];
+                    rows.currents(NMOS, &th0, &x[1], &batch.mu_n, drains, live, &mut nn);
+                    rows.currents(PMOS, &th0, &x[2], &batch.mu_p, drains, live, &mut pp);
+                    residuals(&nn, &pp, out);
+                }
+                Some(1) => {
+                    // ΔVtn column: temperature unchanged — reuse the base
+                    // thermal/drain cache and the untouched PMOS currents.
+                    let mut nn = [[0.0; LANES]; 3];
+                    let drains = [&dt, &dl, &dl];
+                    rows.currents(NMOS, &th, &x[1], &batch.mu_n, drains, live, &mut nn);
+                    residuals(&nn, &ions_p, out);
+                }
+                Some(2) => {
+                    // ΔVtp column: reuse base cache and NMOS currents.
+                    let mut pp = [[0.0; LANES]; 3];
+                    let drains = [&dt, &dl, &dl];
+                    rows.currents(PMOS, &th, &x[2], &batch.mu_p, drains, live, &mut pp);
+                    residuals(&ions_n, &pp, out);
+                }
+                Some(j) => unreachable!("3x3 solve has no column {j}"),
+            }
+        },
+        &CONV_FD_STEPS,
+        &CONV_STEP_LIMITS,
+        "conversion decoupling",
+    );
+    (x, statuses)
+}
+
 /// Lane-parallel form of the analytic 4×4 calibration decoupling under the
 /// default Newton tuning: solves lanes `0..n` jointly against per-lane
 /// measured frequencies, writing unknowns column-wise into `x`
@@ -447,9 +508,13 @@ pub(crate) fn solve_calibration_lanes(
     // scalar solver hoists per die hoists per chunk here.
     let th = sensor.cache.thermal(t_cal);
     let th_l = [th; LANES];
-    let rings = plan.map(|(class, _)| sensor.cache.ring(class));
+    let rows = RingRows::new(
+        plan.map(|(class, _)| sensor.cache.ring(class)),
+        plan.map(|(_, vdd)| vdd),
+    );
     let drains = plan.map(|(_, vdd)| DelayCache::drain_factor(&th, vdd));
     let drains_l: [[f64; LANES]; 4] = core::array::from_fn(|i| [drains[i]; LANES]);
+    let drains_l = drains_l.each_ref();
     let mut ln_m = [[0.0; LANES]; 4];
     for (l, m) in measured.iter().enumerate().take(n) {
         for (slot, lm) in ln_m.iter_mut().enumerate() {
@@ -469,14 +534,14 @@ pub(crate) fn solve_calibration_lanes(
          col: Option<usize>,
          live: &[bool; LANES],
          out: &mut [[f64; LANES]; 4]| {
-            let rows =
+            let residuals =
                 |nn: &[[f64; LANES]; 4], pp: &[[f64; LANES]; 4], out: &mut [[f64; LANES]; 4]| {
                     let mut f = [0.0; LANES];
                     for slot in 0..4 {
-                        rings[slot].frequency_from_currents_lanes(
+                        rows.rings[slot].frequency_from_currents_lanes(
                             &nn[slot],
                             &pp[slot],
-                            plan[slot].1,
+                            rows.vdds[slot],
                             live,
                             &mut f,
                         );
@@ -492,46 +557,26 @@ pub(crate) fn solve_calibration_lanes(
             // and replays the base values of the other, exactly like the
             // scalar solver's current memo.
             let n_fresh = |x: &[[f64; LANES]; 4], nn: &mut [[f64; LANES]; 4]| {
-                for i in 0..4 {
-                    rings[i].delay().nmos_current_lanes(
-                        &th_l,
-                        plan[i].1,
-                        &x[0],
-                        &x[2],
-                        &drains_l[i],
-                        live,
-                        &mut nn[i],
-                    );
-                }
+                rows.currents(NMOS, &th_l, &x[0], &x[2], drains_l, live, nn);
             };
             let p_fresh = |x: &[[f64; LANES]; 4], pp: &mut [[f64; LANES]; 4]| {
-                for i in 0..4 {
-                    rings[i].delay().pmos_current_lanes(
-                        &th_l,
-                        plan[i].1,
-                        &x[1],
-                        &x[3],
-                        &drains_l[i],
-                        live,
-                        &mut pp[i],
-                    );
-                }
+                rows.currents(PMOS, &th_l, &x[1], &x[3], drains_l, live, pp);
             };
             match col {
                 None => {
                     n_fresh(x, &mut n_base);
                     p_fresh(x, &mut p_base);
-                    rows(&n_base, &p_base, out);
+                    residuals(&n_base, &p_base, out);
                 }
                 Some(0) | Some(2) => {
                     let mut nn = [[0.0; LANES]; 4];
                     n_fresh(x, &mut nn);
-                    rows(&nn, &p_base, out);
+                    residuals(&nn, &p_base, out);
                 }
                 Some(1) | Some(3) => {
                     let mut pp = [[0.0; LANES]; 4];
                     p_fresh(x, &mut pp);
-                    rows(&n_base, &pp, out);
+                    residuals(&n_base, &pp, out);
                 }
                 Some(j) => unreachable!("4x4 solve has no column {j}"),
             }
@@ -1055,5 +1100,219 @@ pub fn read_group_with<R: Rng>(
             );
         }
         start += len;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::newton::{NewtonOptions, NewtonScratch};
+    use crate::sensor::SensorSpec;
+    use ptsim_device::process::Technology;
+    use ptsim_rng::{forall, Pcg64};
+
+    fn share_maps(spec: SensorSpec) -> ([usize; 3], [usize; 3], [usize; 4], [usize; 4]) {
+        let sensor = PtSensor::new(Technology::n65(), spec).unwrap();
+        let conv = RingRows::new(
+            [RoClass::Tsro, RoClass::PsroN, RoClass::PsroP].map(|c| sensor.cache.ring(c)),
+            [spec.bank.vdd_tsro, spec.bank.vdd_low, spec.bank.vdd_low],
+        );
+        let plan = gate::calibration_plan(&spec);
+        let cal = RingRows::new(
+            plan.map(|(class, _)| sensor.cache.ring(class)),
+            plan.map(|(_, vdd)| vdd),
+        );
+        (conv.share_n, conv.share_p, cal.share_n, cal.share_p)
+    }
+
+    #[test]
+    fn bias_factor_share_follows_the_supplies() {
+        // Default bank: the two PSROs share at `vdd_low`, the TSRO runs at
+        // its own supply; the boot plan shares per supply across PSROs.
+        let spec = SensorSpec::default_65nm();
+        let (conv_n, conv_p, cal_n, cal_p) = share_maps(spec);
+        assert_eq!((conv_n, conv_p), ([0, 1, 1], [0, 1, 1]));
+        assert_eq!((cal_n, cal_p), ([0, 1, 0, 1], [0, 1, 0, 1]));
+        // TSRO at `vdd_low`: all three conversion rows share one factor.
+        let mut shared = spec;
+        shared.bank.vdd_tsro = shared.bank.vdd_low;
+        let (conv_n, conv_p, _, _) = share_maps(shared);
+        assert_eq!((conv_n, conv_p), ([0, 0, 0], [0, 0, 0]));
+        // A supply one ulp away is a different operand: no share.
+        let mut apart = spec;
+        apart.bank.vdd_tsro = Volt(f64::from_bits(spec.bank.vdd_low.0.to_bits() + 1));
+        let (conv_n, conv_p, _, _) = share_maps(apart);
+        assert_eq!((conv_n, conv_p), ([0, 1, 1], [0, 1, 1]));
+    }
+
+    #[test]
+    fn lane_solves_converge_in_the_kernel_and_match_the_scalar_solves() {
+        // A broken shared factor would make lanes fail and fall back to the
+        // scalar ladder, which hides it from any output comparison. So the
+        // lane solves themselves must converge, on the default bank and with
+        // the TSRO at `vdd_high`. (With the TSRO at `vdd_low` the 3×3
+        // conversion is ill-posed and every default-tuning solve fails, lane
+        // or scalar; `ring_rows_match_the_unshared_currents` covers that
+        // full share at the row level.)
+        let default = SensorSpec::default_65nm();
+        let mut at_high = default;
+        at_high.bank.vdd_tsro = at_high.bank.vdd_high;
+        let die = DieSample::nominal();
+        let boot = SensorInputs::new(&die, DieSite::CENTER, Celsius(25.0));
+        for spec in [default, at_high] {
+            let mut sensor = PtSensor::new(Technology::n65(), spec).unwrap();
+            let mut rng = Pcg64::seed_from_u64(0xb1a5);
+            let plan = gate::calibration_plan(&spec);
+            let mut measured = [[0.0; 4]; LANES];
+            for m in &mut measured {
+                let (mut ledger, mut health) = (EnergyLedger::new(), Health::nominal());
+                *m = gate::gate_plan(&sensor, &plan, &boot, &mut rng, &mut ledger, &mut health)
+                    .unwrap();
+            }
+            let mut x4 = [[0.0; LANES]; 4];
+            let statuses = solve_calibration_lanes(&sensor, &plan, &measured, LANES, &mut x4);
+            for l in 0..LANES {
+                let (xs, iters) = solve::solve_calibration(
+                    &sensor,
+                    &plan,
+                    &measured[l],
+                    &NewtonOptions::default(),
+                    &mut NewtonScratch::new(),
+                )
+                .unwrap();
+                assert_eq!(
+                    statuses[l],
+                    LaneSolve::Converged(iters),
+                    "{spec:?} lane {l}"
+                );
+                for j in 0..4 {
+                    assert_eq!(x4[j][l].to_bits(), xs[j].to_bits(), "{spec:?} lane {l}");
+                }
+            }
+
+            sensor.calibrate(&boot, &mut rng).unwrap();
+            let cal = *sensor.calibration().unwrap();
+            let mut batch = LaneBatch::new();
+            for l in 0..LANES {
+                let t = Celsius(-30.0 + 20.0 * l as f64);
+                let inputs = SensorInputs::new(&die, DieSite::CENTER, t);
+                let (mut ledger, mut health) = (EnergyLedger::new(), Health::nominal());
+                let gated =
+                    gate::gate_conversion(&sensor, &inputs, &mut rng, &mut ledger, &mut health)
+                        .unwrap();
+                batch.push(&cal, &gated);
+            }
+            // A lane fails exactly when the scalar default tuning does
+            // (the oracle then records its escalation).
+            let (x3, statuses) = solve_conversion_lanes(&sensor, &batch);
+            let mut converged = 0;
+            for l in 0..LANES {
+                let mut health = Health::nominal();
+                let gated = batch.gateds[l].unwrap();
+                let s = solve::solve_gated(&sensor, &cal, &gated, &mut health).unwrap();
+                if !health.events().is_empty() {
+                    assert_eq!(statuses[l], LaneSolve::Failed, "{spec:?} lane {l}");
+                    continue;
+                }
+                converged += 1;
+                assert_eq!(
+                    statuses[l],
+                    LaneSolve::Converged(s.iterations),
+                    "{spec:?} lane {l}"
+                );
+                let expected = [s.temperature, s.d_vtn, s.d_vtp];
+                for j in 0..3 {
+                    assert_eq!(
+                        x3[j][l].to_bits(),
+                        expected[j].to_bits(),
+                        "{spec:?} lane {l}"
+                    );
+                }
+            }
+            assert!(converged >= LANES / 2, "{spec:?}: {statuses:?}");
+        }
+    }
+
+    /// Every row's shared-factor current against the unshared scalar
+    /// current of its own ring, lane by lane, with one masked lane.
+    fn assert_rows_match<const R: usize>(
+        rows: &RingRows<'_, R>,
+        th: &[ThermalPoint; LANES],
+        dvt: &[f64; LANES],
+        mu: &[f64; LANES],
+        live: &[bool; LANES],
+    ) {
+        let drains: [[f64; LANES]; R] = core::array::from_fn(|i| {
+            let mut d = [0.0; LANES];
+            DelayCache::drain_factor_lanes(th, rows.vdds[i], live, &mut d);
+            d
+        });
+        for pol in [NMOS, PMOS] {
+            let mut out = [[-1.0; LANES]; R];
+            rows.currents(pol, th, dvt, mu, drains.each_ref(), live, &mut out);
+            for i in 0..R {
+                let delay = rows.rings[i].delay();
+                for l in 0..LANES {
+                    if !live[l] {
+                        assert_eq!(out[i][l], -1.0, "masked lane written");
+                        continue;
+                    }
+                    let (v, d) = (rows.vdds[i], drains[i][l]);
+                    let scalar = match pol {
+                        MosPolarity::Nmos => delay.nmos_current(&th[l], v, dvt[l], mu[l], d),
+                        MosPolarity::Pmos => delay.pmos_current(&th[l], v, dvt[l], mu[l], d),
+                    };
+                    assert_eq!(
+                        out[i][l].to_bits(),
+                        scalar.to_bits(),
+                        "{pol:?} row {i} lane {l}"
+                    );
+                }
+            }
+        }
+    }
+
+    forall! {
+        #![cases = 32]
+
+        #[test]
+        fn ring_rows_match_the_unshared_currents(
+            vdd_low in 0.3f64..0.9,
+            headroom in 0.05f64..0.5,
+            tsro_pick in 0u64..3,
+            vdd_tsro in 0.3f64..1.0,
+            t0 in -55.0f64..150.0,
+            dvt in -0.06f64..0.06,
+            mu in 0.8f64..1.25,
+        ) {
+            // The TSRO supply equals `vdd_low` (all three conversion rows
+            // share), `vdd_high`, or is free.
+            let mut spec = SensorSpec::default_65nm();
+            spec.bank.vdd_low = Volt(vdd_low);
+            spec.bank.vdd_high = Volt((vdd_low + headroom).min(1.4));
+            spec.bank.vdd_tsro = match tsro_pick {
+                0 => spec.bank.vdd_low,
+                1 => spec.bank.vdd_high,
+                _ => Volt(vdd_tsro),
+            };
+            let sensor = PtSensor::new(Technology::n65(), spec).unwrap();
+            let conv = RingRows::new(
+                [RoClass::Tsro, RoClass::PsroN, RoClass::PsroP].map(|c| sensor.cache.ring(c)),
+                [spec.bank.vdd_tsro, spec.bank.vdd_low, spec.bank.vdd_low],
+            );
+            let plan = gate::calibration_plan(&spec);
+            let cal = RingRows::new(
+                plan.map(|(class, _)| sensor.cache.ring(class)),
+                plan.map(|(_, vdd)| vdd),
+            );
+            let mut live = [true; LANES];
+            live[3] = false;
+            let temps = core::array::from_fn(|l| t0 - 9.0 * l as f64);
+            let th = conv.rings[0].delay().thermal_lanes(&temps, &live);
+            let dvts = core::array::from_fn(|l| dvt * (1.0 - 0.2 * l as f64));
+            let mus = core::array::from_fn(|l| mu + 0.01 * l as f64);
+            assert_rows_match(&conv, &th, &dvts, &mus, &live);
+            assert_rows_match(&cal, &th, &dvts, &mus, &live);
+        }
     }
 }

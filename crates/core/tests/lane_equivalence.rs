@@ -7,14 +7,24 @@
 //!   `convert` loop bit for bit;
 //! * a die forced into Newton divergence in lane *k* falls back to the
 //!   scalar escalation ladder — same `Reading`, same `SolverRetuned`/
-//!   `RomFallback` health events — and never perturbs neighboring lanes.
+//!   `RomFallback` health events — and never perturbs neighboring lanes;
+//!   so does a lane whose residual is NaN;
+//! * the kernel's shared bias factors are derived from the supplies, so a
+//!   bank whose TSRO runs at `vdd_low` (all three rings share one factor
+//!   per polarity) and any valid set of bank supplies stay bit-identical
+//!   to the unshared scalar oracle.
 
-use ptsim_core::health::HealthEvent;
-use ptsim_core::pipeline::{read_group, BatchPlan, LANES};
+use ptsim_circuit::EnergyLedger;
+use ptsim_core::health::{Health, HealthEvent};
+use ptsim_core::pipeline::gate::gate_conversion;
+use ptsim_core::pipeline::solve::solve_gated;
+use ptsim_core::pipeline::{
+    read_group, solve_gated_lanes, BatchPlan, Gated, LaneBatch, Scratch, Solved, LANES,
+};
 use ptsim_core::sensor::{PtSensor, SensorInputs, SensorSpec};
-use ptsim_core::Conversion;
+use ptsim_core::{Conversion, SensorError};
 use ptsim_device::process::Technology;
-use ptsim_device::units::{Celsius, Volt};
+use ptsim_device::units::{Celsius, Hertz, Volt};
 use ptsim_faults::{Channel, Fault, FaultPlan, ReplicaSel};
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_mc::driver::McConfig;
@@ -22,9 +32,28 @@ use ptsim_mc::model::VariationModel;
 use ptsim_rng::{forall, Pcg64, RngCore};
 
 fn plan() -> BatchPlan {
-    BatchPlan::new(Technology::n65(), SensorSpec::default_65nm())
+    plan_for(SensorSpec::default_65nm())
+}
+
+fn plan_for(spec: SensorSpec) -> BatchPlan {
+    BatchPlan::new(Technology::n65(), spec)
         .unwrap()
         .read_at(&[10.0, 85.0])
+}
+
+/// Bit patterns of a solve result: `Solved` carries no `PartialEq`, and a
+/// NaN must compare equal to itself here.
+fn solve_bits(r: &Result<Solved, SensorError>) -> String {
+    match r {
+        Ok(s) => format!(
+            "{:x} {:x} {:x} {}",
+            s.temperature.to_bits(),
+            s.d_vtn.to_bits(),
+            s.d_vtp.to_bits(),
+            s.iterations
+        ),
+        Err(e) => format!("{e:?}"),
+    }
 }
 
 /// A fault plan that makes the joint 3×3 conversion solve diverge under
@@ -85,6 +114,79 @@ fn convert_batch_edge_sizes_match_a_scalar_loop() {
 
         assert_eq!(looped.unwrap(), batched.unwrap(), "batch of {n} diverged");
         assert_eq!(rng_loop.next_u64(), rng_batch.next_u64());
+    }
+}
+
+#[test]
+fn tsro_at_vdd_low_shares_one_factor_across_all_rings_bit_identically() {
+    // With the TSRO on the PSROs' supply every conversion row shares each
+    // polarity's bias factor; the unshared scalar oracle must still agree.
+    let mut spec = SensorSpec::default_65nm();
+    spec.bank.vdd_tsro = spec.bank.vdd_low;
+    let p = plan_for(spec);
+    let model = VariationModel::new(&Technology::n65());
+    let cfg = McConfig::new(2 * LANES + 3, 0x5a7e);
+    let lane = p.run_population(&cfg, &model);
+    assert_eq!(lane, p.run_population_scalar(&cfg, &model));
+    assert!(
+        lane.iter().filter(|r| r.is_ok()).count() > LANES,
+        "too few dies convert for the comparison to mean anything: {lane:?}"
+    );
+}
+
+#[test]
+fn nan_lane_falls_back_to_the_scalar_ladder_without_perturbing_neighbors() {
+    let die = DieSample::nominal();
+    let boot = SensorInputs::new(&die, DieSite::CENTER, Celsius(25.0));
+    let mut sensor = PtSensor::new(Technology::n65(), SensorSpec::default_65nm()).unwrap();
+    let mut rng = Pcg64::seed_from_u64(0x7a2);
+    sensor.prepare(&boot, &mut rng).unwrap();
+    let cal = *sensor.calibration().unwrap();
+    let gateds: Vec<Gated> = (0..LANES)
+        .map(|l| {
+            let inputs = SensorInputs::new(&die, DieSite::CENTER, Celsius(-20.0 + 15.0 * l as f64));
+            let (mut ledger, mut health) = (EnergyLedger::new(), Health::nominal());
+            gate_conversion(&sensor, &inputs, &mut rng, &mut ledger, &mut health).unwrap()
+        })
+        .collect();
+    let solve_lanes = |gateds: &[Gated]| {
+        let mut batch = LaneBatch::new();
+        for g in gateds {
+            batch.push(&cal, g);
+        }
+        let mut healths = vec![Health::nominal(); LANES];
+        let mut out: Vec<Option<Result<Solved, SensorError>>> = vec![None; LANES];
+        solve_gated_lanes(&sensor, &batch, &mut healths, &mut Scratch::new(), &mut out);
+        let out: Vec<_> = out
+            .iter()
+            .map(|r| solve_bits(r.as_ref().unwrap()))
+            .collect();
+        (out, healths)
+    };
+    let (clean, clean_healths) = solve_lanes(&gateds);
+    for k in 0..LANES {
+        let mut faulted = gateds.clone();
+        faulted[k].f_tsro = Hertz(f64::NAN);
+        let (got, healths) = solve_lanes(&faulted);
+        let mut health = Health::nominal();
+        let oracle = solve_gated(&sensor, &cal, &faulted[k], &mut health);
+        assert_eq!(got[k], solve_bits(&oracle), "NaN lane {k}");
+        assert_eq!(healths[k], health, "NaN lane {k}");
+        assert!(
+            health
+                .events()
+                .iter()
+                .any(|e| matches!(e, HealthEvent::RomFallback { .. })),
+            "NaN lane {k} never reached the ROM fallback: {:?}",
+            health.events()
+        );
+        for l in (0..LANES).filter(|&l| l != k) {
+            assert_eq!(got[l], clean[l], "NaN lane {k} perturbed lane {l}");
+            assert_eq!(
+                healths[l], clean_healths[l],
+                "NaN lane {k} perturbed lane {l}"
+            );
+        }
     }
 }
 
@@ -187,5 +289,37 @@ forall! {
                 "faulted lane {k} perturbed neighbor {lane}"
             );
         }
+    }
+
+    #[test]
+    fn any_valid_bank_supplies_keep_lane_and_scalar_bit_identical(
+        vdd_low in 0.35f64..0.9,
+        headroom in 0.05f64..0.5,
+        tsro_pick in 0u64..3,
+        vdd_tsro in 0.3f64..1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        // The TSRO supply coincides with `vdd_low` (full share), with
+        // `vdd_high` (no conversion share), or is free; the calibration
+        // plan always shares across its two PSROs per supply.
+        let mut spec = SensorSpec::default_65nm();
+        spec.bank.vdd_low = Volt(vdd_low);
+        spec.bank.vdd_high = Volt((vdd_low + headroom).min(1.4));
+        spec.bank.vdd_tsro = match tsro_pick {
+            0 => spec.bank.vdd_low,
+            1 => spec.bank.vdd_high,
+            _ => Volt(vdd_tsro),
+        };
+        let p = plan_for(spec);
+        let model = VariationModel::new(&Technology::n65());
+        let cfg = McConfig::new(LANES + 1, seed);
+        let lane = p.run_population(&cfg, &model);
+        assert_eq!(
+            lane,
+            p.run_population_scalar(&cfg, &model),
+            "supplies {:?} (seed {seed:#x}) diverged from the oracle",
+            spec.bank
+        );
+        assert!(lane.iter().any(Result::is_ok), "no die converts at {:?}", spec.bank);
     }
 }

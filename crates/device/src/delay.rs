@@ -19,10 +19,28 @@
 //! legal; folding `kp·W/L` would not be). Property tests in this module and
 //! in `ptsim-core` assert agreement to the last bit across random
 //! temperature/variation/supply points.
+//!
+//! **Bias factor and recombination.** A device's on-current is composed
+//! of two parts, and [`DelayCache::nmos_current`]/[`DelayCache::pmos_current`]
+//! are exactly their composition:
+//!
+//! * the bias factor `g = softplus((vgs − vt_eff) / (2n·vt_th))` — the
+//!   current's only transcendental part (one `exp`, one `ln_1p`), reading
+//!   only the polarity constants, `2n`, the thermal point, `vgs` and ΔVt;
+//! * the per-ring recombination
+//!   `(2n·kp·W/L·vt_th²·g²) / (1 + 2·vt_th·g/vcrit) · drain` — pure
+//!   arithmetic over the device geometry.
+//!
+//! The lane kernels ([`DelayCache::bias_factor_lanes`],
+//! [`DelayCache::current_from_bias_lanes`]) expose the two parts
+//! separately, so a caller evaluating several rings at one supply computes
+//! each factor once: [`DelayCache::shares_bias_factor`] says when two
+//! inverters yield the identical factor. Per device and lane that is 2
+//! libm calls for the factor and none for each recombination.
 
 use crate::consts::{thermal_voltage, T_REF};
 use crate::inverter::{CmosEnv, Inverter};
-use crate::mosfet::softplus;
+use crate::mosfet::{softplus, MosPolarity};
 use crate::process::Technology;
 use crate::units::{Ampere, Celsius, Farad, Seconds, Volt, Watt};
 
@@ -128,8 +146,47 @@ impl DelayCache {
         }
     }
 
-    /// Drain current of one device with the shared drain-saturation factor
-    /// already clamped. Same operation order as
+    /// The constants of the device of polarity `pol`.
+    #[inline]
+    fn device(&self, pol: MosPolarity) -> &DeviceConsts {
+        match pol {
+            MosPolarity::Nmos => &self.nmos,
+            MosPolarity::Pmos => &self.pmos,
+        }
+    }
+
+    /// Bias factor `g = softplus((vgs − vt_eff) / (2n·vt_th))` of one
+    /// device: the only transcendental part of its on-current (one `exp`,
+    /// one `ln_1p`). A pure function of the device's polarity constants
+    /// (`vt0`, `dvt_dt`), `2n`, the thermal point, `vgs` and `delta_vt`.
+    #[inline]
+    fn bias(c: &DeviceConsts, two_n: f64, th: &ThermalPoint, vgs: f64, delta_vt: f64) -> f64 {
+        let vt_eff = c.vt0 + c.dvt_dt * th.dt + delta_vt;
+        let x = (vgs - vt_eff) / (two_n * th.vt_th);
+        softplus(x)
+    }
+
+    /// Recombines a bias factor `g` from [`DelayCache::bias`] with the
+    /// per-device geometry into the drain current (shared drain-saturation
+    /// factor already clamped). Pure arithmetic, no libm call.
+    #[inline]
+    fn from_bias(
+        c: &DeviceConsts,
+        two_n: f64,
+        th: &ThermalPoint,
+        g: f64,
+        mu_factor: f64,
+        drain: f64,
+    ) -> f64 {
+        let mu_scale = mu_factor * th.mu_pow;
+        let kp = c.kp0 * mu_scale;
+        let i_long = two_n * kp * c.aspect * th.vt_th * th.vt_th * g * g;
+        let i_sat = i_long / (1.0 + (2.0 * th.vt_th * g) / c.vcrit);
+        i_sat * drain
+    }
+
+    /// Drain current of one device: the bias factor, then its
+    /// recombination. Same operation order as
     /// [`Mosfet::drain_current`](crate::mosfet::Mosfet::drain_current).
     fn current(
         c: &DeviceConsts,
@@ -140,14 +197,21 @@ impl DelayCache {
         mu_factor: f64,
         drain: f64,
     ) -> f64 {
-        let vt_eff = c.vt0 + c.dvt_dt * th.dt + delta_vt;
-        let x = (vgs - vt_eff) / (two_n * th.vt_th);
-        let g = softplus(x);
-        let mu_scale = mu_factor * th.mu_pow;
-        let kp = c.kp0 * mu_scale;
-        let i_long = two_n * kp * c.aspect * th.vt_th * th.vt_th * g * g;
-        let i_sat = i_long / (1.0 + (2.0 * th.vt_th * g) / c.vcrit);
-        i_sat * drain
+        let g = Self::bias(c, two_n, th, vgs, delta_vt);
+        Self::from_bias(c, two_n, th, g, mu_factor, drain)
+    }
+
+    /// Whether `self` and `other` produce the same polarity-`pol` bias
+    /// factor from the same `(th, vgs, delta_vt)` operands: true exactly
+    /// when the operands the factor reads (`vt0`, `dvt_dt`, `2n`) are
+    /// bit-equal. Rings whose devices share a factor at one supply may
+    /// evaluate it once and recombine it per ring, bit for bit.
+    #[must_use]
+    pub fn shares_bias_factor(&self, other: &DelayCache, pol: MosPolarity) -> bool {
+        let (a, b) = (self.device(pol), other.device(pol));
+        a.vt0.to_bits() == b.vt0.to_bits()
+            && a.dvt_dt.to_bits() == b.dvt_dt.to_bits()
+            && self.two_n.to_bits() == other.two_n.to_bits()
     }
 
     /// Drain-saturation factor at `vdd`, shared by both devices and by the
@@ -277,54 +341,54 @@ impl DelayCache {
         }
     }
 
-    /// Lane-parallel [`DelayCache::nmos_current`]: evaluates every active
-    /// lane, each bit-identical to the scalar call with that lane's
-    /// operands. Inactive lanes are skipped entirely (their
-    /// transcendental-heavy device evaluation is the whole point of
-    /// masking) and keep their previous `out` values.
-    // Column-wise mirror of the scalar signature: every parameter is one
-    // SoA column, so bundling them would just invent a struct for one call.
-    #[allow(clippy::too_many_arguments)]
+    /// Lane-parallel bias factor of the polarity-`pol` device at gate
+    /// voltage `vgs`: the transcendental half of
+    /// [`DelayCache::nmos_current`]/[`DelayCache::pmos_current`], one per
+    /// active lane. Inactive lanes are skipped entirely (their libm calls
+    /// are the whole point of masking) and keep their previous `out`
+    /// values. Every ring for which [`DelayCache::shares_bias_factor`]
+    /// holds may reuse the result at the same `vgs`.
     #[inline]
-    pub fn nmos_current_lanes(
+    pub fn bias_factor_lanes(
         &self,
+        pol: MosPolarity,
         th: &[ThermalPoint; LANES],
-        vdd: Volt,
-        d_vtn: &[f64; LANES],
-        mu_n: &[f64; LANES],
-        drain: &[f64; LANES],
+        vgs: Volt,
+        delta_vt: &[f64; LANES],
         active: &[bool; LANES],
         out: &mut [f64; LANES],
     ) {
+        let c = self.device(pol);
         for l in 0..LANES {
             if active[l] {
-                out[l] = Self::current(
-                    &self.nmos, self.two_n, &th[l], vdd.0, d_vtn[l], mu_n[l], drain[l],
-                );
+                out[l] = Self::bias(c, self.two_n, &th[l], vgs.0, delta_vt[l]);
             }
         }
     }
 
-    /// Lane-parallel [`DelayCache::pmos_current`].
+    /// Lane-parallel recombination of bias factors `g` (from
+    /// [`DelayCache::bias_factor_lanes`]) into this inverter's
+    /// polarity-`pol` on-currents. Each active lane is bit-identical to the
+    /// scalar current with that lane's operands; inactive lanes keep their
+    /// previous `out` values.
     // Column-wise mirror of the scalar signature: every parameter is one
     // SoA column, so bundling them would just invent a struct for one call.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub fn pmos_current_lanes(
+    pub fn current_from_bias_lanes(
         &self,
+        pol: MosPolarity,
         th: &[ThermalPoint; LANES],
-        vdd: Volt,
-        d_vtp: &[f64; LANES],
-        mu_p: &[f64; LANES],
+        g: &[f64; LANES],
+        mu_factor: &[f64; LANES],
         drain: &[f64; LANES],
         active: &[bool; LANES],
         out: &mut [f64; LANES],
     ) {
+        let c = self.device(pol);
         for l in 0..LANES {
             if active[l] {
-                out[l] = Self::current(
-                    &self.pmos, self.two_n, &th[l], vdd.0, d_vtp[l], mu_p[l], drain[l],
-                );
+                out[l] = Self::from_bias(c, self.two_n, &th[l], g[l], mu_factor[l], drain[l]);
             }
         }
     }
@@ -430,6 +494,54 @@ mod tests {
 
     forall! {
         #[test]
+        fn bias_factor_then_recombination_is_the_current(
+            t in -55.0f64..150.0,
+            vgs in 0.0f64..1.4,
+            dvt in -0.08f64..0.08,
+            mu in 0.7f64..1.35,
+            drain in 0.0f64..1.0,
+        ) {
+            let (_, _, cache) = fixture(0.35, 1.8);
+            let th = cache.thermal(Celsius(t));
+            for pol in [MosPolarity::Nmos, MosPolarity::Pmos] {
+                let c = cache.device(pol);
+                let g = DelayCache::bias(c, cache.two_n, &th, vgs, dvt);
+                let split = DelayCache::from_bias(c, cache.two_n, &th, g, mu, drain);
+                let whole = match pol {
+                    MosPolarity::Nmos => cache.nmos_current(&th, Volt(vgs), dvt, mu, drain),
+                    MosPolarity::Pmos => cache.pmos_current(&th, Volt(vgs), dvt, mu, drain),
+                };
+                assert_eq!(split.to_bits(), whole.to_bits(), "{pol:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn bias_factor_is_shared_exactly_when_its_operands_are_bit_equal() {
+        // Rings of one technology share each polarity's factor whatever
+        // their geometry; a shifted threshold or slope breaks the share.
+        let (tech, _, narrow) = fixture(0.15, 8.0);
+        let (_, _, wide) = fixture(1.2, 1.0);
+        for pol in [MosPolarity::Nmos, MosPolarity::Pmos] {
+            assert!(narrow.shares_bias_factor(&wide, pol));
+        }
+        let mut shifted = tech.clone();
+        shifted.vtn0 = Volt(tech.vtn0.0 + 1e-3);
+        let inv = Inverter::balanced(Micron(0.15), 8.0, &shifted).unwrap();
+        let other = DelayCache::new(&inv, &shifted);
+        assert!(!narrow.shares_bias_factor(&other, MosPolarity::Nmos));
+        assert!(narrow.shares_bias_factor(&other, MosPolarity::Pmos));
+        let mut sloped = tech.clone();
+        sloped.subthreshold_n *= 1.01;
+        let inv = Inverter::balanced(Micron(0.15), 8.0, &sloped).unwrap();
+        let other = DelayCache::new(&inv, &sloped);
+        for pol in [MosPolarity::Nmos, MosPolarity::Pmos] {
+            assert!(!narrow.shares_bias_factor(&other, pol));
+        }
+    }
+
+    forall! {
+        #[test]
         fn lane_kernels_match_scalar_per_lane(
             t0 in -55.0f64..150.0,
             spread in 0.0f64..40.0,
@@ -457,14 +569,17 @@ mod tests {
             let th = cache.thermal_lanes(&temps, &mask);
             let mut drains = [0.0; LANES];
             DelayCache::drain_factor_lanes(&th, Volt(vdd), &mask, &mut drains);
-            let mut ion_n = [0.0; LANES];
-            let mut ion_p = [0.0; LANES];
-            cache.nmos_current_lanes(&th, Volt(vdd), &dns, &mus, &drains, &mask, &mut ion_n);
-            cache.pmos_current_lanes(&th, Volt(vdd), &dps, &mus, &drains, &mask, &mut ion_p);
+            let (mut g_n, mut g_p) = ([0.0; LANES], [0.0; LANES]);
+            let (mut ion_n, mut ion_p) = ([0.0; LANES], [0.0; LANES]);
+            let (n, p) = (MosPolarity::Nmos, MosPolarity::Pmos);
+            cache.bias_factor_lanes(n, &th, Volt(vdd), &dns, &mask, &mut g_n);
+            cache.bias_factor_lanes(p, &th, Volt(vdd), &dps, &mask, &mut g_p);
+            cache.current_from_bias_lanes(n, &th, &g_n, &mus, &drains, &mask, &mut ion_n);
+            cache.current_from_bias_lanes(p, &th, &g_p, &mus, &drains, &mask, &mut ion_p);
             assert_eq!(th[5].vt_th, 0.0);
             assert_eq!(drains[5], 0.0);
-            assert_eq!(ion_n[5], 0.0);
-            assert_eq!(ion_p[5], 0.0);
+            assert_eq!((g_n[5], g_p[5]), (0.0, 0.0));
+            assert_eq!((ion_n[5], ion_p[5]), (0.0, 0.0));
             for l in 0..LANES {
                 if l == 5 {
                     continue;
@@ -473,6 +588,10 @@ mod tests {
                 assert_eq!(th[l], th_s);
                 let d = DelayCache::drain_factor(&th_s, Volt(vdd));
                 assert_eq!(drains[l].to_bits(), d.to_bits());
+                let g = DelayCache::bias(&cache.nmos, cache.two_n, &th_s, vdd, dns[l]);
+                assert_eq!(g_n[l].to_bits(), g.to_bits());
+                let g = DelayCache::bias(&cache.pmos, cache.two_n, &th_s, vdd, dps[l]);
+                assert_eq!(g_p[l].to_bits(), g.to_bits());
                 assert_eq!(
                     ion_n[l].to_bits(),
                     cache.nmos_current(&th_s, Volt(vdd), dns[l], mus[l], d).to_bits(),

@@ -172,6 +172,11 @@ echo "==> SoA-vs-scalar bit-identity smoke (lane kernel, release FP paths)"
 # Same rationale: the lane kernel's bit-identity to the scalar oracle must
 # hold under the release float codegen the benches and the fleet daemon run.
 cargo test -q --release --offline -p ptsim-core --test lane_equivalence
+# The lane kernel shares each device's bias factor across same-supply rings;
+# the device-level factor/recombination kernels and the batch-vs-loop
+# contract must stay bit-identical under release codegen too.
+cargo test -q --release --offline -p ptsim-device --lib lane_kernels_match_scalar_per_lane
+cargo test -q --release --offline -p ptsim-core --test batch_equivalence
 
 echo "==> bench smoke (1 sample, parse-only — timing never gates CI)"
 # Keeps every bench binary buildable and its JSON output machine-parseable;
