@@ -11,19 +11,13 @@
 //!
 //! Knobs: `PTSIM_LOADGEN_REQUESTS` (per scenario, default 200),
 //! `PTSIM_LOADGEN_CONNS` (concurrent connections, default 4),
-//! `PTSIM_LOADGEN_DIES` (fleet size, default 16),
-//! `PTSIM_LOADGEN_COALESCE_CONNS` (clients of the `read_coalesced`
-//! scenario, default `2 × CONNS`, min 8 — past ~2× the core count the
-//! extra client threads cost more than the deeper queues pay),
-//! `PTSIM_LOADGEN_COALESCE_MAX` (the fleet's coalescing budget,
-//! default 64; set 1 for an A/B with the scheduler off). A meta header
-//! line with
+//! `PTSIM_LOADGEN_DIES` (fleet size, default 16). A meta header line with
 //! the git rev/date is emitted first, exactly like the other bench
 //! binaries, so the trajectory files share one schema.
 //!
-//! Scenario codecs: `read_seq`, `read_concurrent`, `batch_read`, and
-//! `health` drive the JSON (v1) protocol; `read_seq_v2` and
-//! `read_coalesced` negotiate the v2 binary codec.
+//! Scenario codecs: `read_seq`, `batch_read`, and `health` drive the JSON
+//! (v1) protocol; `read_seq_v2` and `read_concurrent` negotiate the v2
+//! binary codec.
 
 use ptsim_bench::knobs::knob;
 use ptsim_mc::stats::quantile_in_place;
@@ -159,16 +153,11 @@ fn main() {
     let requests = knob::<usize>("PTSIM_LOADGEN_REQUESTS").unwrap_or(200);
     let conns = knob::<usize>("PTSIM_LOADGEN_CONNS").unwrap_or(4).max(1);
     let n_dies = knob("PTSIM_LOADGEN_DIES").unwrap_or(16u64).max(1);
-
-    let coalesce_max = knob::<usize>("PTSIM_LOADGEN_COALESCE_MAX")
-        .unwrap_or(64)
-        .max(1);
     let fleet = Fleet::start(FleetConfig {
         n_dies,
         n_shards: 4,
         queue_depth: 256,
         base_seed: 0x10ad,
-        coalesce_max,
         ..FleetConfig::default()
     });
     let server =
@@ -196,20 +185,6 @@ fn main() {
         "service/read_concurrent",
         conns,
         requests,
-        n_dies,
-        true,
-    )
-    .emit();
-    // The coalescing showcase: enough concurrent single-read clients to
-    // build per-shard queue depth, over the binary codec, so worker wakes
-    // drain whole groups through the lane kernel.
-    let coalesce_conns =
-        knob::<usize>("PTSIM_LOADGEN_COALESCE_CONNS").unwrap_or((conns * 2).max(8));
-    drive(
-        &addr,
-        "service/read_coalesced",
-        coalesce_conns,
-        requests.max(coalesce_conns * 8),
         n_dies,
         true,
     )

@@ -338,7 +338,6 @@ pub fn run_campaign(cfg: &ChaosConfig) -> ChaosReport {
         n_shards: cfg.n_shards,
         queue_depth: cfg.queue_depth,
         base_seed: R2_SEED,
-        coalesce_max: 64,
         max_restarts: cfg.max_restarts,
         backoff_base: Duration::from_millis(10),
         backoff_cap: Duration::from_millis(200),

@@ -969,11 +969,12 @@ pub(crate) fn read_batch_lanes<R: Rng + ?Sized>(
 }
 
 /// Lane-grouped conversion across *independently calibrated* sensor
-/// instances of one design — the fleet service's `batch_read` drain, where
-/// every die owns a sensor clone and an RNG stream. Element `k` converts
-/// `inputs[k]` on `sensors[k]` drawing from `rngs[k]`, and entry `k` of
-/// the result is exactly what `sensors[k].read(&inputs[k], rngs[k])` would
-/// have produced — bit-identical reading, same stream position — because
+/// instances of one design — the fleet service's `batch_read` drain (the
+/// service's one grouped read path), where every die owns a sensor clone
+/// and an RNG stream. Element `k` converts `inputs[k]` on `sensors[k]`
+/// drawing from `rngs[k]`, and entry `k` of the result is exactly what
+/// `sensors[k].read(&inputs[k], rngs[k])` would have produced —
+/// bit-identical reading, same stream position — because
 /// gating draws touch only the die's own stream and the jointly-solved
 /// Newton stages are RNG-free. Failures are per-element: one die's error
 /// never disturbs a neighbor's conversion or stream, unlike
@@ -993,35 +994,12 @@ pub fn read_group<R: Rng>(
     inputs: &[SensorInputs<'_>],
     rngs: &mut [&mut R],
 ) -> Vec<Result<Reading, SensorError>> {
-    let mut scratch = Scratch::new();
-    let mut results = Vec::with_capacity(sensors.len());
-    read_group_with(sensors, inputs, rngs, &mut scratch, &mut results);
-    results
-}
-
-/// [`read_group`] with caller-owned working state: the solver [`Scratch`]
-/// and the result vector are reused across calls, so a long-running caller
-/// (the fleet daemon's coalescing scheduler drains thousands of groups per
-/// second) pays the scratch and result-buffer allocations once per worker
-/// instead of once per group. `results` is cleared and refilled; values
-/// are bit-identical to [`read_group`].
-///
-/// # Panics
-///
-/// Panics if the three slices disagree in length.
-pub fn read_group_with<R: Rng>(
-    sensors: &[&PtSensor],
-    inputs: &[SensorInputs<'_>],
-    rngs: &mut [&mut R],
-    scratch: &mut Scratch,
-    results: &mut Vec<Result<Reading, SensorError>>,
-) {
     assert!(
         sensors.len() == inputs.len() && inputs.len() == rngs.len(),
         "group shape mismatch"
     );
-    results.clear();
-    results.reserve(sensors.len());
+    let mut scratch = Scratch::new();
+    let mut results = Vec::with_capacity(sensors.len());
     let mut start = 0;
     while start < sensors.len() {
         let len = (sensors.len() - start).min(LANES);
@@ -1052,7 +1030,7 @@ pub fn read_group_with<R: Rng>(
                 &mut *rngs[start + k],
                 &mut ledger,
                 &mut health,
-                &mut *scratch,
+                &mut scratch,
             ) {
                 Ok(gated) => {
                     if LaneBatch::accepts(sensor, &gated) {
@@ -1076,7 +1054,7 @@ pub fn read_group_with<R: Rng>(
             }
         }
         if let Some(shared) = lane_sensor {
-            solve_gated_lanes(shared, &batch, &mut healths, &mut *scratch, &mut solved_out);
+            solve_gated_lanes(shared, &batch, &mut healths, &mut scratch, &mut solved_out);
         }
         for k in 0..len {
             if let Some(e) = errs[k].take() {
@@ -1092,7 +1070,7 @@ pub fn read_group_with<R: Rng>(
             } else {
                 let Scratch {
                     newton, metrics, ..
-                } = &mut *scratch;
+                } = &mut scratch;
                 solve::solve_gated_with(sensor, &cal, &gated, &mut health, newton, metrics)
             };
             results.push(
@@ -1101,6 +1079,7 @@ pub fn read_group_with<R: Rng>(
         }
         start += len;
     }
+    results
 }
 
 #[cfg(test)]

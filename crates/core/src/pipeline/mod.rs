@@ -38,7 +38,7 @@ pub use acquire::{Acquired, ReplicaMeasurement};
 pub use bands::{band_for, design_bands, Band};
 pub use batch::{BatchPlan, DieConversion};
 pub use gate::Gated;
-pub use lanes::{read_group, read_group_with, solve_gated_lanes, LaneBatch, LANES};
+pub use lanes::{read_group, solve_gated_lanes, LaneBatch, LANES};
 pub use output::{CalibrationOutcome, Reading};
 pub use solve::Solved;
 

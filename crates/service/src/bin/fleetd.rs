@@ -6,8 +6,10 @@
 //! PTSIM_FLEET_SHARDS=4           supervised worker shards
 //! PTSIM_FLEET_SEED=0x5eed        base seed of the per-die streams
 //! PTSIM_FLEET_IDLE_SECS=30      idle-connection reap timeout
-//! PTSIM_FLEET_COALESCE=64       reads one worker wake may coalesce (1 = off)
 //! ```
+//!
+//! Each shard worker serves one queued request per wake; `batch_read`
+//! is the one request that converts many dies in one lane-grouped pass.
 //!
 //! Prints `ptsim-fleetd listening on <addr>` once bound (scripts parse
 //! this line for the resolved ephemeral port), then serves until a
@@ -40,7 +42,6 @@ fn main() {
         n_dies: env_u64("PTSIM_FLEET_DIES", 64),
         n_shards: env_u64("PTSIM_FLEET_SHARDS", 4),
         base_seed: env_u64("PTSIM_FLEET_SEED", 0x5eed),
-        coalesce_max: env_u64("PTSIM_FLEET_COALESCE", 64).clamp(1, 1024) as usize,
         ..FleetConfig::default()
     };
     let server_cfg = ServerConfig {

@@ -63,10 +63,6 @@ pub struct FleetConfig {
     pub queue_depth: usize,
     /// Base seed of the deterministic per-die streams.
     pub base_seed: u64,
-    /// How many queued single-die reads one worker wake may coalesce into
-    /// a lane-grouped conversion (1 disables coalescing). Exposed in
-    /// `/health` so operators can confirm the scheduler is grouping.
-    pub coalesce_max: usize,
     /// Worker restarts a shard may consume before going `Dead`.
     pub max_restarts: u64,
     /// First restart backoff; doubles per consecutive restart.
@@ -82,7 +78,6 @@ impl Default for FleetConfig {
             n_shards: 4,
             queue_depth: 64,
             base_seed: 0x5eed,
-            coalesce_max: 64,
             max_restarts: 5,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(500),
@@ -118,7 +113,6 @@ impl Fleet {
         let cfg = FleetConfig {
             n_shards: cfg.n_shards.clamp(1, 64),
             queue_depth: cfg.queue_depth.max(1),
-            coalesce_max: cfg.coalesce_max.max(1),
             ..cfg
         };
         let shards: Vec<Arc<ShardShared>> = (0..cfg.n_shards)
@@ -129,7 +123,6 @@ impl Fleet {
                     n_dies: cfg.n_dies,
                     queue_depth: cfg.queue_depth,
                     base_seed: cfg.base_seed,
-                    coalesce_max: cfg.coalesce_max,
                 }))
             })
             .collect();
@@ -213,7 +206,7 @@ impl Fleet {
         let shard = &self.shards[(die % self.cfg.n_shards) as usize];
         let state = recover(shard.status.lock()).state;
         if state == ShardState::Dead {
-            shard.count_pub(|m| m.rej_shard_down);
+            shard.count(|m| m.rej_shard_down);
             return Response::rejected(
                 Rejection::ShardDown,
                 format!("shard {} is dead", shard.cfg.shard_id),
@@ -247,12 +240,12 @@ impl Fleet {
                             Rejection::Overloaded,
                             "shed for higher-priority work",
                         ));
-                        shard.count_pub(|m| m.rej_overloaded);
+                        shard.count(|m| m.rej_overloaded);
                         q.push_back(job);
                     }
                     _ => {
                         drop(q);
-                        shard.count_pub(|m| m.rej_overloaded);
+                        shard.count(|m| m.rej_overloaded);
                         return Response::rejected(
                             Rejection::Overloaded,
                             format!("shard {} queue full", shard.cfg.shard_id),
@@ -275,7 +268,7 @@ impl Fleet {
         match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok(resp) => resp,
             Err(_) => {
-                shard.count_pub(|m| m.rej_timeout);
+                shard.count(|m| m.rej_timeout);
                 Response::rejected(
                     Rejection::Timeout,
                     format!("deadline of {deadline_ms} ms exceeded"),
@@ -305,31 +298,19 @@ impl Fleet {
                 }
             })
             .collect();
-        let snap = merged.reg.snapshot();
-        let mut counters: Vec<(String, u64)> = snap
+        let counters = merged
+            .reg
+            .snapshot()
             .counters
             .iter()
             .map(|(k, v)| ((*k).to_string(), *v))
             .collect();
-        // Project the coalesce-width histogram into the counter list so a
-        // plain /health poll can confirm the scheduler is actually grouping:
-        // wakes = grouped worker wakes (each served ≥ 2 reads), reads = reads
-        // those wakes served. Unit-width bins make the sum exact.
-        if let Some(h) = snap.histogram("svc.coalesce_width") {
-            let reads: u64 = h
-                .counts
-                .iter()
-                .enumerate()
-                .map(|(w, &n)| w as u64 * n)
-                .sum();
-            counters.push(("svc.coalesced_wakes".to_string(), h.total));
-            counters.push(("svc.coalesced_reads".to_string(), reads));
-        }
         HealthWire {
             shards,
             counters,
             uptime_ms: self.started.elapsed().as_millis() as u64,
-            coalesce_max: self.cfg.coalesce_max as u64,
+            // Every worker wake serves one job: no coalescing.
+            coalesce_max: 1,
             wire_version: u64::from(crate::wire::WIRE_V2),
         }
     }
@@ -350,20 +331,10 @@ impl Fleet {
     }
 }
 
-impl ShardShared {
-    /// Public counter bump for the fleet front-end (the private helper in
-    /// `shard.rs` covers the worker side).
-    pub(crate) fn count_pub(&self, pick: impl Fn(&SvcMetrics) -> ptsim_obs::CounterId) {
-        let mut m = recover(self.metrics.lock());
-        let id = pick(&m);
-        m.reg.inc(id);
-    }
-}
-
 fn drain_with_rejection(shard: &ShardShared, detail: &str) {
     let drained: Vec<_> = recover(shard.queue.lock()).drain(..).collect();
     for job in drained {
-        shard.count_pub(|m| m.rej_shard_down);
+        shard.count(|m| m.rej_shard_down);
         let _ = job
             .reply
             .send(Response::rejected(Rejection::ShardDown, detail));
@@ -394,7 +365,7 @@ fn supervise(shared: &Arc<ShardShared>, cfg: &FleetConfig) {
                     } else {
                         ShardState::Restarting
                     };
-                    shared.count_pub(|m| m.restarts);
+                    shared.count(|m| m.restarts);
                     st.restarts
                 };
                 if restarts > cfg.max_restarts {
@@ -436,7 +407,6 @@ mod tests {
             n_shards: 2,
             queue_depth: 16,
             base_seed: 0xfeed,
-            coalesce_max: 8,
             max_restarts: 3,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(20),
@@ -541,12 +511,34 @@ mod tests {
     }
 
     #[test]
+    fn pings_to_a_zero_die_fleet_pong_without_killing_a_shard() {
+        let fleet = Fleet::start(FleetConfig {
+            n_dies: 0,
+            ..FleetConfig::default()
+        });
+        for _ in 0..8 {
+            let r = fleet.submit(Request::Ping { pad: 3 });
+            assert!(
+                matches!(&r, Response::Pong { pad } if pad == "xxx"),
+                "got {r:?}"
+            );
+        }
+        let h = fleet.health();
+        assert!(
+            h.shards.iter().all(|s| s.state == "up" && s.restarts == 0),
+            "{h:?}"
+        );
+        fleet.shutdown();
+    }
+
+    #[test]
     fn health_is_served_without_touching_queues() {
         let fleet = small_fleet();
         let h = fleet.health();
         assert_eq!(h.shards.len(), 2);
         assert!(h.shards.iter().all(|s| s.state == "up"));
         assert_eq!(h.shards.iter().map(|s| s.dies).sum::<u64>(), 8);
+        assert_eq!(h.coalesce_max, 1);
         fleet.shutdown();
     }
 }

@@ -181,10 +181,8 @@ pub struct HealthWire {
     pub counters: Vec<(String, u64)>,
     /// Milliseconds since the fleet started.
     pub uptime_ms: u64,
-    /// Coalescing budget in force: how many queued reads one worker wake
-    /// may drain into a single lane-grouped conversion. Operators confirm
-    /// the scheduler is actually grouping by reading this next to the
-    /// derived `svc.coalesced_wakes` / `svc.coalesced_reads` counters.
+    /// Queued reads one worker wake serves: always 1 (no coalescing);
+    /// kept for wire compatibility. Pre-v2 daemons omit it (decoded as 0).
     pub coalesce_max: u64,
     /// Highest wire-protocol version this daemon negotiates (`2` = the
     /// binary codec; JSON is always available as v1).

@@ -14,8 +14,8 @@
 //! "recovered but still degraded" serving.
 
 use crate::protocol::{BatchItem, InjectKind, Quality, Rejection, Request, Response};
-use ptsim_core::pipeline::{read_group, read_group_with};
-use ptsim_core::{HealthStatus, PtSensor, Reading, Scratch, SensorError, SensorInputs, SensorSpec};
+use ptsim_core::pipeline::read_group;
+use ptsim_core::{HealthStatus, PtSensor, SensorInputs, SensorSpec};
 use ptsim_device::process::Technology;
 use ptsim_device::units::Celsius;
 use ptsim_mc::die::{DieSample, DieSite};
@@ -87,12 +87,6 @@ pub struct SvcMetrics {
     pub queue_peak: GaugeId,
     /// Queue-to-reply latency of served requests, µs.
     pub latency_us: HistogramId,
-    /// How many reads a *grouped* worker wake drained into one
-    /// lane-grouped conversion. Solo wakes are not recorded (keeping the
-    /// single-read hot path lock-count unchanged), so any sample here is
-    /// ≥ 2 and proof the scheduler is grouping; compare the sample count
-    /// against `svc.served` for the grouped fraction.
-    pub coalesce_width: HistogramId,
 }
 
 impl SvcMetrics {
@@ -121,9 +115,6 @@ impl SvcMetrics {
         let wire_v2_frames = reg.counter("svc.wire_v2_frames");
         let queue_peak = reg.gauge("svc.queue_peak");
         let latency_us = reg.histogram("svc.latency_us", 0.0, 1.0e6, 48);
-        // Unit-width bins over 0..=64 so every integer group width lands
-        // exactly in bin `width` (no clamping at the default cap of 64).
-        let coalesce_width = reg.histogram("svc.coalesce_width", 0.0, 65.0, 65);
         SvcMetrics {
             reg,
             requests,
@@ -147,7 +138,6 @@ impl SvcMetrics {
             wire_v2_frames,
             queue_peak,
             latency_us,
-            coalesce_width,
         }
     }
 }
@@ -240,12 +230,6 @@ pub struct ShardConfig {
     pub queue_depth: usize,
     /// Base seed of the fleet's deterministic per-die streams.
     pub base_seed: u64,
-    /// How many queued single-die reads one worker wake may drain into a
-    /// lane-grouped conversion (1 disables coalescing). Purely a
-    /// scheduling knob: dies are independently calibrated with independent
-    /// RNG streams, so a coalesced read is bit-identical to the same read
-    /// served alone.
-    pub coalesce_max: usize,
 }
 
 impl ShardConfig {
@@ -305,7 +289,8 @@ impl ShardShared {
         }
     }
 
-    fn count(&self, pick: impl Fn(&SvcMetrics) -> CounterId) {
+    /// Increments the counter `pick` selects in this shard's registry.
+    pub(crate) fn count(&self, pick: impl Fn(&SvcMetrics) -> CounterId) {
         let mut m = recover(self.metrics.lock());
         let id = pick(&m);
         m.reg.inc(id);
@@ -328,11 +313,6 @@ pub struct WorkerCtx {
     sampler: DieSampler,
     boot_temp: Celsius,
     slots: Vec<Option<DieSlot>>,
-    /// Heap buffers of the lane kernel, reused across coalesced groups so
-    /// a warm worker converts without touching the allocator.
-    scratch: Scratch,
-    /// Result buffer of [`read_group_with`], reused alongside `scratch`.
-    group_results: Vec<Result<Reading, SensorError>>,
 }
 
 impl WorkerCtx {
@@ -355,8 +335,6 @@ impl WorkerCtx {
             sampler: model.sampler(),
             boot_temp,
             slots: (0..cfg.owned_dies()).map(|_| None).collect(),
-            scratch: Scratch::new(),
-            group_results: Vec::new(),
         }
     }
 
@@ -408,61 +386,31 @@ fn quality_of(status: HealthStatus) -> Quality {
     }
 }
 
-/// The worker body: dequeues jobs until shutdown. The supervisor wraps
-/// each invocation in `catch_unwind`; `ctx` lives *outside* that boundary
-/// so an escaped panic discards it (`None`) and the next incarnation
-/// rebuilds every touched die from the deterministic seeds.
+/// The worker body: pops one job per wake, in admission order, and serves
+/// it, until shutdown. The supervisor wraps each invocation in
+/// `catch_unwind`; `ctx` lives *outside* that boundary so an escaped panic
+/// discards it (`None`) and the next incarnation rebuilds every touched
+/// die from the deterministic seeds.
 pub fn worker_loop(shared: &ShardShared, ctx: &mut Option<WorkerCtx>) {
-    let mut group: Vec<Job> = Vec::new();
     loop {
-        group.clear();
-        {
+        let job = {
             let mut q = recover(shared.queue.lock());
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 if let Some(j) = q.pop_front() {
-                    group.push(j);
-                    break;
+                    break j;
                 }
                 let (guard, _) = recover(shared.cv.wait_timeout(q, Duration::from_millis(25)));
                 q = guard;
             }
-            // Opportunistic coalescing: when the wake lands on a single-die
-            // read, drain the longest queue *prefix* of further reads to
-            // distinct dies (up to `coalesce_max`) into one lane-grouped
-            // conversion. Stopping at the first non-read or repeated die
-            // preserves total queue order — in particular two reads of the
-            // same die still advance that die's RNG stream in admission
-            // order, which is what keeps a coalesced read bit-identical to
-            // the same read served alone.
-            if matches!(group[0].req, Request::Read { .. }) {
-                while group.len() < shared.cfg.coalesce_max.max(1) {
-                    let Some(next) = q.front() else { break };
-                    let Request::Read { die, .. } = next.req else {
-                        break;
-                    };
-                    if group
-                        .iter()
-                        .any(|j| matches!(j.req, Request::Read { die: d, .. } if d == die))
-                    {
-                        break;
-                    }
-                    group.push(q.pop_front().expect("front() was Some under the lock"));
-                }
-            }
-        }
-        let worker = ctx.get_or_insert_with(|| WorkerCtx::new(&shared.cfg));
-        if group.len() == 1 {
-            serve(
-                shared,
-                worker,
-                group.pop().expect("group holds the one job"),
-            );
-        } else {
-            serve_read_group(shared, worker, &mut group);
-        }
+        };
+        serve(
+            shared,
+            ctx.get_or_insert_with(|| WorkerCtx::new(&shared.cfg)),
+            job,
+        );
     }
 }
 
@@ -473,24 +421,24 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
     let die = match job.req {
         Request::Read { die, .. }
         | Request::Calibrate { die, .. }
-        | Request::Inject { die, .. } => die,
+        | Request::Inject { die, .. } => Some(die),
         // A batch takes its one-shot chaos flags from its anchor die.
-        Request::BatchRead { die0, .. } => die0,
-        // Ping carries no die; Health/Shutdown are answered by the fleet
-        // front-end and never queued.
-        _ => 0,
+        Request::BatchRead { die0, .. } => Some(die0),
+        // Ping carries no die, so it neither takes nor consumes any die's
+        // flags (a zero-die shard owns none to index); Health/Shutdown are
+        // answered by the fleet front-end and never queued.
+        _ => None,
     };
-    let idx = shared.cfg.local_index(die);
-    let flags = {
+    let flags = die.map_or_else(DieFlags::default, |die| {
         let mut all = recover(shared.flags.lock());
-        let f = &mut all[idx];
+        let f = &mut all[shared.cfg.local_index(die)];
         let taken = *f;
         // One-shot flags arm exactly one job.
         f.panic_conversion = false;
         f.panic_worker = false;
         f.stall_ms = 0;
         taken
-    };
+    });
     if flags.stall_ms > 0 {
         std::thread::sleep(Duration::from_millis(flags.stall_ms));
     }
@@ -510,7 +458,10 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
         Request::Read { die, temp_c, .. } => {
             let degraded = flags.degraded;
             match worker.slot(&shared.cfg, die, degraded) {
-                Err(e) => Response::rejected(Rejection::ConversionFailed, e.to_string()),
+                Err(e) => {
+                    shared.count(|m| m.rej_conversion_failed);
+                    Response::rejected(Rejection::ConversionFailed, e.to_string())
+                }
                 Ok(slot) => {
                     let inputs = SensorInputs::new(&slot.die, DieSite::CENTER, Celsius(temp_c));
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -524,7 +475,7 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
                         Err(_) => {
                             // The slot may be mid-update; rebuild it from
                             // the deterministic seed on next touch.
-                            worker.slots[idx] = None;
+                            worker.slots[shared.cfg.local_index(die)] = None;
                             shared.count(|m| m.rej_worker_panicked);
                             Response::rejected(
                                 Rejection::WorkerPanicked,
@@ -571,7 +522,7 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
         Request::Calibrate { die, .. } => {
             // Recalibration rebuilds the slot from scratch (fresh sample of
             // the same deterministic die, fresh calibration).
-            worker.slots[idx] = None;
+            worker.slots[shared.cfg.local_index(die)] = None;
             match worker.slot(&shared.cfg, die, flags.degraded) {
                 Err(e) => {
                     shared.count(|m| m.rej_conversion_failed);
@@ -585,6 +536,7 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
             }
         }
         Request::Inject { die, kind } => {
+            let idx = shared.cfg.local_index(die);
             let mut all = recover(shared.flags.lock());
             let f = &mut all[idx];
             match kind {
@@ -621,189 +573,6 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
     // A failed send means the client already gave up (typed timeout);
     // never an error here.
     let _ = job.reply.send(response);
-}
-
-/// Serves a coalesced group of single-die reads (all jobs are
-/// `Request::Read` to mutually distinct dies, by construction in
-/// [`worker_loop`]). Semantics are job-for-job identical to serving the
-/// group sequentially through [`serve`]:
-///
-/// * each job is deadline-checked at dequeue and silently discarded past
-///   its deadline (the fleet already answered the client with a typed
-///   timeout), with a `deadline_drops` count;
-/// * any one-shot chaos flag (stall/panic) on a group die falls the whole
-///   group back to the sequential path, so take-once flag arming stays
-///   exactly per-job;
-/// * a die that fails to build or convert answers *its own* job with a
-///   typed rejection and degrades nothing else;
-/// * every reply carries its own queue-to-reply latency sample.
-///
-/// The payoff is purely in the hot path: one wake, one flags lock, one
-/// metrics lock, and one lane-grouped [`read_group_with`] pass over the
-/// worker's persistent [`Scratch`] serve the whole group. Grouping cannot
-/// perturb any value: dies are independently calibrated, gating draws stay
-/// on each die's own deterministic stream, and the Newton solves are
-/// RNG-free, so cross-die conversion order is immaterial.
-fn serve_read_group(shared: &ShardShared, worker: &mut WorkerCtx, group: &mut Vec<Job>) {
-    let cfg = shared.cfg;
-    let chaos = {
-        let all = recover(shared.flags.lock());
-        group.iter().any(|j| {
-            let f = &all[cfg.local_index(die_of(&j.req))];
-            f.panic_conversion || f.panic_worker || f.stall_ms > 0
-        })
-    };
-    if chaos {
-        for job in group.drain(..) {
-            serve(shared, worker, job);
-        }
-        return;
-    }
-
-    let now = Instant::now();
-    let mut ready: Vec<(Job, u64, f64)> = Vec::with_capacity(group.len());
-    for job in group.drain(..) {
-        let Request::Read { die, temp_c, .. } = job.req else {
-            // Unreachable by construction; route defensively.
-            serve(shared, worker, job);
-            continue;
-        };
-        if now >= job.deadline {
-            shared.count(|m| m.deadline_drops);
-            continue;
-        }
-        ready.push((job, die, temp_c));
-    }
-    if ready.is_empty() {
-        return;
-    }
-
-    let degraded: Vec<bool> = {
-        let all = recover(shared.flags.lock());
-        ready
-            .iter()
-            .map(|&(_, die, _)| all[cfg.local_index(die)].degraded)
-            .collect()
-    };
-
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut outs: Vec<Option<Result<Reading, String>>> = vec![None; ready.len()];
-        for (j, &(_, die, _)) in ready.iter().enumerate() {
-            if let Err(e) = worker.slot(&cfg, die, degraded[j]) {
-                outs[j] = Some(Err(e.to_string()));
-            }
-        }
-        // Gather the group's slots in ascending local-index order — the
-        // only order a single pass of disjoint `&mut` borrows can yield —
-        // and remember the permutation back to job order. Cross-die order
-        // is irrelevant to the values (independent streams, RNG-free
-        // solves).
-        let mut order: Vec<usize> = (0..ready.len()).filter(|&j| outs[j].is_none()).collect();
-        order.sort_unstable_by_key(|&j| cfg.local_index(ready[j].1));
-        let mut sensors: Vec<&PtSensor> = Vec::with_capacity(order.len());
-        let mut inputs: Vec<SensorInputs<'_>> = Vec::with_capacity(order.len());
-        let mut rngs: Vec<&mut Pcg64> = Vec::with_capacity(order.len());
-        let mut k = 0;
-        for (idx, slot) in worker.slots.iter_mut().enumerate() {
-            if k == order.len() {
-                break;
-            }
-            if idx != cfg.local_index(ready[order[k]].1) {
-                continue;
-            }
-            let DieSlot {
-                sensor, die, rng, ..
-            } = slot.as_mut().expect("slot built above");
-            sensors.push(&*sensor);
-            inputs.push(SensorInputs::new(
-                &*die,
-                DieSite::CENTER,
-                Celsius(ready[order[k]].2),
-            ));
-            rngs.push(rng);
-            k += 1;
-        }
-        read_group_with(
-            &sensors,
-            &inputs,
-            &mut rngs,
-            &mut worker.scratch,
-            &mut worker.group_results,
-        );
-        for (k, res) in worker.group_results.drain(..).enumerate() {
-            outs[order[k]] = Some(res.map_err(|e| e.to_string()));
-        }
-        outs
-    }));
-
-    match outcome {
-        Err(_) => {
-            // The panic may have left any touched slot mid-update: rebuild
-            // every group die from the deterministic seeds on next touch.
-            let mut m = recover(shared.metrics.lock());
-            let w = m.coalesce_width;
-            m.reg.observe(w, ready.len() as f64);
-            for &(_, die, _) in &ready {
-                worker.slots[cfg.local_index(die)] = None;
-                let id = m.rej_worker_panicked;
-                m.reg.inc(id);
-            }
-            drop(m);
-            for (job, die, _) in &ready {
-                let _ = job.reply.send(Response::rejected(
-                    Rejection::WorkerPanicked,
-                    format!("conversion on die {die} panicked; die state rebuilt"),
-                ));
-            }
-        }
-        Ok(outs) => {
-            let mut m = recover(shared.metrics.lock());
-            let w = m.coalesce_width;
-            m.reg.observe(w, ready.len() as f64);
-            for ((job, die, _), out) in ready.iter().zip(outs) {
-                let response = match out.expect("every live job has an outcome") {
-                    Ok(reading) => {
-                        let quality = quality_of(reading.health.status());
-                        let id = m.served;
-                        m.reg.inc(id);
-                        if quality == Quality::Degraded {
-                            let id = m.degraded_served;
-                            m.reg.inc(id);
-                        }
-                        let lat = m.latency_us;
-                        m.reg
-                            .observe(lat, job.enqueued.elapsed().as_secs_f64() * 1e6);
-                        Response::Reading {
-                            die: *die,
-                            temp_c: reading.temperature.0,
-                            d_vtn_mv: reading.d_vtn.millivolts(),
-                            d_vtp_mv: reading.d_vtp.millivolts(),
-                            energy_pj: reading.energy.total().picojoules(),
-                            quality,
-                        }
-                    }
-                    Err(detail) => {
-                        let id = m.rej_conversion_failed;
-                        m.reg.inc(id);
-                        Response::rejected(Rejection::ConversionFailed, detail)
-                    }
-                };
-                let _ = job.reply.send(response);
-            }
-        }
-    }
-}
-
-/// The die a queued, die-addressed request targets (`0` for ops the
-/// coalescer never groups).
-fn die_of(req: &Request) -> u64 {
-    match req {
-        Request::Read { die, .. }
-        | Request::Calibrate { die, .. }
-        | Request::Inject { die, .. } => *die,
-        Request::BatchRead { die0, .. } => *die0,
-        _ => 0,
-    }
 }
 
 /// The stripe a `batch_read` anchored at `die0` addresses: the `count`
@@ -970,7 +739,6 @@ mod tests {
             n_dies: 10,
             queue_depth: 8,
             base_seed: 7,
-            coalesce_max: 8,
         }
     }
 

@@ -3,6 +3,12 @@
 //! connection-hardening paths (malformed frames, oversize prefixes, slow
 //! clients, idle reaping).
 
+use ptsim_core::{HealthStatus, PtSensor, SensorInputs, SensorSpec};
+use ptsim_device::process::Technology;
+use ptsim_device::units::Celsius;
+use ptsim_mc::die::DieSite;
+use ptsim_mc::driver::die_rng;
+use ptsim_mc::model::VariationModel;
 use ptsim_service::protocol::{
     begin_frame, finish_frame, BatchItem, InjectKind, Quality, Rejection, Request, Response,
 };
@@ -10,6 +16,7 @@ use ptsim_service::server::BAD_FRAME_STRIKES;
 use ptsim_service::{Client, ClientError, Fleet, FleetConfig, ProtoError, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::thread;
 use std::time::{Duration, Instant};
 
 fn test_fleet_cfg() -> FleetConfig {
@@ -18,7 +25,6 @@ fn test_fleet_cfg() -> FleetConfig {
         n_shards: 2,
         queue_depth: 8,
         base_seed: 0xd1e5,
-        coalesce_max: 8,
         max_restarts: 3,
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(40),
@@ -332,6 +338,108 @@ fn batch_read_matches_individual_reads_bit_for_bit() {
         );
     }
     fleet_b.shutdown();
+}
+
+#[test]
+fn served_reads_equal_an_independent_seed_replay() {
+    // Four concurrent clients (two JSON, two v2) read disjoint die sets
+    // that span every shard, at varying temperatures, so the shard queues
+    // interleave their requests. A die must read the same values whichever
+    // interleaving serves it: the values the die's own deterministic
+    // stream yields when replayed locally, in the same order.
+    let cfg = FleetConfig {
+        n_dies: 16,
+        n_shards: 4,
+        queue_depth: 16,
+        ..test_fleet_cfg()
+    };
+    let fleet = Fleet::start(cfg);
+    let server = Server::bind(fleet, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let clients: Vec<_> = (0..4u64)
+        .map(|c| {
+            let addr = addr.clone();
+            thread::spawn(move || {
+                let mut client = if c % 2 == 0 {
+                    Client::connect(&addr).unwrap()
+                } else {
+                    Client::connect_v2(&addr).unwrap()
+                };
+                let mut served = Vec::new();
+                for round in 0..6 {
+                    for die in 4 * c..4 * c + 4 {
+                        let temp_c = -20.0 + 17.5 * ((round * 3 + die) % 8) as f64;
+                        let req = Request::Read {
+                            die,
+                            temp_c,
+                            priority: 1,
+                            deadline_ms: 30_000,
+                        };
+                        served.push((die, temp_c, client.call(&req).unwrap()));
+                    }
+                }
+                served
+            })
+        })
+        .collect();
+    let served: Vec<_> = clients
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    server.stop();
+    server.join();
+
+    let spec = SensorSpec::default_65nm();
+    let prototype = PtSensor::new(Technology::n65(), spec).unwrap();
+    let mut sampler = VariationModel::new(&Technology::n65()).sampler();
+    for die in 0..cfg.n_dies {
+        let mut rng = die_rng(cfg.base_seed, die);
+        let sample = sampler.sample_die_with_id(&mut rng, die);
+        let mut sensor = prototype.clone();
+        sensor
+            .calibrate(
+                &SensorInputs::new(&sample, DieSite::CENTER, spec.calib_temp),
+                &mut rng,
+            )
+            .unwrap();
+        let reads = served.iter().filter(|(d, _, _)| *d == die);
+        for (k, (_, temp_c, response)) in reads.enumerate() {
+            let inputs = SensorInputs::new(&sample, DieSite::CENTER, Celsius(*temp_c));
+            let r = sensor.read(&inputs, &mut rng).unwrap();
+            let quality = match r.health.status() {
+                HealthStatus::Nominal => Quality::Nominal,
+                HealthStatus::Recovered => Quality::Recovered,
+                HealthStatus::Degraded => Quality::Degraded,
+            };
+            let bits = |t: f64, n: f64, p: f64, e: f64| [t, n, p, e].map(f64::to_bits);
+            let expected = (
+                bits(
+                    r.temperature.0,
+                    r.d_vtn.millivolts(),
+                    r.d_vtp.millivolts(),
+                    r.energy.total().picojoules(),
+                ),
+                quality,
+            );
+            let Response::Reading {
+                die: d,
+                temp_c,
+                d_vtn_mv,
+                d_vtp_mv,
+                energy_pj,
+                quality,
+            } = *response
+            else {
+                panic!("die {die} read {k}: expected a reading, got {response:?}");
+            };
+            assert_eq!(d, die);
+            assert_eq!(
+                (bits(temp_c, d_vtn_mv, d_vtp_mv, energy_pj), quality),
+                expected,
+                "die {die} read {k} differs from its seed replay"
+            );
+        }
+    }
 }
 
 #[test]

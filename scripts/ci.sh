@@ -102,7 +102,7 @@ assert c["ok"] and c["op"] == "calibrate", c
 h = call(s, json.dumps({"op": "health"}).encode())
 assert h["ok"] and {sh["state"] for sh in h["shards"]} == {"up"}, h
 assert h["counters"]["svc.served"] >= 2, h
-assert h["coalesce_max"] >= 1 and h["wire_version"] == 2, h
+assert h["coalesce_max"] == 1 and h["wire_version"] == 2, h
 b = call(s, json.dumps({"op": "batch_read", "die0": 1, "count": 3, "temp_c": 70.0}).encode())
 assert b["ok"] and b["op"] == "batch_read" and len(b["items"]) == 3, b
 assert [it["die"] for it in b["items"]] == [1, 3, 5], b
@@ -152,8 +152,7 @@ for obj in lines[1:]:
     assert obj["p99_us"] >= obj["p50_us"] and obj["conversions_per_sec"] > 0, obj
     names.add(obj["name"])
 assert {"service/read_seq", "service/read_seq_v2", "service/read_concurrent",
-        "service/read_coalesced", "service/batch_read",
-        "service/health"} <= names, names
+        "service/batch_read", "service/health"} <= names, names
 print(f"service bench: {len(lines) - 1} scenarios, schema OK")
 EOF
 
