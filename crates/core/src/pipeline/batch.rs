@@ -485,6 +485,43 @@ mod tests {
     }
 
     #[test]
+    fn lane_and_scalar_population_metrics_agree() {
+        // 21 dies: two full lane chunks plus a 5-wide masked tail; every
+        // die fails its 400 °C read, so the error tally is exercised too.
+        let p = plan().read_at(&[40.0, 85.0, 400.0]);
+        let model = VariationModel::new(&Technology::n65());
+        let cfg = McConfig::new(21, 0x3e7c);
+        let (lane, lane_scratches) = p.population(&cfg, &model, Scratch::with_metrics);
+        let (scalar, scalar_scratches) = p.scalar_population(&cfg, &model, Scratch::with_metrics);
+        assert_eq!(lane, scalar);
+        assert!(lane.iter().all(Result::is_err), "every die fails at 400 °C");
+        let merged = |scratches: Vec<Scratch>| {
+            let mut total = PipelineMetrics::new();
+            for m in scratches.into_iter().filter_map(|mut s| s.take_metrics()) {
+                total.merge(&m);
+            }
+            total.snapshot()
+        };
+        let (mut lane_snap, mut scalar_snap) = (merged(lane_scratches), merged(scalar_scratches));
+        assert_eq!(lane_snap.counter("pipeline.errors"), Some(21));
+        // Span durations are wall-clock; only how many spans were recorded
+        // is deterministic.
+        let span_totals = |snap: &mut ptsim_obs::Snapshot| {
+            let totals: Vec<u64> = snap
+                .histograms
+                .iter()
+                .filter(|(name, _)| name.starts_with("span."))
+                .map(|(_, h)| h.total)
+                .collect();
+            snap.histograms
+                .retain(|(name, _)| !name.starts_with("span."));
+            totals
+        };
+        assert_eq!(span_totals(&mut lane_snap), span_totals(&mut scalar_snap));
+        assert_eq!(lane_snap, scalar_snap);
+    }
+
+    #[test]
     fn prototype_clone_is_bit_identical_to_fresh_construction() {
         let p = plan();
         let die = DieSample::nominal();

@@ -19,6 +19,27 @@
 //!    ⋮  (one solve each)               (one masked 8-lane solve)
 //! ```
 //!
+//! **Stages.** A conversion is written once, as three stages of
+//! [`crate::pipeline`]: `begin` (calibration present, parity clean, then
+//! the channel gate — the only stage that draws RNG), a solve, and `finish`
+//! (output bounding and quantization, the conversion metrics, the error
+//! tally); a calibration ends in the one `finish_calibration`. This module
+//! adds the laned solve, `solve_lanes`: it pushes a chunk's begun
+//! conversions that [`LaneBatch::accepts`] into one batch, runs
+//! [`solve_gated_lanes`], and sends the rest to the scalar ladder. Each
+//! entry point is a short composition of those stages:
+//!
+//! ```text
+//! PtSensor::read_batch   per chunk: begin in input order on the caller's
+//!                        stream (stop at the first gating error),
+//!                        solve_lanes, finish in order
+//! read_group             per chunk: begin per member on its own stream,
+//!                        solve_lanes, finish per member
+//! population chunk       gate boot plans, 4×4 calibration lanes,
+//!                        finish_calibration per die; then per temperature
+//!                        begin, solve_lanes, finish per live die
+//! ```
+//!
 //! **Bit-identity contract.** Lane `l` of every column sees exactly the
 //! float operations, in exactly the order, that the scalar solver applies
 //! to die `l` — the lane residuals replicate the scalar residuals'
@@ -62,22 +83,20 @@ use crate::bank::RoClass;
 use crate::calib::Calibration;
 use crate::error::SensorError;
 use crate::health::Health;
-use crate::metrics::Stage;
+use crate::metrics::{Stage, StageTimer};
 use crate::newton::{newton_solve_lanes, LaneSolve};
 use crate::pipeline::batch::DieConversion;
 use crate::pipeline::gate::{self, Gated};
-use crate::pipeline::output::{self, CalibrationOutcome, Reading};
+use crate::pipeline::output::Reading;
 use crate::pipeline::solve::{self, Solved};
-use crate::pipeline::Scratch;
+use crate::pipeline::{begin, finish, finish_calibration, solve_one, Begun, Pass, Scratch};
 use crate::sensor::{PtSensor, SensorInputs};
-use ptsim_circuit::energy::EnergyLedger;
 use ptsim_circuit::ring::RingCache;
 use ptsim_device::delay::{DelayCache, ThermalPoint};
 use ptsim_device::units::{Celsius, Volt};
 use ptsim_device::MosPolarity;
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_rng::Rng;
-use std::time::Instant;
 
 pub use ptsim_device::delay::LANES;
 
@@ -587,6 +606,51 @@ pub(crate) fn solve_calibration_lanes(
     )
 }
 
+/// The lane stage: solves each begun conversion of one chunk (slot `k`
+/// holds the chunk's `k`-th conversion) — jointly in one [`LaneBatch`]
+/// where the lane kernel [accepts](LaneBatch::accepts) it, through the
+/// scalar escalation ladder otherwise — and returns each solve in its
+/// slot. Slots holding an error or nothing pass through.
+///
+/// The lane solve evaluates the shared ring and thermal model through one
+/// accepted conversion's sensor, so every sensor of the chunk must be a
+/// clone of one design; only calibrations and measurements vary per lane.
+pub(crate) fn solve_lanes<'s>(
+    mut begun: [Option<Result<Begun<'s>, SensorError>>; LANES],
+    scratch: &mut Scratch,
+) -> [Option<Result<(Begun<'s>, Solved), SensorError>>; LANES] {
+    let timer = StageTimer::start(scratch.metrics.is_some());
+    let mut batch = LaneBatch::new();
+    let mut healths: [Health; LANES] = core::array::from_fn(|_| Health::nominal());
+    let mut lane_of = [None; LANES];
+    let mut shared = None;
+    for (slot, lane) in begun.iter_mut().zip(&mut lane_of) {
+        if let Some(Ok(b)) = slot {
+            if LaneBatch::accepts(b.sensor, &b.gated) {
+                let l = batch.push(&b.cal, &b.gated);
+                std::mem::swap(&mut healths[l], &mut b.pass.health);
+                *lane = Some(l);
+                shared = Some(b.sensor);
+            }
+        }
+    }
+    let mut solved: [Option<Result<Solved, SensorError>>; LANES] = core::array::from_fn(|_| None);
+    if let Some(sensor) = shared {
+        solve_gated_lanes(sensor, &batch, &mut healths, scratch, &mut solved);
+    }
+    core::array::from_fn(|k| {
+        Some(begun[k].take()?.and_then(|mut b| match lane_of[k] {
+            None => solve_one(b, scratch),
+            Some(l) => {
+                std::mem::swap(&mut b.pass.health, &mut healths[l]);
+                let s = solved[l].take().expect("lane was solved")?;
+                timer.stop(&mut scratch.metrics, Stage::Solve);
+                Ok((b, s))
+            }
+        }))
+    })
+}
+
 /// Converts one chunk of up to [`LANES`] dies of a population through the
 /// lane kernel: per-die RNG-consuming stages (measurement gating) run
 /// scalar in die order on each die's own stream, the RNG-free Newton
@@ -602,15 +666,14 @@ pub(crate) fn solve_calibration_lanes(
 /// ```text
 /// A  per die:   gate the 4-measurement boot plan          (consumes RNG)
 ///    lanes:     4×4 calibration decoupling                (RNG-free)
-/// A2 per die:   TSRO reference gate, ln-scale, store      (consumes RNG)
-/// B  per temp:
-///    B1 per die: gate the 3 conversion channels           (consumes RNG)
-///    B2 lanes:   3×3 conversion decoupling                (RNG-free)
-///    B3 per die: bound/quantize output, tally metrics
+///    per die:   finish_calibration                        (consumes RNG)
+/// B  per temp:  begin per die                             (consumes RNG)
+///               solve_lanes: 3×3 conversion decoupling    (RNG-free)
+///               finish per die
 /// ```
 // The parameters are the per-worker SoA columns (dies, rngs, output) plus
 // the plan constants; a bundling struct would exist for this one call.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn convert_population_chunk<R: Rng>(
     sensor: &PtSensor,
     scratch: &mut Scratch,
@@ -624,282 +687,105 @@ pub(crate) fn convert_population_chunk<R: Rng>(
     let n = dies.len();
     assert!(n <= LANES && rngs.len() == n, "chunk shape mismatch");
     debug_assert!(sensor.characterized_model().is_none());
-    let spec = sensor.spec;
-    let mut res: [Option<Result<DieConversion, SensorError>>; LANES] =
-        core::array::from_fn(|_| None);
-    // Mirrors the `run_*_with` wrappers: every per-die failure tallies one
-    // pipeline error and parks the die's Err result.
-    fn fail(
-        scratch: &mut Scratch,
-        slot: &mut Option<Result<DieConversion, SensorError>>,
-        e: SensorError,
-    ) {
-        if let Some(m) = scratch.metrics.as_mut() {
-            m.on_error();
-        }
-        *slot = Some(Err(e));
-    }
 
-    // ---- Phase A: boot-plan gating (scalar, per die) + lane calibration.
-    let cal_started = Instant::now();
-    let plan = gate::calibration_plan(&spec);
+    // ---- Phase A: boot-plan gating per die, the 4×4 decoupling across
+    // the lanes, then each die's calibration finish.
+    let plan = gate::calibration_plan(&sensor.spec);
     let mut measured = [[0.0; 4]; LANES];
-    let mut cal_state: [Option<(EnergyLedger, Health)>; LANES] = core::array::from_fn(|_| None);
-    for (k, (die, rng)) in dies.iter().zip(rngs.iter_mut()).enumerate() {
-        let boot = SensorInputs::new(die, site, boot_temp);
-        let mut ledger = EnergyLedger::new();
-        let mut health = Health::nominal();
-        match gate::gate_plan_with(sensor, &plan, &boot, rng, &mut ledger, &mut health, scratch) {
-            Ok(m) => {
-                measured[k] = m;
-                cal_state[k] = Some((ledger, health));
-            }
-            Err(e) => fail(scratch, &mut res[k], e),
-        }
-    }
-
+    let mut gated: [Option<Result<Pass, SensorError>>; LANES] = core::array::from_fn(|k| {
+        let boot = SensorInputs::new(dies.get(k)?, site, boot_temp);
+        let mut pass = Pass::start(scratch);
+        let m = gate::gate_plan_with(
+            sensor,
+            &plan,
+            &boot,
+            &mut rngs[k],
+            &mut pass.ledger,
+            &mut pass.health,
+            scratch,
+        );
+        Some(m.map(|m| {
+            measured[k] = m;
+            pass
+        }))
+    });
     let mut x4 = [[0.0; LANES]; 4];
     let statuses = solve_calibration_lanes(sensor, &plan, &measured, n, &mut x4);
-
-    // ---- Phase A2: per-die TSRO reference, ln-scale, calibration store.
-    let mut cals: [Option<Calibration>; LANES] = [None; LANES];
-    let mut outcomes: [Option<CalibrationOutcome>; LANES] = core::array::from_fn(|_| None);
-    for (k, (die, rng)) in dies.iter().zip(rngs.iter_mut()).enumerate() {
-        let Some((mut ledger, mut health)) = cal_state[k].take() else {
-            continue;
-        };
-        let boot = SensorInputs::new(die, site, boot_temp);
-        let (x, iters) = match statuses[k] {
-            LaneSolve::Converged(iters) => ([x4[0][k], x4[1][k], x4[2][k], x4[3][k]], iters),
-            LaneSolve::Failed => {
-                // Scalar escalation from the original measurements —
-                // reproduces the identical default-tuning failure, then
-                // retunes, exactly like the oracle.
-                let Scratch {
-                    newton, metrics, ..
-                } = &mut *scratch;
-                match solve::solve_calibration_escalating(
-                    sensor,
-                    &plan,
-                    &measured[k],
-                    &mut health,
-                    newton,
-                    metrics,
-                ) {
-                    Ok(solved) => solved,
-                    Err(e) => {
-                        fail(scratch, &mut res[k], e);
-                        continue;
+    let mut convs: [Option<Result<DieConversion, SensorError>>; LANES] =
+        core::array::from_fn(|k| {
+            let solved = gated[k].take()?.and_then(|mut pass| {
+                let (x, iters) = match statuses[k] {
+                    LaneSolve::Converged(iters) => {
+                        ([x4[0][k], x4[1][k], x4[2][k], x4[3][k]], iters)
                     }
-                }
-            }
-            LaneSolve::Masked => unreachable!("dies 0..n occupy active lanes"),
-        };
-        sensor.charge_digital(
-            &mut ledger,
-            "solver",
-            iters as u64 * spec.solver_cycles_per_iteration,
-        );
-        let f_t = match gate::gate_channel_with(
-            sensor,
-            RoClass::Tsro,
-            spec.bank.vdd_tsro,
-            &boot,
-            rng,
-            &mut ledger,
-            &mut health,
-            scratch,
-        ) {
-            Ok(Some(f)) => f,
-            Ok(None) => {
-                fail(
-                    scratch,
-                    &mut res[k],
-                    SensorError::ChannelFailed {
-                        channel: RoClass::Tsro.name(),
-                    },
-                );
-                continue;
-            }
-            Err(e) => {
-                fail(scratch, &mut res[k], e);
-                continue;
-            }
-        };
-        let model_env = solve::model_env(x[0], x[1], x[2], x[3], spec.calib_temp);
-        let ln_f_t_model = sensor.model_ln_f(RoClass::Tsro, spec.bank.vdd_tsro, &model_env);
-        let ln_scale = f_t.0.ln() - ln_f_t_model;
-        sensor.charge_digital(&mut ledger, "controller", spec.controller_cycles * 2);
-        let calibration = Calibration::store(
-            Volt(x[0]),
-            Volt(x[1]),
-            x[2],
-            x[3],
-            ln_scale,
-            spec.calib_temp,
-            spec.qformat,
-        );
-        cals[k] = Some(calibration);
-        if let Some(m) = scratch.metrics.as_mut() {
-            m.on_calibration();
-            m.on_solver_iterations(iters);
-            m.on_health(health.status());
-            m.on_span(Stage::Calibration, cal_started.elapsed());
-        }
-        outcomes[k] = Some(CalibrationOutcome {
-            calibration,
-            energy: ledger,
-            solver_iterations: iters,
-            health,
+                    // Scalar escalation from the original measurements —
+                    // reproduces the identical default-tuning failure, then
+                    // retunes, exactly like the oracle.
+                    LaneSolve::Failed => {
+                        let Scratch {
+                            newton, metrics, ..
+                        } = &mut *scratch;
+                        solve::solve_calibration_escalating(
+                            sensor,
+                            &plan,
+                            &measured[k],
+                            &mut pass.health,
+                            newton,
+                            metrics,
+                        )?
+                    }
+                    LaneSolve::Masked => unreachable!("dies 0..n occupy active lanes"),
+                };
+                Ok((pass, x, iters))
+            });
+            let boot = SensorInputs::new(&dies[k], site, boot_temp);
+            let calibration = finish_calibration(sensor, &boot, &mut rngs[k], solved, scratch);
+            Some(calibration.map(|calibration| DieConversion {
+                calibration,
+                readings: Vec::with_capacity(temps.len()),
+            }))
         });
-    }
 
-    // ---- Phase B: per-temperature conversions.
-    let mut readings: [Vec<Reading>; LANES] =
-        core::array::from_fn(|_| Vec::with_capacity(temps.len()));
-    let mut batch = LaneBatch::new();
-    let mut healths: [Health; LANES] = core::array::from_fn(|_| Health::nominal());
-    let mut solved_out: [Option<Result<Solved, SensorError>>; LANES] =
-        core::array::from_fn(|_| None);
+    // ---- Phase B: one lane-stage conversion per temperature for every
+    // die still converting.
     for &t in temps {
-        // B1: gate every live die's three channels (scalar, per die).
-        let mut work: [Option<(Gated, EnergyLedger, Health, Instant)>; LANES] =
-            core::array::from_fn(|_| None);
-        batch.clear();
-        let mut lane_of = [usize::MAX; LANES];
-        let mut lane_die = [usize::MAX; LANES];
-        for (k, (die, rng)) in dies.iter().zip(rngs.iter_mut()).enumerate() {
-            if res[k].is_some() || cals[k].is_none() {
-                continue;
-            }
-            let conv_started = Instant::now();
-            let cal = cals[k].expect("checked above");
-            let registers = cal.parity_errors();
-            if registers != 0 {
-                fail(
-                    scratch,
-                    &mut res[k],
-                    SensorError::CalibrationCorrupted { registers },
-                );
-                continue;
-            }
-            let mut ledger = EnergyLedger::new();
-            let mut health = Health::nominal();
-            let inputs = SensorInputs::new(die, site, t);
-            let gate_started = Instant::now();
-            match gate::gate_conversion_with(
+        let begun = core::array::from_fn(|k| match &convs[k] {
+            Some(Ok(conv)) => Some(begin(
                 sensor,
-                &inputs,
-                rng,
-                &mut ledger,
-                &mut health,
+                Some(conv.calibration.calibration),
+                &SensorInputs::new(&dies[k], site, t),
+                &mut rngs[k],
                 scratch,
-            ) {
-                Ok(gated) => {
-                    if let Some(m) = scratch.metrics.as_mut() {
-                        m.on_span(Stage::Gate, gate_started.elapsed());
-                    }
-                    if LaneBatch::accepts(sensor, &gated) {
-                        let l = batch.push(&cal, &gated);
-                        lane_of[k] = l;
-                        lane_die[l] = k;
-                    }
-                    work[k] = Some((gated, ledger, health, conv_started));
-                }
-                Err(e) => fail(scratch, &mut res[k], e),
-            }
-        }
-
-        // B2: lane-parallel joint solve across the chunk (RNG-free).
-        let solve_started = Instant::now();
-        for (l, h) in healths.iter_mut().enumerate().take(batch.len()) {
-            *h = work[lane_die[l]]
-                .as_ref()
-                .map(|(_, _, h, _)| h.clone())
-                .expect("lane dies have gated work");
-            solved_out[l] = None;
-        }
-        solve_gated_lanes(sensor, &batch, &mut healths, scratch, &mut solved_out);
-        let solve_elapsed = solve_started.elapsed();
-
-        // B3: per-die solve pickup (scalar fallback for degraded sets),
-        // output bounding/quantization, metric tallies.
-        for k in 0..n {
-            let Some((gated, ledger, mut health, conv_started)) = work[k].take() else {
+            )),
+            _ => None,
+        });
+        for (conv, solved) in convs.iter_mut().zip(solve_lanes(begun, scratch)) {
+            let (Some(Ok(c)), Some(solved)) = (conv.as_mut(), solved) else {
                 continue;
             };
-            if res[k].is_some() {
-                continue;
-            }
-            let cal = cals[k].expect("live dies are calibrated");
-            let solved = if lane_of[k] != usize::MAX {
-                let l = lane_of[k];
-                health = healths[l].clone();
-                solved_out[l].take().expect("lane was solved")
-            } else {
-                // Degraded (lost-PSRO) set: the scalar ladder handles it,
-                // exactly as in the per-die pipeline.
-                let Scratch {
-                    newton, metrics, ..
-                } = &mut *scratch;
-                solve::solve_gated_with(sensor, &cal, &gated, &mut health, newton, metrics)
-            };
-            let solved = match solved {
-                Ok(s) => {
-                    if let Some(m) = scratch.metrics.as_mut() {
-                        m.on_span(Stage::Solve, solve_elapsed);
-                    }
-                    s
-                }
-                Err(e) => {
-                    fail(scratch, &mut res[k], e);
-                    continue;
-                }
-            };
-            let out_started = Instant::now();
-            match output::finalize(sensor, &cal, &gated, &solved, ledger, health) {
-                Ok(reading) => {
-                    if let Some(m) = scratch.metrics.as_mut() {
-                        m.on_span(Stage::Output, out_started.elapsed());
-                        m.on_conversion();
-                        m.on_energy_pj(reading.energy_total().0 * 1e12);
-                        m.on_health(reading.health.status());
-                        m.on_span(Stage::Conversion, conv_started.elapsed());
-                    }
-                    readings[k].push(reading);
-                }
-                Err(e) => fail(scratch, &mut res[k], e),
+            match finish(solved, &mut scratch.metrics) {
+                Ok(reading) => c.readings.push(reading),
+                Err(e) => *conv = Some(Err(e)),
             }
         }
     }
-
-    // ---- Collect per-die results in die order.
-    for k in 0..n {
-        let slot = match res[k].take() {
-            Some(r) => r,
-            None => Ok(DieConversion {
-                calibration: outcomes[k].take().expect("successful dies calibrated"),
-                readings: std::mem::take(&mut readings[k]),
-            }),
-        };
-        out.push(slot);
-    }
+    out.extend(convs.into_iter().flatten());
 }
 
 /// [`PtSensor::read_batch`]'s engine: read-path conversions chunked through
-/// the lane kernel.
+/// the lane stage.
 ///
 /// Gating draws run in input order on the one caller stream — exactly the
 /// sequential read loop's order, since the solves that the scalar path
-/// interleaves between them are RNG-free — then each chunk's lane-eligible
-/// solves run jointly [`LANES`] wide, with degraded (lost-PSRO) sets
-/// falling back to the scalar escalation ladder. On success, both the
-/// returned readings and the RNG stream position are bit-identical to the
-/// sequential composition of [`crate::pipeline::run_conversion`] (the
+/// interleaves between them are RNG-free — then each chunk's conversions
+/// are solved by [`solve_lanes`] and finished in order. On success, both
+/// the returned readings and the RNG stream position are bit-identical to
+/// the sequential composition of [`crate::pipeline::run_conversion`] (the
 /// contract `crates/core/tests/batch_equivalence.rs` pins). On error the
-/// first failing conversion's error is returned, like the sequential loop;
-/// only the stream position past the failing input is unspecified (later
-/// inputs of the same chunk may already have gated).
+/// first failing conversion's error is returned, like the sequential loop.
+/// Gating stops at the first gating error, so the stream is then where the
+/// loop leaves it; after a solve or output error, later inputs of the same
+/// chunk may already have gated.
 pub(crate) fn read_batch_lanes<R: Rng + ?Sized>(
     sensor: &PtSensor,
     inputs: &[SensorInputs<'_>],
@@ -908,61 +794,18 @@ pub(crate) fn read_batch_lanes<R: Rng + ?Sized>(
     let mut scratch = Scratch::new();
     let mut readings = Vec::with_capacity(inputs.len());
     for chunk in inputs.chunks(LANES) {
-        // The per-conversion preconditions of the scalar path, hoisted per
-        // chunk: `&self` guarantees calibration state cannot change
-        // between the chunk's conversions.
-        let cal = sensor.calibration.ok_or(SensorError::NotCalibrated)?;
-        let registers = cal.parity_errors();
-        if registers != 0 {
-            return Err(SensorError::CalibrationCorrupted { registers });
-        }
-        let mut batch = LaneBatch::new();
-        let mut lane_of = [usize::MAX; LANES];
-        let mut work: [Option<(Gated, EnergyLedger, Health)>; LANES] =
+        let mut begun: [Option<Result<Begun<'_>, SensorError>>; LANES] =
             core::array::from_fn(|_| None);
-        for (k, inp) in chunk.iter().enumerate() {
-            let mut ledger = EnergyLedger::new();
-            let mut health = Health::nominal();
-            let gated = gate::gate_conversion_with(
-                sensor,
-                inp,
-                rng,
-                &mut ledger,
-                &mut health,
-                &mut scratch,
-            )?;
-            if LaneBatch::accepts(sensor, &gated) {
-                lane_of[k] = batch.push(&cal, &gated);
-            }
-            work[k] = Some((gated, ledger, health));
-        }
-        let mut healths: [Health; LANES] = core::array::from_fn(|_| Health::nominal());
-        let mut solved_out: [Option<Result<Solved, SensorError>>; LANES] =
-            core::array::from_fn(|_| None);
-        for k in 0..chunk.len() {
-            if lane_of[k] != usize::MAX {
-                healths[lane_of[k]] = work[k]
-                    .as_ref()
-                    .map(|(_, _, h)| h.clone())
-                    .expect("gated inputs have work");
+        for (slot, inp) in begun.iter_mut().zip(chunk) {
+            let b = begin(sensor, sensor.calibration, inp, rng, &mut scratch);
+            let failed = b.is_err();
+            *slot = Some(b);
+            if failed {
+                break;
             }
         }
-        solve_gated_lanes(sensor, &batch, &mut healths, &mut scratch, &mut solved_out);
-        for k in 0..chunk.len() {
-            let (gated, ledger, mut health) = work[k].take().expect("every chunk input gated");
-            let solved = if lane_of[k] != usize::MAX {
-                let l = lane_of[k];
-                health = healths[l].clone();
-                solved_out[l].take().expect("lane was solved")?
-            } else {
-                let Scratch {
-                    newton, metrics, ..
-                } = &mut scratch;
-                solve::solve_gated_with(sensor, &cal, &gated, &mut health, newton, metrics)?
-            };
-            readings.push(output::finalize(
-                sensor, &cal, &gated, &solved, ledger, health,
-            )?);
+        for solved in solve_lanes(begun, &mut scratch).into_iter().flatten() {
+            readings.push(finish(solved, &mut scratch.metrics)?);
         }
     }
     Ok(readings)
@@ -1000,84 +843,25 @@ pub fn read_group<R: Rng>(
     );
     let mut scratch = Scratch::new();
     let mut results = Vec::with_capacity(sensors.len());
-    let mut start = 0;
-    while start < sensors.len() {
-        let len = (sensors.len() - start).min(LANES);
-        let mut batch = LaneBatch::new();
-        let mut lane_of = [usize::MAX; LANES];
-        let mut lane_sensor: Option<&PtSensor> = None;
-        let mut work: [Option<(Calibration, Gated, EnergyLedger, Health)>; LANES] =
-            core::array::from_fn(|_| None);
-        let mut errs: [Option<SensorError>; LANES] = core::array::from_fn(|_| None);
-        for k in 0..len {
-            let sensor = sensors[start + k];
-            // The scalar read path's preconditions in its order: a missing
-            // or corrupted calibration fails before any gating draw.
-            let Some(cal) = sensor.calibration else {
-                errs[k] = Some(SensorError::NotCalibrated);
-                continue;
-            };
-            let registers = cal.parity_errors();
-            if registers != 0 {
-                errs[k] = Some(SensorError::CalibrationCorrupted { registers });
-                continue;
-            }
-            let mut ledger = EnergyLedger::new();
-            let mut health = Health::nominal();
-            match gate::gate_conversion_with(
+    let chunks = sensors.chunks(LANES).zip(inputs.chunks(LANES));
+    for ((sensors, inputs), rngs) in chunks.zip(rngs.chunks_mut(LANES)) {
+        let begun = core::array::from_fn(|k| {
+            let sensor = *sensors.get(k)?;
+            Some(begin(
                 sensor,
-                &inputs[start + k],
-                &mut *rngs[start + k],
-                &mut ledger,
-                &mut health,
+                sensor.calibration,
+                &inputs[k],
+                &mut *rngs[k],
                 &mut scratch,
-            ) {
-                Ok(gated) => {
-                    if LaneBatch::accepts(sensor, &gated) {
-                        lane_of[k] = batch.push(&cal, &gated);
-                        lane_sensor = Some(sensor);
-                    }
-                    work[k] = Some((cal, gated, ledger, health));
-                }
-                Err(e) => errs[k] = Some(e),
-            }
-        }
-        let mut healths: [Health; LANES] = core::array::from_fn(|_| Health::nominal());
-        let mut solved_out: [Option<Result<Solved, SensorError>>; LANES] =
-            core::array::from_fn(|_| None);
-        for k in 0..len {
-            if lane_of[k] != usize::MAX {
-                healths[lane_of[k]] = work[k]
-                    .as_ref()
-                    .map(|(_, _, _, h)| h.clone())
-                    .expect("lane members have gated work");
-            }
-        }
-        if let Some(shared) = lane_sensor {
-            solve_gated_lanes(shared, &batch, &mut healths, &mut scratch, &mut solved_out);
-        }
-        for k in 0..len {
-            if let Some(e) = errs[k].take() {
-                results.push(Err(e));
-                continue;
-            }
-            let (cal, gated, ledger, mut health) = work[k].take().expect("gated members have work");
-            let sensor = sensors[start + k];
-            let solved = if lane_of[k] != usize::MAX {
-                let l = lane_of[k];
-                health = healths[l].clone();
-                solved_out[l].take().expect("lane was solved")
-            } else {
-                let Scratch {
-                    newton, metrics, ..
-                } = &mut scratch;
-                solve::solve_gated_with(sensor, &cal, &gated, &mut health, newton, metrics)
-            };
-            results.push(
-                solved.and_then(|s| output::finalize(sensor, &cal, &gated, &s, ledger, health)),
-            );
-        }
-        start += len;
+            ))
+        });
+        let solved = solve_lanes(begun, &mut scratch);
+        results.extend(
+            solved
+                .into_iter()
+                .flatten()
+                .map(|s| finish(s, &mut scratch.metrics)),
+        );
     }
     results
 }
@@ -1087,6 +871,7 @@ mod tests {
     use super::*;
     use crate::newton::{NewtonOptions, NewtonScratch};
     use crate::sensor::SensorSpec;
+    use ptsim_circuit::energy::EnergyLedger;
     use ptsim_device::process::Technology;
     use ptsim_rng::{forall, Pcg64};
 

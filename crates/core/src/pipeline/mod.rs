@@ -19,10 +19,15 @@
 //! * [`output`] — range/drift bounding, energy accounting, Q-format
 //!   quantization ([`Reading`], [`CalibrationOutcome`]).
 //!
-//! [`run_conversion`] and [`run_calibration`] are the thin compositions
-//! [`PtSensor::read`] and [`PtSensor::calibrate`] delegate to; they are
-//! bit-identical to the pre-pipeline monolithic implementations (same RNG
-//! draws and float ops in the same order). [`batch`] adds the multi-die
+//! The conversion sequence is written once, as stages every entry point
+//! composes: `begin` (calibration present, parity clean, gate), a solve
+//! (`solve_one`, the scalar escalation ladder, or the laned
+//! `lanes::solve_lanes`), and `finish` (output, conversion metrics, error
+//! tally); a calibration ends in `finish_calibration`. [`run_conversion`]
+//! and [`run_calibration`] are the scalar compositions [`PtSensor::read`]
+//! and [`PtSensor::calibrate`] delegate to; they are bit-identical to the
+//! pre-pipeline monolithic implementations (same RNG draws and float ops
+//! in the same order). [`batch`] adds the multi-die
 //! [`BatchPlan`] API, and the [`Conversion`] trait is the object-safe
 //! surface the full sensor and every baseline thermometer share.
 
@@ -42,6 +47,7 @@ pub use lanes::{read_group, solve_gated_lanes, LaneBatch, LANES};
 pub use output::{CalibrationOutcome, Reading};
 pub use solve::Solved;
 
+use crate::bank::RoClass;
 use crate::calib::Calibration;
 use crate::error::SensorError;
 use crate::health::Health;
@@ -138,54 +144,131 @@ pub fn run_conversion_with<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut Scratch,
 ) -> Result<Reading, SensorError> {
-    let result = run_conversion_inner(sensor, inputs, rng, scratch);
-    if result.is_err() {
-        if let Some(m) = scratch.metrics.as_mut() {
-            m.on_error();
-        }
-    }
-    result
+    let solved =
+        begin(sensor, sensor.calibration, inputs, rng, scratch).and_then(|b| solve_one(b, scratch));
+    finish(solved, &mut scratch.metrics)
 }
 
-/// Body of [`run_conversion_with`], instrumented. The metrics hooks only
-/// read pipeline state; the RNG draws and float operations are unchanged.
-fn run_conversion_inner<R: Rng + ?Sized>(
-    sensor: &PtSensor,
+/// What one pass (a conversion or a calibration) accumulates from its
+/// first stage to its last: the energy ledger, the health record, and the
+/// timer of the pass's whole span.
+pub(crate) struct Pass {
+    ledger: EnergyLedger,
+    health: Health,
+    total: StageTimer,
+}
+
+impl Pass {
+    /// An empty ledger and a nominal record; the span timer reads the clock
+    /// only when `scratch` carries metrics.
+    fn start(scratch: &Scratch) -> Self {
+        Pass {
+            ledger: EnergyLedger::new(),
+            health: Health::nominal(),
+            total: StageTimer::start(scratch.metrics.is_some()),
+        }
+    }
+}
+
+/// A conversion past [`begin`]: what its solve and [`finish`] read.
+pub(crate) struct Begun<'s> {
+    sensor: &'s PtSensor,
+    cal: Calibration,
+    gated: Gated,
+    pass: Pass,
+}
+
+/// The first conversion stage: the calibration `cal` (the sensor's own, or
+/// a population die's) must be present with clean parity, then the three
+/// channels are gated. Fails before any RNG draw when the calibration is
+/// missing or corrupted.
+pub(crate) fn begin<'s, R: Rng + ?Sized>(
+    sensor: &'s PtSensor,
+    cal: Option<Calibration>,
     inputs: &SensorInputs<'_>,
     rng: &mut R,
     scratch: &mut Scratch,
-) -> Result<Reading, SensorError> {
-    let total = StageTimer::start(scratch.metrics.is_some());
-    let cal = sensor.calibration.ok_or(SensorError::NotCalibrated)?;
+) -> Result<Begun<'s>, SensorError> {
+    let mut pass = Pass::start(scratch);
+    let cal = cal.ok_or(SensorError::NotCalibrated)?;
     let registers = cal.parity_errors();
     if registers != 0 {
         return Err(SensorError::CalibrationCorrupted { registers });
     }
-    let mut ledger = EnergyLedger::new();
-    let mut health = Health::nominal();
-
     let gate_timer = StageTimer::start(scratch.metrics.is_some());
-    let gated = gate::gate_conversion_with(sensor, inputs, rng, &mut ledger, &mut health, scratch)?;
+    let gated = gate::gate_conversion_with(
+        sensor,
+        inputs,
+        rng,
+        &mut pass.ledger,
+        &mut pass.health,
+        scratch,
+    )?;
     gate_timer.stop(&mut scratch.metrics, Stage::Gate);
+    Ok(Begun {
+        sensor,
+        cal,
+        gated,
+        pass,
+    })
+}
 
+/// The scalar solve stage: the full escalation ladder on one begun
+/// conversion.
+pub(crate) fn solve_one<'s>(
+    mut begun: Begun<'s>,
+    scratch: &mut Scratch,
+) -> Result<(Begun<'s>, Solved), SensorError> {
     let Scratch {
         newton, metrics, ..
     } = scratch;
-    let solve_timer = StageTimer::start(metrics.is_some());
-    let solved = solve::solve_gated_with(sensor, &cal, &gated, &mut health, newton, metrics)?;
-    solve_timer.stop(metrics, Stage::Solve);
+    let timer = StageTimer::start(metrics.is_some());
+    let solved = solve::solve_gated_with(
+        begun.sensor,
+        &begun.cal,
+        &begun.gated,
+        &mut begun.pass.health,
+        newton,
+        metrics,
+    )?;
+    timer.stop(metrics, Stage::Solve);
+    Ok((begun, solved))
+}
 
-    let out_timer = StageTimer::start(metrics.is_some());
-    let reading = output::finalize(sensor, &cal, &gated, &solved, ledger, health)?;
-    out_timer.stop(metrics, Stage::Output);
+/// The last conversion stage: bounds and quantizes a solved conversion and
+/// tallies its metrics, or tallies the error of whichever stage failed.
+pub(crate) fn finish(
+    solved: Result<(Begun<'_>, Solved), SensorError>,
+    metrics: &mut Option<PipelineMetrics>,
+) -> Result<Reading, SensorError> {
+    solved
+        .and_then(|(b, solved)| {
+            let timer = StageTimer::start(metrics.is_some());
+            let reading = output::finalize(
+                b.sensor,
+                &b.cal,
+                &b.gated,
+                &solved,
+                b.pass.ledger,
+                b.pass.health,
+            )?;
+            timer.stop(metrics, Stage::Output);
+            if let Some(m) = metrics.as_mut() {
+                m.on_conversion();
+                m.on_energy_pj(reading.energy_total().0 * 1e12);
+                m.on_health(reading.health.status());
+            }
+            b.pass.total.stop(metrics, Stage::Conversion);
+            Ok(reading)
+        })
+        .inspect_err(|_| tally_error(metrics))
+}
 
+/// Counts one failed conversion or calibration.
+fn tally_error(metrics: &mut Option<PipelineMetrics>) {
     if let Some(m) = metrics.as_mut() {
-        m.on_conversion();
-        m.on_energy_pj(reading.energy_total().0 * 1e12);
-        m.on_health(reading.health.status());
+        m.on_error();
     }
-    total.stop(metrics, Stage::Conversion);
-    Ok(reading)
 }
 
 /// One full self-calibration pass through the staged pipeline: gate the
@@ -218,96 +301,98 @@ pub fn run_calibration_with<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut Scratch,
 ) -> Result<CalibrationOutcome, SensorError> {
-    let result = run_calibration_inner(sensor, inputs, rng, scratch);
-    if result.is_err() {
-        if let Some(m) = scratch.metrics.as_mut() {
-            m.on_error();
-        }
-    }
-    result
-}
-
-/// Body of [`run_calibration_with`], instrumented. The metrics hooks only
-/// read pipeline state; the RNG draws and float operations are unchanged.
-fn run_calibration_inner<R: Rng + ?Sized>(
-    sensor: &mut PtSensor,
-    inputs: &SensorInputs<'_>,
-    rng: &mut R,
-    scratch: &mut Scratch,
-) -> Result<CalibrationOutcome, SensorError> {
-    let total = StageTimer::start(scratch.metrics.is_some());
-    let mut ledger = EnergyLedger::new();
-    let mut health = Health::nominal();
-    let spec = sensor.spec;
-
-    // Four PSRO measurements: each polarity at both supplies.
-    let plan = gate::calibration_plan(&spec);
-    let measured = gate::gate_plan_with(
+    let mut pass = Pass::start(scratch);
+    // Four PSRO measurements (each polarity at both supplies), then the 4×4
+    // decoupling at the assumed calibration temperature.
+    let plan = gate::calibration_plan(&sensor.spec);
+    let solved = gate::gate_plan_with(
         sensor,
         &plan,
         inputs,
         rng,
-        &mut ledger,
-        &mut health,
+        &mut pass.ledger,
+        &mut pass.health,
         scratch,
-    )?;
-
-    // 4×4 decoupling at the assumed calibration temperature.
-    let (x, iters) = {
+    )
+    .and_then(|measured| {
         let Scratch {
             newton, metrics, ..
         } = &mut *scratch;
-        solve::solve_calibration_escalating(sensor, &plan, &measured, &mut health, newton, metrics)?
-    };
-    sensor.charge_digital(
-        &mut ledger,
-        "solver",
-        iters as u64 * spec.solver_cycles_per_iteration,
-    );
-
-    // TSRO reference: absorb its local mismatch into a stored log-scale.
-    let f_t = gate::gate_channel_with(
-        sensor,
-        crate::bank::RoClass::Tsro,
-        spec.bank.vdd_tsro,
-        inputs,
-        rng,
-        &mut ledger,
-        &mut health,
-        scratch,
-    )?
-    .ok_or(SensorError::ChannelFailed {
-        channel: crate::bank::RoClass::Tsro.name(),
-    })?;
-    let model_env = solve::model_env(x[0], x[1], x[2], x[3], spec.calib_temp);
-    let ln_f_t_model =
-        sensor.model_ln_f(crate::bank::RoClass::Tsro, spec.bank.vdd_tsro, &model_env);
-    let ln_scale = f_t.0.ln() - ln_f_t_model;
-
-    sensor.charge_digital(&mut ledger, "controller", spec.controller_cycles * 2);
-
-    let calibration = Calibration::store(
-        Volt(x[0]),
-        Volt(x[1]),
-        x[2],
-        x[3],
-        ln_scale,
-        spec.calib_temp,
-        spec.qformat,
-    );
-    sensor.calibration = Some(calibration);
-    if let Some(m) = scratch.metrics.as_mut() {
-        m.on_calibration();
-        m.on_solver_iterations(iters);
-        m.on_health(health.status());
-    }
-    total.stop(&mut scratch.metrics, Stage::Calibration);
-    Ok(CalibrationOutcome {
-        calibration,
-        energy: ledger,
-        solver_iterations: iters,
-        health,
+        solve::solve_calibration_escalating(
+            sensor,
+            &plan,
+            &measured,
+            &mut pass.health,
+            newton,
+            metrics,
+        )
     })
+    .map(|(x, iters)| (pass, x, iters));
+    let outcome = finish_calibration(sensor, inputs, rng, solved, scratch)?;
+    sensor.calibration = Some(outcome.calibration);
+    Ok(outcome)
+}
+
+/// The last calibration stage, after the 4×4 decoupling solved `x` in
+/// `iters` iterations: gates the TSRO reference and absorbs its local
+/// mismatch into a log-scale, stores the calibration registers and tallies
+/// the calibration metrics, or tallies the error of whichever stage
+/// failed. The caller decides where the calibration lives.
+pub(crate) fn finish_calibration<R: Rng + ?Sized>(
+    sensor: &PtSensor,
+    inputs: &SensorInputs<'_>,
+    rng: &mut R,
+    solved: Result<(Pass, [f64; 4], usize), SensorError>,
+    scratch: &mut Scratch,
+) -> Result<CalibrationOutcome, SensorError> {
+    let spec = sensor.spec;
+    solved
+        .and_then(|(mut pass, x, iters)| {
+            sensor.charge_digital(
+                &mut pass.ledger,
+                "solver",
+                iters as u64 * spec.solver_cycles_per_iteration,
+            );
+            let f_t = gate::gate_channel_with(
+                sensor,
+                RoClass::Tsro,
+                spec.bank.vdd_tsro,
+                inputs,
+                rng,
+                &mut pass.ledger,
+                &mut pass.health,
+                scratch,
+            )?
+            .ok_or(SensorError::ChannelFailed {
+                channel: RoClass::Tsro.name(),
+            })?;
+            let model_env = solve::model_env(x[0], x[1], x[2], x[3], spec.calib_temp);
+            let ln_f_t_model = sensor.model_ln_f(RoClass::Tsro, spec.bank.vdd_tsro, &model_env);
+            let ln_scale = f_t.0.ln() - ln_f_t_model;
+            sensor.charge_digital(&mut pass.ledger, "controller", spec.controller_cycles * 2);
+            let calibration = Calibration::store(
+                Volt(x[0]),
+                Volt(x[1]),
+                x[2],
+                x[3],
+                ln_scale,
+                spec.calib_temp,
+                spec.qformat,
+            );
+            if let Some(m) = scratch.metrics.as_mut() {
+                m.on_calibration();
+                m.on_solver_iterations(iters);
+                m.on_health(pass.health.status());
+            }
+            pass.total.stop(&mut scratch.metrics, Stage::Calibration);
+            Ok(CalibrationOutcome {
+                calibration,
+                energy: pass.ledger,
+                solver_iterations: iters,
+                health: pass.health,
+            })
+        })
+        .inspect_err(|_| tally_error(&mut scratch.metrics))
 }
 
 /// The shared conversion surface: everything that can be prepared once and

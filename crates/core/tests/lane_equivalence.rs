@@ -9,6 +9,10 @@
 //!   scalar escalation ladder — same `Reading`, same `SolverRetuned`/
 //!   `RomFallback` health events — and never perturbs neighboring lanes;
 //!   so does a lane whose residual is NaN;
+//! * a `read_group` whose members mix uncalibrated, parity-corrupted,
+//!   degraded, diverging and healthy sensors across a chunk boundary
+//!   returns, per member, exactly that member's scalar read and leaves its
+//!   stream where the scalar read does;
 //! * the kernel's shared bias factors are derived from the supplies, so a
 //!   bank whose TSRO runs at `vdd_low` (all three rings share one factor
 //!   per polarity) and any valid set of bank supplies stay bit-identical
@@ -188,6 +192,79 @@ fn nan_lane_falls_back_to_the_scalar_ladder_without_perturbing_neighbors() {
             );
         }
     }
+}
+
+#[test]
+fn read_group_mixed_members_match_scalar_reads() {
+    // 11 members cross the 8-lane chunk. Member 1 is uncalibrated, 4 has a
+    // flipped calibration register, 8 has lost its PSRO-N bank (degraded,
+    // scalar ladder), 10 diverges under the default tuning; the rest are
+    // healthy lane members.
+    const MEMBERS: usize = 11;
+    let die = DieSample::nominal();
+    let boot = SensorInputs::new(&die, DieSite::CENTER, Celsius(25.0));
+    let build = || {
+        let mut sensors = Vec::with_capacity(MEMBERS);
+        let mut rngs = Vec::with_capacity(MEMBERS);
+        for m in 0..MEMBERS {
+            let mut s = PtSensor::new(Technology::n65(), SensorSpec::default_65nm()).unwrap();
+            let mut rng = Pcg64::seed_from_u64(0x6e0 ^ m as u64);
+            if m != 1 {
+                s.prepare(&boot, &mut rng).unwrap();
+            }
+            match m {
+                4 => s.inject_faults(FaultPlan::single(Fault::CalibRegisterSeu {
+                    register: 1,
+                    bit: 7,
+                })),
+                8 => s.inject_faults(FaultPlan::single(Fault::DeadRoStage {
+                    channel: Channel::PsroN,
+                    replica: ReplicaSel::All,
+                })),
+                10 => s.inject_faults(diverging_faults()),
+                _ => {}
+            }
+            sensors.push(s);
+            rngs.push(rng);
+        }
+        (sensors, rngs)
+    };
+    let inputs: Vec<SensorInputs<'_>> = (0..MEMBERS)
+        .map(|m| SensorInputs::new(&die, DieSite::CENTER, Celsius(-15.0 + 11.0 * m as f64)))
+        .collect();
+
+    let (sensors, mut rngs) = build();
+    let refs: Vec<&PtSensor> = sensors.iter().collect();
+    let mut rng_refs: Vec<&mut Pcg64> = rngs.iter_mut().collect();
+    let grouped = read_group(&refs, &inputs, &mut rng_refs);
+    assert_eq!(grouped.len(), MEMBERS);
+
+    let (oracle_sensors, mut oracle_rngs) = build();
+    for m in 0..MEMBERS {
+        let expected = oracle_sensors[m].read(&inputs[m], &mut oracle_rngs[m]);
+        assert_eq!(
+            grouped[m], expected,
+            "member {m} diverged from its scalar read"
+        );
+        assert_eq!(
+            rngs[m].next_u64(),
+            oracle_rngs[m].next_u64(),
+            "member {m} left its stream elsewhere"
+        );
+    }
+    assert!(matches!(grouped[1], Err(SensorError::NotCalibrated)));
+    assert!(matches!(
+        grouped[4],
+        Err(SensorError::CalibrationCorrupted { .. })
+    ));
+    let degraded = grouped[8].as_ref().unwrap();
+    assert!(degraded
+        .health
+        .any(|e| matches!(e, HealthEvent::DegradedTemperatureOnly)));
+    let diverged = grouped[10].as_ref().unwrap();
+    assert!(diverged
+        .health
+        .any(|e| matches!(e, HealthEvent::RomFallback { .. })));
 }
 
 forall! {

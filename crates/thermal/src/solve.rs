@@ -19,12 +19,6 @@ pub struct SolveOptions {
     pub max_iterations: usize,
     /// Successive-over-relaxation factor in `(0, 2)`.
     pub omega: f64,
-    /// Evaluate the convergence residual only every this many sweeps
-    /// (must be ≥ 1). The default of 1 checks after every sweep and is
-    /// bit-identical to the historical solver; larger values skip the
-    /// per-cell `|Δt|` tracking on the intermediate sweeps, trading up to
-    /// `interval − 1` extra sweeps for a cheaper inner loop.
-    pub residual_check_interval: usize,
 }
 
 impl Default for SolveOptions {
@@ -33,7 +27,6 @@ impl Default for SolveOptions {
             tolerance: 1e-6,
             max_iterations: 50_000,
             omega: 1.7,
-            residual_check_interval: 1,
         }
     }
 }
@@ -53,14 +46,13 @@ pub struct SolveStats {
 /// stencil (see `ThermalStack::stencil`); the Gauss–Seidel/SOR sweeps
 /// then iterate the flat cell array in the historical tier → row → column
 /// order with bit-identical floating-point operations, so results match
-/// the pre-stencil solver exactly when `residual_check_interval` is 1.
+/// the pre-stencil solver exactly.
 ///
 /// # Errors
 ///
 /// Returns [`ThermalError::NotConverged`] if the residual does not fall
 /// below `opts.tolerance` within `opts.max_iterations` sweeps, and
-/// [`ThermalError::InvalidGeometry`] for an out-of-range `omega` or a
-/// zero `residual_check_interval`.
+/// [`ThermalError::InvalidGeometry`] for an out-of-range `omega`.
 pub fn solve_steady_state(
     stack: &mut ThermalStack,
     opts: &SolveOptions,
@@ -71,27 +63,16 @@ pub fn solve_steady_state(
             value: opts.omega,
         });
     }
-    if opts.residual_check_interval == 0 {
-        return Err(ThermalError::InvalidGeometry {
-            name: "residual_check_interval",
-            value: 0.0,
-        });
-    }
     let st = stack.stencil();
     let temps = stack.temps_mut();
     let mut residual = f64::INFINITY;
     for sweep in 1..=opts.max_iterations {
-        let check = sweep % opts.residual_check_interval == 0 || sweep == opts.max_iterations;
-        if check {
-            residual = st.sor_sweep::<true>(temps, opts.omega);
-            if residual < opts.tolerance {
-                return Ok(SolveStats {
-                    iterations: sweep,
-                    residual,
-                });
-            }
-        } else {
-            st.sor_sweep::<false>(temps, opts.omega);
+        residual = st.sor_sweep(temps, opts.omega);
+        if residual < opts.tolerance {
+            return Ok(SolveStats {
+                iterations: sweep,
+                residual,
+            });
         }
     }
     Err(ThermalError::NotConverged {
@@ -795,50 +776,6 @@ mod tests {
             other => panic!("expected NotConverged from both, got {other:?}"),
         }
         assert_temps_bit_identical(&fast, &slow);
-    }
-
-    #[test]
-    fn relaxed_residual_interval_reaches_the_same_answer() {
-        let mut exact = irregular_stack(0.4, 0.6, 1.0, 2e-4);
-        let mut relaxed = exact.clone();
-        let tight = solve_steady_state(&mut exact, &SolveOptions::default()).unwrap();
-        let opts = SolveOptions {
-            residual_check_interval: 8,
-            ..SolveOptions::default()
-        };
-        let loose = solve_steady_state(&mut relaxed, &opts).unwrap();
-        // Convergence is only tested on multiples of the interval, so the
-        // relaxed run does at most interval − 1 extra sweeps…
-        assert!(loose.iterations >= tight.iterations);
-        assert!(loose.iterations <= tight.iterations + 7);
-        assert!(loose.residual < opts.tolerance);
-        // …which can only tighten the answer.
-        let (tiers, nx, ny) = exact.grid();
-        for tier in 0..tiers {
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let a = exact.temperature(tier, ix, iy).unwrap().0;
-                    let b = relaxed.temperature(tier, ix, iy).unwrap().0;
-                    assert!((a - b).abs() < 1e-4, "cell ({tier},{ix},{iy}): {a} vs {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn zero_residual_check_interval_is_rejected() {
-        let mut s = ThermalStack::new(StackConfig::single_die_5mm()).unwrap();
-        let opts = SolveOptions {
-            residual_check_interval: 0,
-            ..SolveOptions::default()
-        };
-        assert!(matches!(
-            solve_steady_state(&mut s, &opts),
-            Err(ThermalError::InvalidGeometry {
-                name: "residual_check_interval",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -669,22 +669,13 @@ impl Stencil {
     }
 
     /// SOR-updates cell `i` given its neighbour sum, tracking the sweep
-    /// residual when asked.
+    /// residual.
     #[inline(always)]
-    fn sor_update<const TRACK: bool>(
-        &self,
-        temps: &mut [f64],
-        i: usize,
-        gt: f64,
-        omega: f64,
-        residual: &mut f64,
-    ) {
+    fn sor_update(&self, temps: &mut [f64], i: usize, gt: f64, omega: f64, residual: &mut f64) {
         let gauss = (gt + self.power[i]) / self.g_sum[i];
         let old = temps[i];
         let new = old + omega * (gauss - old);
-        if TRACK {
-            *residual = (*residual).max((new - old).abs());
-        }
+        *residual = (*residual).max((new - old).abs());
         temps[i] = new;
     }
 
@@ -693,13 +684,7 @@ impl Stencil {
     /// first cell.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn sor_row<
-        const TRACK: bool,
-        const UP: bool,
-        const DOWN: bool,
-        const BELOW: bool,
-        const ABOVE: bool,
-    >(
+    fn sor_row<const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
         &self,
         temps: &mut [f64],
         i0: usize,
@@ -713,28 +698,28 @@ impl Stencil {
         if nx == 1 {
             let gt = self
                 .cell_gt::<false, false, UP, DOWN, BELOW, ABOVE>(temps, i0, cell0, below, above);
-            self.sor_update::<TRACK>(temps, i0, gt, omega, residual);
+            self.sor_update(temps, i0, gt, omega, residual);
             return;
         }
         let gt =
             self.cell_gt::<false, true, UP, DOWN, BELOW, ABOVE>(temps, i0, cell0, below, above);
-        self.sor_update::<TRACK>(temps, i0, gt, omega, residual);
+        self.sor_update(temps, i0, gt, omega, residual);
         for dx in 1..nx - 1 {
             let (i, cell) = (i0 + dx, cell0 + dx);
             let gt =
                 self.cell_gt::<true, true, UP, DOWN, BELOW, ABOVE>(temps, i, cell, below, above);
-            self.sor_update::<TRACK>(temps, i, gt, omega, residual);
+            self.sor_update(temps, i, gt, omega, residual);
         }
         let (i, cell) = (i0 + nx - 1, cell0 + nx - 1);
         let gt = self.cell_gt::<true, false, UP, DOWN, BELOW, ABOVE>(temps, i, cell, below, above);
-        self.sor_update::<TRACK>(temps, i, gt, omega, residual);
+        self.sor_update(temps, i, gt, omega, residual);
     }
 
     /// One tier of the sweep: the `iy = 0` row, the interior rows, and
     /// the `iy = ny − 1` row, each dispatched to the monomorphized row
     /// kernel.
     #[inline(always)]
-    fn sor_tier<const TRACK: bool, const BELOW: bool, const ABOVE: bool>(
+    fn sor_tier<const BELOW: bool, const ABOVE: bool>(
         &self,
         temps: &mut [f64],
         tier: usize,
@@ -746,17 +731,15 @@ impl Stencil {
         let (nx, ny) = (self.nx, self.ny);
         let base = tier * nx * ny;
         if ny == 1 {
-            self.sor_row::<TRACK, false, false, BELOW, ABOVE>(
+            self.sor_row::<false, false, BELOW, ABOVE>(
                 temps, base, 0, below, above, omega, residual,
             );
             return;
         }
-        self.sor_row::<TRACK, false, true, BELOW, ABOVE>(
-            temps, base, 0, below, above, omega, residual,
-        );
+        self.sor_row::<false, true, BELOW, ABOVE>(temps, base, 0, below, above, omega, residual);
         for iy in 1..ny - 1 {
             let row = iy * nx;
-            self.sor_row::<TRACK, true, true, BELOW, ABOVE>(
+            self.sor_row::<true, true, BELOW, ABOVE>(
                 temps,
                 base + row,
                 row,
@@ -767,7 +750,7 @@ impl Stencil {
             );
         }
         let row = (ny - 1) * nx;
-        self.sor_row::<TRACK, true, false, BELOW, ABOVE>(
+        self.sor_row::<true, false, BELOW, ABOVE>(
             temps,
             base + row,
             row,
@@ -795,10 +778,9 @@ impl Stencil {
 
     /// One in-place Gauss–Seidel/SOR sweep over `temps` in flat-index
     /// order, replaying the per-cell accumulation order of
-    /// `ThermalStack::neighbours_sum` bit-for-bit. With `TRACK` the
-    /// per-sweep max `|Δt|` residual is returned; without it the residual
-    /// bookkeeping compiles out and `0.0` comes back.
-    pub(crate) fn sor_sweep<const TRACK: bool>(&self, temps: &mut [f64], omega: f64) -> f64 {
+    /// `ThermalStack::neighbours_sum` bit-for-bit. Returns the per-sweep
+    /// max `|Δt|` residual.
+    pub(crate) fn sor_sweep(&self, temps: &mut [f64], omega: f64) -> f64 {
         let n = self.tiers * self.nx * self.ny;
         assert_eq!(temps.len(), n, "temperature field / stencil mismatch");
         assert_eq!(self.g_sum.len(), n);
@@ -807,38 +789,18 @@ impl Stencil {
         for tier in 0..self.tiers {
             let (below, above) = self.tier_ifaces(tier);
             match (tier > 0, tier + 1 < self.tiers) {
-                (false, false) => self.sor_tier::<TRACK, false, false>(
-                    temps,
-                    tier,
-                    below,
-                    above,
-                    omega,
-                    &mut residual,
-                ),
-                (false, true) => self.sor_tier::<TRACK, false, true>(
-                    temps,
-                    tier,
-                    below,
-                    above,
-                    omega,
-                    &mut residual,
-                ),
-                (true, true) => self.sor_tier::<TRACK, true, true>(
-                    temps,
-                    tier,
-                    below,
-                    above,
-                    omega,
-                    &mut residual,
-                ),
-                (true, false) => self.sor_tier::<TRACK, true, false>(
-                    temps,
-                    tier,
-                    below,
-                    above,
-                    omega,
-                    &mut residual,
-                ),
+                (false, false) => {
+                    self.sor_tier::<false, false>(temps, tier, below, above, omega, &mut residual)
+                }
+                (false, true) => {
+                    self.sor_tier::<false, true>(temps, tier, below, above, omega, &mut residual)
+                }
+                (true, true) => {
+                    self.sor_tier::<true, true>(temps, tier, below, above, omega, &mut residual)
+                }
+                (true, false) => {
+                    self.sor_tier::<true, false>(temps, tier, below, above, omega, &mut residual)
+                }
             }
         }
         residual

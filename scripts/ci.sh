@@ -171,6 +171,9 @@ echo "==> SoA-vs-scalar bit-identity smoke (lane kernel, release FP paths)"
 # Same rationale: the lane kernel's bit-identity to the scalar oracle must
 # hold under the release float codegen the benches and the fleet daemon run.
 cargo test -q --release --offline -p ptsim-core --test lane_equivalence
+# The lane and scalar populations share one set of conversion stages, so
+# they must record the same metrics too (span counts, errors, health).
+cargo test -q --release --offline -p ptsim-core --lib lane_and_scalar_population_metrics_agree
 # The lane kernel shares each device's bias factor across same-supply rings;
 # the device-level factor/recombination kernels and the batch-vs-loop
 # contract must stay bit-identical under release codegen too.
