@@ -1,15 +1,10 @@
-//! Thermal-solver scaling (internal harness): steady-state solve of the
-//! reference 4-tier stack at several grid sizes, short transient steps,
-//! and the 2 ms DTM tick on the TSV-loaded R3 stack.
-//!
-//! `steady_state/{8,16,32,64}` time the multigrid production solver
-//! ([`solve_steady_state_mg`]); `steady_state_gs/16` keeps the
-//! Gauss–Seidel oracle on the trajectory so a regression in either
-//! solver is visible on its own.
+//! Thermal-solver timing (internal harness): the Gauss–Seidel steady-state
+//! solve of the reference 4-tier stack at 16 × 16 per tier
+//! (`steady_state_gs/16`), short transient steps, and the 2 ms DTM tick on
+//! the TSV-loaded R3 stack.
 
 use ptsim_bench::harness::{bench, emit_meta};
 use ptsim_device::units::{Seconds, Watt};
-use ptsim_thermal::multigrid::{solve_steady_state_mg, MgOptions};
 use ptsim_thermal::power::PowerMap;
 use ptsim_thermal::solve::{
     solve_steady_state, step_transient, step_transient_with, SolveOptions, TransientScratch,
@@ -33,13 +28,6 @@ fn stack(n: usize) -> ThermalStack {
 
 fn main() {
     emit_meta();
-    for n in [8usize, 16, 32, 64] {
-        bench(&format!("steady_state/{n}"), || {
-            let mut s = stack(n);
-            black_box(solve_steady_state_mg(&mut s, &MgOptions::default()).unwrap());
-        });
-    }
-
     bench("steady_state_gs/16", || {
         let mut s = stack(16);
         black_box(solve_steady_state(&mut s, &SolveOptions::default()).unwrap());

@@ -12,12 +12,10 @@
 //! [`solve::step_transient`] (stability-substepped explicit Euler) produce
 //! the ground-truth temperature fields the sensor is evaluated against.
 //!
-//! Two steady-state solvers share the identical linear system (see
-//! DESIGN.md, "Thermal solver hierarchy"): the lexicographic Gauss–Seidel
-//! oracle ([`solve::solve_steady_state`], the bit-exact default at small
-//! sizes) and the geometric multigrid production solver
-//! ([`multigrid::solve_steady_state_mg`]) that makes 32²–64²-per-tier
-//! grids routine.
+//! There is one solver per job (see DESIGN.md, "Thermal solver
+//! hierarchy"): the lexicographic Gauss–Seidel/SOR sweep for steady state
+//! and the fused explicit-Euler substep for transients. Each is bit-exact
+//! against a test-only reference loop.
 //!
 //! ## Example
 //!
@@ -43,19 +41,16 @@
 #![deny(unsafe_code)]
 
 pub mod error;
-mod linalg;
 pub mod material;
-pub mod multigrid;
 pub mod power;
 pub mod solve;
 pub mod stack;
 
 pub use error::ThermalError;
 pub use material::Material;
-pub use multigrid::{solve_steady_state_mg, MgOptions, MultigridSolver};
 pub use power::PowerMap;
 pub use solve::{
-    run_transient, solve_steady_state, step_transient, step_transient_with, SolveOptions,
-    SolveStats, TransientScratch,
+    solve_steady_state, step_transient, step_transient_with, SolveOptions, SolveStats,
+    TransientScratch,
 };
 pub use stack::{StackConfig, ThermalStack};

@@ -249,12 +249,16 @@ impl ThermalStack {
     }
 
     /// Adds extra vertical conductance (e.g. a TSV bundle) between tiers
-    /// `interface` and `interface + 1` at one cell.
+    /// `interface` and `interface + 1` at one cell. A negative `g` adds
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::TierOutOfRange`] if `interface` is not a valid
-    /// interface index or the cell is outside the grid.
+    /// * [`ThermalError::TierOutOfRange`] if `interface` is not a valid
+    ///   interface index or the cell is outside the grid;
+    /// * [`ThermalError::InvalidGeometry`] if `g` is NaN or infinite. An
+    ///   infinite conductance would make the transient stability limit
+    ///   zero. In both cases the stack is left unchanged.
     pub fn add_vertical_conductance(
         &mut self,
         interface: usize,
@@ -266,6 +270,12 @@ impl ThermalStack {
             return Err(ThermalError::TierOutOfRange {
                 tier: interface,
                 tiers: self.cfg.tiers.saturating_sub(1),
+            });
+        }
+        if !g.0.is_finite() {
+            return Err(ThermalError::InvalidGeometry {
+                name: "vertical_conductance",
+                value: g.0,
             });
         }
         self.g_vert[interface][iy * self.cfg.nx + ix] += g.0.max(0.0);
@@ -408,55 +418,8 @@ impl ThermalStack {
         self.power[tier].cell(ix, iy).0
     }
 
-    /// Right-hand side of the steady-state system `A·T = b`:
-    /// `b_i = P_i + g_boundary,i·T_ambient`.
-    pub(crate) fn steady_state_rhs(&self, out: &mut [f64]) {
-        let (tiers, nx, ny) = self.grid();
-        let ambient = self.cfg.ambient.0;
-        for tier in 0..tiers {
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let i = self.idx(tier, ix, iy);
-                    let mut b = self.cell_power(tier, ix, iy);
-                    if tier == 0 {
-                        b += self.g_board * ambient;
-                    }
-                    if tier + 1 == tiers {
-                        b += self.g_sink * ambient;
-                    }
-                    out[i] = b;
-                }
-            }
-        }
-    }
-
     pub(crate) fn cell_capacity(&self) -> f64 {
         self.cell_capacity
-    }
-
-    // ---- network coefficients (used by `multigrid` to build its finest
-    // level; the hierarchy must see the exact conductances
-    // `neighbours_sum` uses) --------------------------------------------
-
-    /// Lateral in-plane conductance, W/K.
-    pub(crate) fn g_lat(&self) -> f64 {
-        self.g_lat
-    }
-
-    /// Per-cell vertical conductances of interface `iface` (couples tier
-    /// `iface` and `iface + 1`), W/K.
-    pub(crate) fn g_vert(&self, iface: usize) -> &[f64] {
-        &self.g_vert[iface]
-    }
-
-    /// Per-cell top-tier conductance to the heat sink, W/K.
-    pub(crate) fn g_sink(&self) -> f64 {
-        self.g_sink
-    }
-
-    /// Per-cell bottom-tier conductance to the package/board, W/K.
-    pub(crate) fn g_board(&self) -> f64 {
-        self.g_board
     }
 
     pub(crate) fn temps_mut(&mut self) -> &mut Vec<f64> {
@@ -1033,6 +996,22 @@ mod tests {
         assert!(s
             .add_vertical_conductance(0, 99, 0, WattPerKelvin(1e-3))
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_tsv_conductance_is_refused() {
+        let fresh = ThermalStack::new(StackConfig::four_tier_5mm()).unwrap();
+        let mut s = fresh.clone();
+        for g in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                s.add_vertical_conductance(0, 0, 0, WattPerKelvin(g)),
+                Err(ThermalError::InvalidGeometry { .. })
+            ));
+        }
+        assert_eq!(s, fresh);
+        let dt = ptsim_device::units::Seconds(2e-3);
+        let expected = crate::solve::step_transient(&mut fresh.clone(), dt);
+        assert_eq!(crate::solve::step_transient(&mut s, dt), expected);
     }
 
     #[test]

@@ -1,18 +1,26 @@
-//! Boundary-condition regression tests for the steady-state solvers.
+//! Boundary-condition regression tests for the steady-state solver.
 //!
 //! The stack's lateral faces are adiabatic (no flux leaves the die edge);
 //! the top face drains through TIM + heat sink and the bottom through the
-//! package/board, both to fixed ambient. Each case here is checked
-//! against the Gauss–Seidel oracle or a closed-form lumped model, and
-//! exercised through the multigrid production solver so a boundary bug in
-//! the coarse hierarchy cannot hide behind the oracle's stencil.
+//! package/board, both to fixed ambient. Each case here is checked against
+//! a closed-form lumped model or a symmetry of the network. The solves run
+//! at a 1e-12 °C sweep tolerance, so the bounds grade the discretisation
+//! and its boundaries rather than the stopping rule.
 
 use ptsim_device::units::{Celsius, Watt};
 use ptsim_thermal::material::Material;
-use ptsim_thermal::multigrid::{solve_steady_state_mg, MgOptions};
 use ptsim_thermal::power::PowerMap;
 use ptsim_thermal::solve::{solve_steady_state, SolveOptions};
 use ptsim_thermal::stack::{StackConfig, ThermalStack};
+
+/// Gauss–Seidel solve converged far below every bound checked here.
+fn solve_tight(s: &mut ThermalStack) {
+    let opts = SolveOptions {
+        tolerance: 1e-12,
+        ..SolveOptions::default()
+    };
+    solve_steady_state(s, &opts).unwrap();
+}
 
 /// Total top-path (TIM in series with sink) plus bottom-path conductance
 /// to ambient, W/K, for a single-die stack — the exact lumped model when
@@ -36,7 +44,7 @@ fn uniform_power_matches_lumped_closed_form() {
     let mut s = ThermalStack::new(cfg).unwrap();
     s.set_power(0, PowerMap::uniform(16, 16, Watt(power)).unwrap())
         .unwrap();
-    solve_steady_state_mg(&mut s, &MgOptions::default()).unwrap();
+    solve_tight(&mut s);
     let rise = s.mean_temperature(0).unwrap().0 - 25.0;
     assert!(
         (rise - expected_rise).abs() < 1e-6 * expected_rise,
@@ -52,7 +60,7 @@ fn uniform_power_has_no_lateral_gradient() {
     let mut s = ThermalStack::new(StackConfig::single_die_5mm()).unwrap();
     s.set_power(0, PowerMap::uniform(16, 16, Watt(2.0)).unwrap())
         .unwrap();
-    solve_steady_state_mg(&mut s, &MgOptions::default()).unwrap();
+    solve_tight(&mut s);
     let mean = s.mean_temperature(0).unwrap().0;
     for iy in 0..16 {
         for ix in 0..16 {
@@ -83,7 +91,7 @@ fn near_adiabatic_sink_sends_heat_through_board() {
     let mut s = ThermalStack::new(cfg).unwrap();
     s.set_power(0, PowerMap::uniform(16, 16, Watt(power)).unwrap())
         .unwrap();
-    solve_steady_state_mg(&mut s, &MgOptions::default()).unwrap();
+    solve_tight(&mut s);
     let rise = s.mean_temperature(0).unwrap().0 - 25.0;
     assert!(
         (rise - expected_rise).abs() < 1e-6 * expected_rise,
@@ -92,41 +100,23 @@ fn near_adiabatic_sink_sends_heat_through_board() {
 }
 
 #[test]
-fn corner_impulse_on_odd_grid_matches_oracle() {
+fn corner_impulse_is_the_hottest_cell() {
     // A single hot cell in the corner of a 9 × 9 grid stresses both
-    // adiabatic edges and the odd-width (width-1 block) coarsening path.
-    let build = || {
-        let cfg = StackConfig {
-            nx: 9,
-            ny: 9,
-            tiers: 2,
-            ..StackConfig::four_tier_5mm()
-        };
-        let mut s = ThermalStack::new(cfg).unwrap();
-        let mut p = PowerMap::zero(9, 9).unwrap();
-        p.set_cell(0, 0, Watt(0.5));
-        s.set_power(0, p).unwrap();
-        s
+    // adiabatic edges at once.
+    let cfg = StackConfig {
+        nx: 9,
+        ny: 9,
+        tiers: 2,
+        ..StackConfig::four_tier_5mm()
     };
-    let mut gs = build();
-    solve_steady_state(&mut gs, &SolveOptions::default()).unwrap();
-    let mut mg = build();
-    solve_steady_state_mg(&mut mg, &MgOptions::default()).unwrap();
-    for tier in 0..2 {
-        for iy in 0..9 {
-            for ix in 0..9 {
-                let a = gs.temperature(tier, ix, iy).unwrap().0;
-                let b = mg.temperature(tier, ix, iy).unwrap().0;
-                assert!(
-                    (a - b).abs() < 1e-3,
-                    "tier {tier} cell ({ix},{iy}): oracle {a:.6} vs MG {b:.6}"
-                );
-            }
-        }
-    }
+    let mut s = ThermalStack::new(cfg).unwrap();
+    let mut p = PowerMap::zero(9, 9).unwrap();
+    p.set_cell(0, 0, Watt(0.5));
+    s.set_power(0, p).unwrap();
+    solve_tight(&mut s);
     // The impulse cell must be the hottest one on its tier.
-    let peak = mg.max_temperature(0).unwrap().0;
-    let corner = mg.temperature(0, 0, 0).unwrap().0;
+    let peak = s.max_temperature(0).unwrap().0;
+    let corner = s.temperature(0, 0, 0).unwrap().0;
     assert!(
         (peak - corner).abs() < 1e-12,
         "hottest cell is not the powered corner: {corner} vs {peak}"
@@ -147,7 +137,7 @@ fn center_impulse_field_is_symmetric() {
     let mut p = PowerMap::zero(9, 9).unwrap();
     p.set_cell(4, 4, Watt(1.0));
     s.set_power(0, p).unwrap();
-    solve_steady_state_mg(&mut s, &MgOptions::default()).unwrap();
+    solve_tight(&mut s);
     for d in 1..5 {
         let east = s.temperature(0, 4 + d, 4).unwrap().0;
         let west = s.temperature(0, 4 - d, 4).unwrap().0;
@@ -181,7 +171,7 @@ fn ambient_shift_translates_the_field() {
         let mut p = PowerMap::zero(16, 16).unwrap();
         p.add_hotspot(0.4, 0.6, 0.15, Watt(1.5));
         s.set_power(1, p).unwrap();
-        solve_steady_state_mg(&mut s, &MgOptions::default()).unwrap();
+        solve_tight(&mut s);
         s
     };
     let cold = solve_at(25.0);

@@ -2,7 +2,6 @@
 
 use ptsim_device::units::{Seconds, Watt};
 use ptsim_rng::forall;
-use ptsim_thermal::multigrid::{solve_steady_state_mg, MgOptions};
 use ptsim_thermal::power::PowerMap;
 use ptsim_thermal::solve::{solve_steady_state, step_transient, SolveOptions};
 use ptsim_thermal::stack::{StackConfig, ThermalStack};
@@ -66,37 +65,6 @@ forall! {
         };
         assert!((both - (a + b)).abs() < 1e-3,
             "superposition violated: {both} vs {a}+{b}");
-    }
-
-    #[test]
-    fn gauss_seidel_and_multigrid_agree(
-        cx in 0.1f64..0.9, cy in 0.1f64..0.9, w in 0.1f64..2.0, tiers in 1usize..4,
-    ) {
-        // GS (oracle) and multigrid solve the identical linear system; the
-        // two drifting apart flags a conductance-assembly bug in one.
-        let build = || {
-            let mut s = small_stack(tiers);
-            let mut p = PowerMap::zero(8, 8).unwrap();
-            p.add_hotspot(cx, cy, 0.15, Watt(w));
-            s.set_power(tiers - 1, p).unwrap();
-            s
-        };
-        let mut gs = build();
-        solve_steady_state(&mut gs, &SolveOptions::default()).unwrap();
-        let mut mg = build();
-        solve_steady_state_mg(&mut mg, &MgOptions::default()).unwrap();
-        for tier in 0..tiers {
-            for iy in 0..8 {
-                for ix in 0..8 {
-                    let a = gs.temperature(tier, ix, iy).unwrap().0;
-                    let c = mg.temperature(tier, ix, iy).unwrap().0;
-                    assert!(
-                        (a - c).abs() < 1e-3,
-                        "tier {tier} cell ({ix},{iy}): GS {a} MG {c}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -8,10 +8,9 @@
 # after perf-relevant changes and compare medians. ci.sh only smoke-runs the
 # same binaries with a 1-sample config to keep them buildable and parseable.
 #
-# The thermal bench times the multigrid production solver at
-# steady_state/{8,16,32,64} plus the Gauss-Seidel oracle at
-# steady_state_gs/16; both solvers stay on the trajectory so a regression
-# in either is attributable from the medians alone.
+# The thermal bench times the Gauss-Seidel steady-state solver at
+# steady_state_gs/16 (the unchanged control of the regression-guard note
+# in EXPERIMENTS.md) plus the transient steps and the 2 ms DTM tick.
 #
 # Usage: scripts/bench.sh [label]
 #   label  optional run label recorded in the output filename

@@ -89,8 +89,8 @@ pub mod prelude {
     };
     pub use ptsim_rng::{Pcg64, Rng, RngCore};
     pub use ptsim_thermal::{
-        run_transient, solve_steady_state, step_transient, step_transient_with, PowerMap,
-        SolveOptions, StackConfig, ThermalStack, TransientScratch,
+        solve_steady_state, step_transient, step_transient_with, PowerMap, SolveOptions,
+        StackConfig, ThermalStack, TransientScratch,
     };
     pub use ptsim_tsv::{StackTopology, StressModel, TsvArray, TsvGeometry};
 }
