@@ -21,7 +21,7 @@ fn stack(n: usize) -> ThermalStack {
     };
     let mut s = ThermalStack::new(cfg).unwrap();
     let mut p = PowerMap::zero(n, n).unwrap();
-    p.add_hotspot(0.3, 0.3, 0.1, Watt(2.0));
+    p.add_hotspot(0.3, 0.3, 0.1, Watt(2.0)).unwrap();
     s.set_power(0, p).unwrap();
     s
 }
@@ -55,7 +55,7 @@ fn main() {
         .build_thermal()
         .unwrap();
     let mut p = PowerMap::zero(16, 16).unwrap();
-    p.add_hotspot(0.3, 0.3, 0.1, Watt(2.0));
+    p.add_hotspot(0.3, 0.3, 0.1, Watt(2.0)).unwrap();
     s.set_power(0, p).unwrap();
     let mut scratch = TransientScratch::new();
     step_transient_with(&mut s, Seconds(2e-3), &mut scratch);

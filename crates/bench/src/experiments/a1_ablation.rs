@@ -109,7 +109,12 @@ fn variants() -> Vec<Variant> {
 /// Panics if a variant fails to build or converge (a bug).
 #[must_use]
 pub fn run() -> String {
-    let n = population_size(80);
+    run_with(population_size(80))
+}
+
+/// [`run`] over `n` Monte-Carlo dies.
+#[must_use]
+pub fn run_with(n: usize) -> String {
     let tech = Technology::n65();
     let model = VariationModel::new(&tech);
 
@@ -191,8 +196,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn covers_all_variants() {
-        std::env::set_var("PTSIM_BENCH_DIES", "6");
-        let r = super::run();
+        let r = super::run_with(6);
         assert!(r.contains("reference"));
         assert!(r.contains("Q8.8"));
         assert!(r.contains("boot 5"));

@@ -36,7 +36,12 @@ const TEMPS: [f64; 13] = [
 /// Panics if any die fails to calibrate/convert (indicates a model bug).
 #[must_use]
 pub fn run() -> String {
-    let n = population_size(300);
+    run_with(population_size(300))
+}
+
+/// [`run`] over `n` Monte-Carlo dies.
+#[must_use]
+pub fn run_with(n: usize) -> String {
     let tech = Technology::n65();
     let model = VariationModel::new(&tech);
     let plan = BatchPlan::new(tech.clone(), SensorSpec::default_65nm())
@@ -132,8 +137,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn report_orders_the_three_sensors() {
-        std::env::set_var("PTSIM_BENCH_DIES", "12");
-        let r = super::run();
+        let r = super::run_with(12);
         assert!(r.contains("F3"));
         assert!(r.contains("worst-case"));
     }

@@ -23,7 +23,12 @@ use ptsim_mc::stats::{Histogram, OnlineStats};
 /// Panics if any die fails to calibrate/convert (indicates a model bug).
 #[must_use]
 pub fn run() -> String {
-    let n = population_size(1000);
+    run_with(population_size(1000))
+}
+
+/// [`run`] over `n` Monte-Carlo dies.
+#[must_use]
+pub fn run_with(n: usize) -> String {
     let tech = Technology::n65();
     let model = VariationModel::new(&tech);
     // Calibrate at the boot point, then track at 75 °C — one batched
@@ -98,8 +103,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn report_well_formed() {
-        std::env::set_var("PTSIM_BENCH_DIES", "30");
-        let r = super::run();
+        let r = super::run_with(30);
         assert!(r.contains("F4"));
         assert!(r.contains("ΔVtp at 75"));
     }

@@ -40,7 +40,7 @@ pub fn run() -> String {
 
     let mut thermal = monitor.build_thermal().expect("thermal");
     let mut p0 = PowerMap::zero(16, 16).expect("map");
-    p0.add_hotspot(0.35, 0.35, 0.12, Watt(2.0));
+    p0.add_hotspot(0.35, 0.35, 0.12, Watt(2.0)).expect("power");
     thermal.set_power(0, p0).expect("power");
     thermal
         .set_power(2, PowerMap::uniform(16, 16, Watt(0.5)).expect("map"))

@@ -409,7 +409,12 @@ pub fn run_campaign_metered(n_dies: usize, seed: u64) -> (CampaignResult, Snapsh
 /// See [`run_campaign`].
 #[must_use]
 pub fn run() -> String {
-    let n = population_size(100);
+    run_with(population_size(100))
+}
+
+/// [`run`] over `n` Monte-Carlo dies.
+#[must_use]
+pub fn run_with(n: usize) -> String {
     render_report(&run_campaign(n, R1_SEED))
 }
 
@@ -478,8 +483,7 @@ mod tests {
         );
         assert!(r.catastrophic_detection_rate() > 0.0);
         // Rendering goes through the same path.
-        std::env::set_var("PTSIM_BENCH_DIES", "4");
-        let report = run();
+        let report = run_with(4);
         assert!(report.contains("R1"));
         assert!(report.contains("dead-tsro"));
     }

@@ -87,7 +87,12 @@ where
 /// Panics if any sensor fails to prepare/convert (a bug).
 #[must_use]
 pub fn run() -> String {
-    let n = population_size(60);
+    run_with(population_size(60))
+}
+
+/// [`run`] over `n` Monte-Carlo dies.
+#[must_use]
+pub fn run_with(n: usize) -> String {
     let tech = Technology::n65();
 
     let mut rows = Vec::new();
@@ -176,8 +181,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn report_contains_all_sensors() {
-        std::env::set_var("PTSIM_BENCH_DIES", "6");
-        let r = super::run();
+        let r = super::run_with(6);
         for name in ["uncalibrated RO", "1-point RO", "BJT", "2013", "this work"] {
             assert!(r.contains(name), "missing {name} in report");
         }

@@ -26,7 +26,12 @@ const CHECKPOINT_YEARS: [f64; 5] = [0.5, 1.0, 2.0, 5.0, 10.0];
 /// Panics if any die fails to calibrate/convert (a bug).
 #[must_use]
 pub fn run() -> String {
-    let n = population_size(100);
+    run_with(population_size(100))
+}
+
+/// [`run`] over `n` Monte-Carlo dies.
+#[must_use]
+pub fn run_with(n: usize) -> String {
     let tech = Technology::n65();
     let model = VariationModel::new(&tech);
     let spec = SensorSpec::default_65nm();
@@ -109,8 +114,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn report_covers_lifetime() {
-        std::env::set_var("PTSIM_BENCH_DIES", "6");
-        let r = super::run();
+        let r = super::run_with(6);
         assert!(r.contains("X2"));
         assert!(r.contains("10.0"));
     }

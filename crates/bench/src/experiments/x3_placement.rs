@@ -15,8 +15,8 @@ use ptsim_thermal::stack::{StackConfig, ThermalStack};
 fn workload(cx: f64, cy: f64, w: f64) -> ThermalStack {
     let mut s = ThermalStack::new(StackConfig::single_die_5mm()).expect("stack");
     let mut p = PowerMap::zero(16, 16).expect("map");
-    p.add_hotspot(cx, cy, 0.18, Watt(w));
-    p.add_block(0.6, 0.6, 0.95, 0.95, Watt(0.5));
+    p.add_hotspot(cx, cy, 0.18, Watt(w)).expect("power");
+    p.add_block(0.6, 0.6, 0.95, 0.95, Watt(0.5)).expect("power");
     s.set_power(0, p).expect("power");
     solve_steady_state(&mut s, &SolveOptions::default()).expect("solve");
     s

@@ -1,7 +1,7 @@
 //! Ring oscillators built from device-level inverters.
 
 use crate::error::CircuitError;
-use ptsim_device::delay::{DelayCache, ThermalPoint};
+use ptsim_device::delay::{DelayCache, OnCurrent, ThermalPoint, LANES};
 use ptsim_device::inverter::{CmosEnv, Inverter};
 use ptsim_device::process::Technology;
 use ptsim_device::units::{Celsius, Farad, Hertz, Joule, Seconds, Volt, Watt};
@@ -137,6 +137,18 @@ impl InverterRing {
     }
 }
 
+/// A ring's `ln f` with its partials in the logarithms of its two device
+/// on-currents, from [`RingCache::ln_frequency_from_currents`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LnFrequency {
+    /// `ln f`, f in Hz.
+    pub ln_f: f64,
+    /// `∂ln f/∂ln I_n`.
+    pub d_ln_in: f64,
+    /// `∂ln f/∂ln I_p`.
+    pub d_ln_ip: f64,
+}
+
 /// Precomputed hot-path evaluation state of one [`InverterRing`]: the
 /// device-level [`DelayCache`] plus the ring-level temperature-independent
 /// products (node capacitance, the `2·N` period prefix, the `N·C_node`
@@ -190,38 +202,18 @@ impl RingCache {
         Seconds(self.two_stages * stage.0).to_frequency()
     }
 
-    /// [`RingCache::frequency`] with the drain-saturation factor already
-    /// computed (`drain` must be
-    /// [`DelayCache::drain_factor`]`(th, vdd)`) — lets a solver evaluating
-    /// several rings at one `(temperature, supply)` point share the factor.
-    #[must_use]
-    pub fn frequency_with_drain(
-        &self,
-        th: &ThermalPoint,
-        drain: f64,
-        vdd: Volt,
-        env: &CmosEnv,
-    ) -> Hertz {
-        let stage = self
-            .delay
-            .stage_delay_with_drain(th, drain, vdd, self.node_cap, env);
-        Seconds(self.two_stages * stage.0).to_frequency()
-    }
-
     /// The underlying per-inverter [`DelayCache`] — solver loops use it to
-    /// evaluate per-device on-currents they can then memoize across
-    /// finite-difference perturbations.
+    /// evaluate per-device on-currents and their partials.
     #[must_use]
     pub fn delay(&self) -> &DelayCache {
         &self.delay
     }
 
-    /// [`RingCache::frequency_with_drain`] with both device on-currents
-    /// already computed (`ion_n`/`ion_p` must be this cache's
+    /// [`RingCache::frequency`] with both device on-currents already
+    /// computed (`ion_n`/`ion_p` must be this cache's
     /// [`DelayCache::nmos_current`]/[`DelayCache::pmos_current`] at the
-    /// same `(th, vdd, drain)` point) — the exact arithmetic tail of the
-    /// drain-factor path, so a solver that knows a perturbation left one
-    /// device untouched can skip re-evaluating it.
+    /// same `(th, vdd)` point) — the exact arithmetic tail of the cached
+    /// frequency.
     #[must_use]
     pub fn frequency_from_currents(&self, ion_n: f64, ion_p: f64, vdd: Volt) -> Hertz {
         let stage = self
@@ -230,22 +222,39 @@ impl RingCache {
         Seconds(self.two_stages * stage.0).to_frequency()
     }
 
-    /// Lane-parallel [`RingCache::frequency_from_currents`]: recombines
-    /// per-lane device currents into per-lane oscillation frequencies in one
-    /// fixed-trip loop over [`LANES`](ptsim_device::delay::LANES). Each lane
-    /// is bit-identical to the scalar call with that lane's operands.
+    /// `ln f` from the two device on-currents, with its partials in their
+    /// logarithms. The stage delay is proportional to `1/I_n + 1/I_p`, so
+    /// `∂ln f/∂ln I_n = I_p/(I_n + I_p)` and `∂ln f/∂ln I_p = I_n/(I_n + I_p)`;
+    /// the chain rule through [`OnCurrent`]'s partials gives `ln f`'s
+    /// partials in ΔVt, T and µ. `ln_f` is bit-identical to the `ln` of
+    /// [`RingCache::frequency_from_currents`].
+    #[must_use]
+    pub fn ln_frequency_from_currents(&self, ion_n: f64, ion_p: f64, vdd: Volt) -> LnFrequency {
+        let ln_f = self.frequency_from_currents(ion_n, ion_p, vdd).0.ln();
+        let sum = ion_n + ion_p;
+        LnFrequency {
+            ln_f,
+            d_ln_in: ion_p / sum,
+            d_ln_ip: ion_n / sum,
+        }
+    }
+
+    /// Lane-parallel [`RingCache::ln_frequency_from_currents`] over the
+    /// currents of [`DelayCache::current_partials_lanes`]. Each active lane
+    /// is bit-identical to the scalar call with that lane's currents;
+    /// inactive lanes keep their previous `out` values.
     #[inline]
-    pub fn frequency_from_currents_lanes(
+    pub fn ln_frequency_lanes(
         &self,
-        ion_n: &[f64; ptsim_device::delay::LANES],
-        ion_p: &[f64; ptsim_device::delay::LANES],
+        ion_n: &[OnCurrent; LANES],
+        ion_p: &[OnCurrent; LANES],
         vdd: Volt,
-        active: &[bool; ptsim_device::delay::LANES],
-        out: &mut [f64; ptsim_device::delay::LANES],
+        active: &[bool; LANES],
+        out: &mut [LnFrequency; LANES],
     ) {
-        for l in 0..ptsim_device::delay::LANES {
+        for l in 0..LANES {
             if active[l] {
-                out[l] = self.frequency_from_currents(ion_n[l], ion_p[l], vdd).0;
+                out[l] = self.ln_frequency_from_currents(ion_n[l].i, ion_p[l].i, vdd);
             }
         }
     }
@@ -416,6 +425,45 @@ mod tests {
             let cached = cache.run_energy_with(&th, Volt(vdd), &env, f, window);
             let reference = r.run_energy(&tech, &env, window);
             assert_eq!(cached.0.to_bits(), reference.0.to_bits());
+        }
+
+        #[test]
+        fn ln_frequency_partials_match_central_differences(
+            ln_in in -14.0f64..-6.0,
+            ln_ip in -14.0f64..-6.0,
+            spread in -2.0f64..2.0,
+            vdd in 0.35f64..1.1,
+        ) {
+            let cache = RingCache::new(&ring(51), &tech());
+            let vdd = Volt(vdd);
+            let h = 1e-6;
+            let ln_f = |a: f64, b: f64| cache.frequency_from_currents(a.exp(), b.exp(), vdd).0.ln();
+            let mut n = [OnCurrent::default(); LANES];
+            let mut p = [OnCurrent::default(); LANES];
+            for l in 0..LANES {
+                let f = l as f64 / LANES as f64;
+                n[l].i = (ln_in + spread * f).exp();
+                p[l].i = (ln_ip - spread * f).exp();
+            }
+            let mut live = [true; LANES];
+            live[6] = false;
+            let mut out = [LnFrequency::default(); LANES];
+            cache.ln_frequency_lanes(&n, &p, vdd, &live, &mut out);
+            assert_eq!(out[6], LnFrequency::default(), "masked lane written");
+            for l in (0..LANES).filter(|&l| live[l]) {
+                let s = cache.ln_frequency_from_currents(n[l].i, p[l].i, vdd);
+                let bits = |v: &LnFrequency| [v.ln_f, v.d_ln_in, v.d_ln_ip].map(f64::to_bits);
+                assert_eq!(bits(&out[l]), bits(&s), "lane {l}");
+                let f = cache.frequency_from_currents(n[l].i, p[l].i, vdd);
+                assert_eq!(s.ln_f.to_bits(), f.0.ln().to_bits());
+                let (a, b) = (n[l].i.ln(), p[l].i.ln());
+                let fd_n = (ln_f(a + h, b) - ln_f(a - h, b)) / (2.0 * h);
+                let fd_p = (ln_f(a, b + h) - ln_f(a, b - h)) / (2.0 * h);
+                // Rounding of ln f (|ln f| < 30) over 2h bounds the
+                // difference quotient's error near 1e-8.
+                assert!((s.d_ln_in - fd_n).abs() < 1e-7, "{} vs {fd_n}", s.d_ln_in);
+                assert!((s.d_ln_ip - fd_p).abs() < 1e-7, "{} vs {fd_p}", s.d_ln_ip);
+            }
         }
     }
 }

@@ -600,9 +600,9 @@ impl WorkloadTrace {
         let d = self.demand(step);
         let mut p = PowerMap::uniform(nx, ny, Watt(self.base_watts * power_scale))?;
         let (cx, cy, r) = self.hotspot;
-        p.add_hotspot(cx, cy, r, Watt(self.hotspot_watts * d * power_scale));
+        p.add_hotspot(cx, cy, r, Watt(self.hotspot_watts * d * power_scale))?;
         let (x0, y0, x1, y1) = self.block;
-        p.add_block(x0, y0, x1, y1, Watt(self.block_watts * d * power_scale));
+        p.add_block(x0, y0, x1, y1, Watt(self.block_watts * d * power_scale))?;
         Ok(p)
     }
 }

@@ -242,7 +242,7 @@ mod tests {
     fn hotspot_stack(cx: f64, cy: f64) -> ThermalStack {
         let mut s = ThermalStack::new(StackConfig::single_die_5mm()).unwrap();
         let mut p = PowerMap::zero(16, 16).unwrap();
-        p.add_hotspot(cx, cy, 0.12, Watt(2.0));
+        p.add_hotspot(cx, cy, 0.12, Watt(2.0)).unwrap();
         s.set_power(0, p).unwrap();
         solve_steady_state(&mut s, &SolveOptions::default()).unwrap();
         s

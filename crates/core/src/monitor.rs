@@ -297,7 +297,7 @@ mod tests {
         // Heat the stack: 1.5 W hotspot on tier 0.
         let mut thermal = mon.build_thermal().unwrap();
         let mut p = PowerMap::zero(16, 16).unwrap();
-        p.add_hotspot(0.25, 0.25, 0.1, Watt(1.5));
+        p.add_hotspot(0.25, 0.25, 0.1, Watt(1.5)).unwrap();
         thermal.set_power(0, p).unwrap();
         solve_steady_state(&mut thermal, &SolveOptions::default()).unwrap();
 

@@ -1,12 +1,24 @@
 //! Small dense damped Newton–Raphson solver used by the decoupling math.
 //!
 //! The systems are tiny (1–4 unknowns), so a straightforward
-//! partial-pivoting Gaussian elimination and forward-difference Jacobians
-//! are entirely adequate. The solver has two personalities:
+//! partial-pivoting Gaussian elimination does the linear algebra. A system
+//! is a [`System`] (scalar) or [`LaneSystem`] ([`LANES`] independent
+//! systems in lock-step): its residual, and its Jacobian at the point of
+//! the last residual call. The Jacobian comes from one of two places:
 //!
-//! * the **default** options reproduce the plain damped iteration the
-//!   original conversion datapath runs (bit-identical to earlier
-//!   revisions), and
+//! * **analytic** — the analytic decoupling rows compute their partials in
+//!   the same pass as the residual and cache them, so the Jacobian call is
+//!   arithmetic on cached values and a converged final iteration never
+//!   asks for it;
+//! * **forward differences** — [`ForwardDifference`] wraps a residual-only
+//!   closure (the characterized ROM, the 1×1 temperature-only solve, and
+//!   the [`newton_solve`] callers) and builds the Jacobian from one
+//!   perturbed residual per unknown.
+//!
+//! The solver has two personalities:
+//!
+//! * the **default** options run the plain damped iteration of the
+//!   conversion datapath, and
 //! * [`NewtonOptions::robust`] adds adaptive step damping (halve on
 //!   residual growth) and a Jacobian condition guard — the retuned mode the
 //!   hardened sensor falls back to when the plain solve diverges on a
@@ -163,16 +175,14 @@ pub fn solve_linear(
 pub const MAX_UNKNOWNS: usize = 6;
 
 /// Caller-owned workspace for [`newton_solve_with`] and [`solve_linear`]:
-/// the Jacobian, probe point, revert point and residual buffers, sized for
+/// the Jacobian, revert point and residual buffers, sized for
 /// [`MAX_UNKNOWNS`] and stored inline so a reused scratch makes the whole
 /// solve allocation-free.
 #[derive(Debug, Clone)]
 pub struct NewtonScratch {
     jac: [f64; MAX_UNKNOWNS * MAX_UNKNOWNS],
-    xp: [f64; MAX_UNKNOWNS],
     x_prev: [f64; MAX_UNKNOWNS],
     r: [f64; MAX_UNKNOWNS],
-    rp: [f64; MAX_UNKNOWNS],
     rhs: [f64; MAX_UNKNOWNS],
     backoffs: u64,
 }
@@ -183,10 +193,8 @@ impl NewtonScratch {
     pub fn new() -> Self {
         NewtonScratch {
             jac: [0.0; MAX_UNKNOWNS * MAX_UNKNOWNS],
-            xp: [0.0; MAX_UNKNOWNS],
             x_prev: [0.0; MAX_UNKNOWNS],
             r: [0.0; MAX_UNKNOWNS],
-            rp: [0.0; MAX_UNKNOWNS],
             rhs: [0.0; MAX_UNKNOWNS],
             backoffs: 0,
         }
@@ -224,11 +232,70 @@ fn residual_norm(rows: impl IntoIterator<Item = f64>) -> f64 {
     })
 }
 
-/// Damped Newton–Raphson on `residual(x) = 0`.
+/// A square nonlinear system `r(x) = 0` for [`newton_solve_with`].
+pub trait System {
+    /// Writes the residual of `x` into `out` (length `x.len()`). May cache
+    /// intermediates for the next [`System::jacobian`] call.
+    fn residual(&mut self, x: &[f64], out: &mut [f64]);
+
+    /// Writes the Jacobian `∂r_i/∂x_j` at `x` into `jac` (row-major,
+    /// `n × n`). The solver calls it only right after
+    /// [`System::residual`] at the same `x`, whose result is `r`.
+    fn jacobian(&mut self, x: &[f64], r: &[f64], jac: &mut [f64]);
+}
+
+/// A residual-only system whose Jacobian is built by forward differences:
+/// one residual per unknown, at `x` with unknown `j` moved by `steps[j]`.
+/// For residuals with no derivative at hand (a ROM lookup, the 1×1
+/// temperature-only solve, the [`newton_solve`] callers).
+pub struct ForwardDifference<'s, F> {
+    residual: F,
+    steps: &'s [f64],
+}
+
+impl<F> core::fmt::Debug for ForwardDifference<'_, F> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("ForwardDifference")
+            .field("steps", &self.steps)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'s, F: FnMut(&[f64], &mut [f64])> ForwardDifference<'s, F> {
+    /// Wraps `residual(x, out)` with per-unknown forward-difference
+    /// `steps`.
+    pub fn new(residual: F, steps: &'s [f64]) -> Self {
+        ForwardDifference { residual, steps }
+    }
+}
+
+impl<F: FnMut(&[f64], &mut [f64])> System for ForwardDifference<'_, F> {
+    fn residual(&mut self, x: &[f64], out: &mut [f64]) {
+        (self.residual)(x, out);
+    }
+
+    fn jacobian(&mut self, x: &[f64], r: &[f64], jac: &mut [f64]) {
+        let n = x.len();
+        debug_assert_eq!(self.steps.len(), n);
+        let (mut xp, mut rp) = ([0.0; MAX_UNKNOWNS], [0.0; MAX_UNKNOWNS]);
+        let (xp, rp) = (&mut xp[..n], &mut rp[..n]);
+        for j in 0..n {
+            xp.copy_from_slice(x);
+            xp[j] += self.steps[j];
+            (self.residual)(xp, rp);
+            for i in 0..n {
+                jac[i * n + j] = (rp[i] - r[i]) / self.steps[j];
+            }
+        }
+    }
+}
+
+/// Damped Newton–Raphson on `residual(x) = 0` with a forward-difference
+/// Jacobian.
 ///
 /// Compatibility wrapper over [`newton_solve_with`] for callers that do not
 /// hold a [`NewtonScratch`]; the residual closure returns a fresh `Vec` per
-/// evaluation. The hot path uses [`newton_solve_with`] directly.
+/// evaluation.
 ///
 /// * `x` — initial guess, updated in place to the solution.
 /// * `residual` — returns the residual vector (same length as `x`).
@@ -255,25 +322,27 @@ pub fn newton_solve<F>(
 where
     F: FnMut(&[f64]) -> Vec<f64>,
 {
-    let mut scratch = NewtonScratch::new();
-    newton_solve_with(
-        &mut scratch,
-        x,
-        |v, out| out.copy_from_slice(&residual(v)),
+    let mut system = ForwardDifference::new(
+        |v: &[f64], out: &mut [f64]| out.copy_from_slice(&residual(v)),
         fd_steps,
+    );
+    newton_solve_with(
+        &mut NewtonScratch::new(),
+        x,
+        &mut system,
         step_limits,
         opts,
         what,
     )
 }
 
-/// Damped Newton–Raphson on `residual(x, out) = 0` with a caller-owned
+/// Damped Newton–Raphson on a [`System`] with a caller-owned
 /// [`NewtonScratch`] — zero heap allocations, so a scratch reused across
 /// conversions makes every solve of the batch hot path allocation-free.
 ///
-/// The residual callback writes the residual of `x` (first argument) into
-/// `out` (second argument, length `x.len()`). All other semantics — and all
-/// floating-point results, bit for bit — match [`newton_solve`].
+/// Each iteration evaluates the residual at `x`, returns on convergence,
+/// and otherwise asks the system for its Jacobian and takes the clamped
+/// Newton step. `step_limits` clamps each component of the update.
 ///
 /// # Panics
 ///
@@ -282,43 +351,34 @@ where
 /// # Errors
 ///
 /// Same as [`newton_solve`].
-pub fn newton_solve_with<F>(
+pub fn newton_solve_with<S: System + ?Sized>(
     scratch: &mut NewtonScratch,
     x: &mut [f64],
-    mut residual: F,
-    fd_steps: &[f64],
+    system: &mut S,
     step_limits: &[f64],
     opts: &NewtonOptions,
     what: &'static str,
-) -> Result<usize, SensorError>
-where
-    F: FnMut(&[f64], &mut [f64]),
-{
+) -> Result<usize, SensorError> {
     let n = x.len();
     assert!(n <= MAX_UNKNOWNS, "newton_solve_with: {n} > MAX_UNKNOWNS");
-    debug_assert_eq!(fd_steps.len(), n);
     debug_assert_eq!(step_limits.len(), n);
 
     let NewtonScratch {
         jac,
-        xp,
         x_prev,
         r,
-        rp,
         rhs,
         backoffs,
     } = scratch;
     let jac = &mut jac[..n * n];
-    let xp = &mut xp[..n];
     let x_prev = &mut x_prev[..n];
     let r = &mut r[..n];
-    let rp = &mut rp[..n];
     let rhs = &mut rhs[..n];
     let mut damp = opts.damping;
     let mut prev_norm = f64::INFINITY;
 
     for iter in 1..=opts.max_iterations {
-        residual(x, r);
+        system.residual(x, r);
         let norm = residual_norm(r.iter().copied());
         if norm < opts.tolerance {
             return Ok(iter);
@@ -339,15 +399,7 @@ where
         }
         prev_norm = norm;
         x_prev.copy_from_slice(x);
-        // Forward-difference Jacobian.
-        for j in 0..n {
-            xp.copy_from_slice(x);
-            xp[j] += fd_steps[j];
-            residual(xp, rp);
-            for i in 0..n {
-                jac[i * n + j] = (rp[i] - r[i]) / fd_steps[j];
-            }
-        }
+        system.jacobian(x, r, jac);
         rhs.copy_from_slice(r);
         let info = solve_linear(jac, rhs, n, what)?;
         if opts.max_condition.is_finite() {
@@ -369,7 +421,7 @@ where
             damp = (damp * 1.5).min(opts.damping);
         }
     }
-    residual(x, r);
+    system.residual(x, r);
     let final_norm = residual_norm(r.iter().copied());
     Err(SensorError::SolverDiverged {
         what,
@@ -393,10 +445,38 @@ pub enum LaneSolve {
     Failed,
 }
 
+/// Up to [`LANES`] independent `N`-unknown systems for
+/// [`newton_solve_lanes`], held column-wise (`x[j][lane]`) so each call
+/// evaluates all lanes in fixed-trip loops.
+///
+/// Both calls receive `active`, the lanes still iterating. The solver never
+/// reads entries of inactive lanes, so an implementation is free to skip
+/// their (transcendental-heavy) evaluation entirely and leave stale values
+/// behind.
+pub trait LaneSystem<const N: usize> {
+    /// Writes the residual of every active lane of `x` into `out`. May
+    /// cache per-lane intermediates for the next
+    /// [`LaneSystem::jacobian`] call.
+    fn residual(
+        &mut self,
+        x: &[[f64; LANES]; N],
+        active: &[bool; LANES],
+        out: &mut [[f64; LANES]; N],
+    );
+
+    /// Writes the Jacobian of every active lane (`jac[i][j][lane]` =
+    /// `∂r_i/∂x_j`). Called only right after [`LaneSystem::residual`] at
+    /// the same `x` and `active`.
+    fn jacobian(
+        &mut self,
+        x: &[[f64; LANES]; N],
+        active: &[bool; LANES],
+        jac: &mut [[[f64; LANES]; N]; N],
+    );
+}
+
 /// Lane-parallel damped Newton–Raphson: up to [`LANES`] independent `N`-
-/// unknown systems advance in lock-step, with the unknowns held column-wise
-/// (`x[j][lane]`) so the residual callback can evaluate all lanes in
-/// fixed-trip loops.
+/// unknown systems advance in lock-step.
 ///
 /// Semantics are pinned to [`NewtonOptions::default()`] — plain full-step
 /// iteration, no adaptive damping, no condition guard — because that is the
@@ -404,39 +484,22 @@ pub enum LaneSolve {
 /// (divergence, singular Jacobian) marks the lane [`LaneSolve::Failed`] and
 /// is replayed through the scalar ladder instead. For every lane that
 /// converges, the iterate trajectory, iteration count and final unknowns
-/// are bit-identical to [`newton_solve_with`] on that lane's system alone.
-///
-/// The residual callback is `residual(x, col, active, out)`:
-/// * `col == None` — evaluate the residual of the base point `x` for every
-///   active lane (write `out[i][lane]`); the callback may cache per-lane
-///   intermediates here,
-/// * `col == Some(j)` — `x` is the base point with row `j` perturbed by
-///   `+fd_steps[j]` in every lane; the callback may reuse base-point
-///   intermediates for rows it knows the perturbation cannot touch
-///   (bit-identical to the scalar path's memo hits, which replay stored
-///   values for exactly those operands),
-/// * `active` — the lanes still iterating at this call. The solver never
-///   reads residual entries of inactive lanes, so the callback is free to
-///   skip their (transcendental-heavy) evaluation entirely and leave stale
-///   values behind; active lanes stay bit-identical either way. Masked,
-///   converged and failed lanes have their unknowns frozen.
+/// are bit-identical to [`newton_solve_with`] on that lane's system alone,
+/// provided the lane system's per-lane arithmetic is the scalar system's.
+/// Masked, converged and failed lanes have their unknowns frozen.
 ///
 /// Returns the per-lane outcome.
 ///
 /// # Panics
 ///
 /// Panics if `N > MAX_UNKNOWNS`.
-pub fn newton_solve_lanes<const N: usize, F>(
+pub fn newton_solve_lanes<const N: usize, S: LaneSystem<N>>(
     x: &mut [[f64; LANES]; N],
     mut active: [bool; LANES],
-    mut residual: F,
-    fd_steps: &[f64; N],
+    system: &mut S,
     step_limits: &[f64; N],
     what: &'static str,
-) -> [LaneSolve; LANES]
-where
-    F: FnMut(&[[f64; LANES]; N], Option<usize>, &[bool; LANES], &mut [[f64; LANES]; N]),
-{
+) -> [LaneSolve; LANES] {
     assert!(N <= MAX_UNKNOWNS, "newton_solve_lanes: {N} > MAX_UNKNOWNS");
     let opts = NewtonOptions::default();
     let mut status = active.map(|a| {
@@ -447,14 +510,13 @@ where
         }
     });
     let mut r = [[0.0; LANES]; N];
-    let mut rp = [[0.0; LANES]; N];
     let mut jac = [[[0.0; LANES]; N]; N];
 
     for iter in 1..=opts.max_iterations {
         if !active.contains(&true) {
             break;
         }
-        residual(x, None, &active, &mut r);
+        system.residual(x, &active, &mut r);
         for l in 0..LANES {
             if !active[l] {
                 continue;
@@ -467,21 +529,7 @@ where
         if !active.contains(&true) {
             break;
         }
-        // Forward-difference Jacobian, one perturbed column at a time
-        // across all lanes.
-        for j in 0..N {
-            let saved = x[j];
-            for xl in x[j].iter_mut() {
-                *xl += fd_steps[j];
-            }
-            residual(x, Some(j), &active, &mut rp);
-            x[j] = saved;
-            for i in 0..N {
-                for l in 0..LANES {
-                    jac[i][j][l] = (rp[i][l] - r[i][l]) / fd_steps[j];
-                }
-            }
-        }
+        system.jacobian(x, &active, &mut jac);
         // Per-lane linear solve and clamped full step (damping 1.0 —
         // multiplying by 1.0 is a bitwise no-op, so it is elided).
         for l in 0..LANES {
@@ -725,8 +773,7 @@ mod tests {
         newton_solve_with(
             &mut scratch,
             &mut x,
-            |v, out| out[0] = v[0].atan(),
-            &[1e-7],
+            &mut ForwardDifference::new(|v, out| out[0] = v[0].atan(), &[1e-7]),
             &[1e6],
             &opts,
             "atan-counted",
@@ -739,8 +786,7 @@ mod tests {
         newton_solve_with(
             &mut scratch,
             &mut x,
-            |v, out| out[0] = v[0] - 0.5,
-            &[1e-7],
+            &mut ForwardDifference::new(|v, out| out[0] = v[0] - 0.5, &[1e-7]),
             &[10.0],
             &NewtonOptions::robust(),
             "linear-counted",
@@ -786,45 +832,124 @@ mod tests {
         .unwrap();
     }
 
+    /// Per-lane analytic systems: `rows(lane, x)` returns the residual
+    /// and the Jacobian of that lane's system at `x`.
+    struct Analytic<F>(F);
+
+    impl<const N: usize, F> LaneSystem<N> for Analytic<F>
+    where
+        F: Fn(usize, [f64; N]) -> ([f64; N], [[f64; N]; N]),
+    {
+        fn residual(
+            &mut self,
+            x: &[[f64; LANES]; N],
+            active: &[bool; LANES],
+            out: &mut [[f64; LANES]; N],
+        ) {
+            for l in (0..LANES).filter(|&l| active[l]) {
+                let (r, _) = (self.0)(l, core::array::from_fn(|j| x[j][l]));
+                for i in 0..N {
+                    out[i][l] = r[i];
+                }
+            }
+        }
+
+        fn jacobian(
+            &mut self,
+            x: &[[f64; LANES]; N],
+            active: &[bool; LANES],
+            jac: &mut [[[f64; LANES]; N]; N],
+        ) {
+            for l in (0..LANES).filter(|&l| active[l]) {
+                let (_, d) = (self.0)(l, core::array::from_fn(|j| x[j][l]));
+                for i in 0..N {
+                    for j in 0..N {
+                        jac[i][j][l] = d[i][j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// One lane of an [`Analytic`] system as a scalar [`System`], counting
+    /// its Jacobian calls.
+    struct OneLane<'a, F, const N: usize> {
+        rows: &'a F,
+        lane: usize,
+        jacobians: usize,
+    }
+
+    impl<F, const N: usize> System for OneLane<'_, F, N>
+    where
+        F: Fn(usize, [f64; N]) -> ([f64; N], [[f64; N]; N]),
+    {
+        fn residual(&mut self, x: &[f64], out: &mut [f64]) {
+            out.copy_from_slice(&(self.rows)(self.lane, core::array::from_fn(|j| x[j])).0);
+        }
+
+        fn jacobian(&mut self, x: &[f64], _: &[f64], jac: &mut [f64]) {
+            self.jacobians += 1;
+            let (_, d) = (self.rows)(self.lane, core::array::from_fn(|j| x[j]));
+            for i in 0..N {
+                jac[i * N..(i + 1) * N].copy_from_slice(&d[i]);
+            }
+        }
+    }
+
+    /// Solves lane `lane` of `rows` alone with the scalar solver under the
+    /// default tuning: `(result, unknowns, Jacobian calls)`.
+    fn scalar_lane<F, const N: usize>(
+        rows: &F,
+        lane: usize,
+        x0: [f64; N],
+        limits: &[f64; N],
+    ) -> (Result<usize, SensorError>, [f64; N], usize)
+    where
+        F: Fn(usize, [f64; N]) -> ([f64; N], [[f64; N]; N]),
+    {
+        let mut system = OneLane {
+            rows,
+            lane,
+            jacobians: 0,
+        };
+        let mut x = x0;
+        let r = newton_solve_with(
+            &mut NewtonScratch::new(),
+            &mut x,
+            &mut system,
+            limits,
+            &NewtonOptions::default(),
+            "scalar-lane",
+        );
+        (r, x, system.jacobians)
+    }
+
     #[test]
     fn lane_newton_matches_scalar_trajectories() {
         // Eight independent 2-unknown systems x·y = c, x + y = s with
         // per-lane constants: every lane must converge to the scalar
         // solver's answer bit for bit, in the same number of iterations.
-        let mut c = [0.0; LANES];
-        let mut s = [0.0; LANES];
-        for l in 0..LANES {
-            c[l] = 4.0 + l as f64;
-            s[l] = 5.0 + 0.5 * l as f64;
-        }
+        let c: [f64; LANES] = core::array::from_fn(|l| 4.0 + l as f64);
+        let s: [f64; LANES] = core::array::from_fn(|l| 5.0 + 0.5 * l as f64);
+        let rows = |l: usize, v: [f64; 2]| {
+            (
+                [v[0] * v[1] - c[l], v[0] + v[1] - s[l]],
+                [[v[1], v[0]], [1.0, 1.0]],
+            )
+        };
         let mut x = [[1.0; LANES], [4.0; LANES]];
         let status = newton_solve_lanes(
             &mut x,
             [true; LANES],
-            |x, _, active, out| {
-                for l in 0..LANES {
-                    if !active[l] {
-                        continue;
-                    }
-                    out[0][l] = x[0][l] * x[1][l] - c[l];
-                    out[1][l] = x[0][l] + x[1][l] - s[l];
-                }
-            },
-            &[1e-7, 1e-7],
+            &mut Analytic(rows),
             &[10.0, 10.0],
             "lane-2d",
         );
         for l in 0..LANES {
-            let mut xs = [1.0, 4.0];
-            let iters = newton_solve(
-                &mut xs,
-                |v| vec![v[0] * v[1] - c[l], v[0] + v[1] - s[l]],
-                &[1e-7, 1e-7],
-                &[10.0, 10.0],
-                &NewtonOptions::default(),
-                "scalar-2d",
-            )
-            .unwrap();
+            let (iters, xs, jacobians) = scalar_lane(&rows, l, [1.0, 4.0], &[10.0, 10.0]);
+            let iters = iters.unwrap();
+            // A converged final iteration asks for no Jacobian.
+            assert_eq!(jacobians, iters - 1, "lane {l}");
             assert_eq!(status[l], LaneSolve::Converged(iters), "lane {l}");
             assert_eq!(x[0][l].to_bits(), xs[0].to_bits(), "lane {l}");
             assert_eq!(x[1][l].to_bits(), xs[1].to_bits(), "lane {l}");
@@ -836,38 +961,19 @@ mod tests {
         // Lane 3 has no root (x² + 1 = 0); every other lane solves x² = c.
         let mut c = [2.0; LANES];
         c[3] = -1.0;
+        let rows = |l: usize, v: [f64; 1]| ([v[0] * v[0] - c[l]], [[2.0 * v[0]]]);
         let mut x = [[1.0; LANES]];
         let status = newton_solve_lanes(
             &mut x,
             [true; LANES],
-            |x, _, active, out| {
-                for l in 0..LANES {
-                    if !active[l] {
-                        continue;
-                    }
-                    out[0][l] = x[0][l] * x[0][l] - c[l];
-                }
-            },
-            &[1e-7],
+            &mut Analytic(rows),
             &[10.0],
             "lane-sqrt",
         );
         assert_eq!(status[3], LaneSolve::Failed);
-        for l in 0..LANES {
-            if l == 3 {
-                continue;
-            }
-            let mut xs = [1.0];
-            let iters = newton_solve(
-                &mut xs,
-                |v| vec![v[0] * v[0] - c[l]],
-                &[1e-7],
-                &[10.0],
-                &NewtonOptions::default(),
-                "scalar-sqrt",
-            )
-            .unwrap();
-            assert_eq!(status[l], LaneSolve::Converged(iters), "lane {l}");
+        for l in (0..LANES).filter(|&l| l != 3) {
+            let (iters, xs, _) = scalar_lane(&rows, l, [1.0], &[10.0]);
+            assert_eq!(status[l], LaneSolve::Converged(iters.unwrap()), "lane {l}");
             assert_eq!(x[0][l].to_bits(), xs[0].to_bits(), "lane {l}");
         }
     }
@@ -881,15 +987,7 @@ mod tests {
         let status = newton_solve_lanes(
             &mut x,
             active,
-            |x, _, active, out| {
-                for l in 0..LANES {
-                    if !active[l] {
-                        continue;
-                    }
-                    out[0][l] = x[0][l] - 1.0;
-                }
-            },
-            &[1e-7],
+            &mut Analytic(|_, v: [f64; 1]| ([v[0] - 1.0], [[1.0]])),
             &[100.0],
             "lane-masked",
         );
@@ -973,8 +1071,7 @@ mod tests {
         newton_solve_with(
             &mut scratch,
             &mut x,
-            |v, out| out[0] = v[0].ln() + 2.0,
-            &[1e-7],
+            &mut ForwardDifference::new(|v, out| out[0] = v[0].ln() + 2.0, &[1e-7]),
             &[100.0],
             &NewtonOptions::robust(),
             "nan-revert",
@@ -990,48 +1087,29 @@ mod tests {
         // other lane solves x·y = c, x + y = s. The NaN lanes must fail
         // (the caller then re-runs them through the scalar ladder) and the
         // neighbours must keep the scalar trajectory bit for bit.
-        let mut c = [0.0; LANES];
-        let mut s = [0.0; LANES];
-        for l in 0..LANES {
-            c[l] = 4.0 + l as f64;
-            s[l] = 5.0 + 0.5 * l as f64;
-        }
-        let rows = |l: usize, v: [f64; 2]| match l {
-            2 => [f64::NAN, f64::NAN],
-            5 => [v[0] * v[1] - c[l], f64::NAN],
-            _ => [v[0] * v[1] - c[l], v[0] + v[1] - s[l]],
+        let c: [f64; LANES] = core::array::from_fn(|l| 4.0 + l as f64);
+        let s: [f64; LANES] = core::array::from_fn(|l| 5.0 + 0.5 * l as f64);
+        let rows = |l: usize, v: [f64; 2]| {
+            let jac = [[v[1], v[0]], [1.0, 1.0]];
+            match l {
+                2 => ([f64::NAN, f64::NAN], jac),
+                5 => ([v[0] * v[1] - c[l], f64::NAN], jac),
+                _ => ([v[0] * v[1] - c[l], v[0] + v[1] - s[l]], jac),
+            }
         };
         let mut x = [[1.0; LANES], [4.0; LANES]];
         let status = newton_solve_lanes(
             &mut x,
             [true; LANES],
-            |x, _, active, out| {
-                for l in 0..LANES {
-                    if active[l] {
-                        let r = rows(l, [x[0][l], x[1][l]]);
-                        out[0][l] = r[0];
-                        out[1][l] = r[1];
-                    }
-                }
-            },
-            &[1e-7, 1e-7],
+            &mut Analytic(rows),
             &[10.0, 10.0],
             "lane-nan",
         );
         assert_eq!(status[2], LaneSolve::Failed);
         assert_eq!(status[5], LaneSolve::Failed);
         for l in (0..LANES).filter(|&l| l != 2 && l != 5) {
-            let mut xs = [1.0, 4.0];
-            let iters = newton_solve(
-                &mut xs,
-                |v| rows(l, [v[0], v[1]]).to_vec(),
-                &[1e-7, 1e-7],
-                &[10.0, 10.0],
-                &NewtonOptions::default(),
-                "scalar-2d",
-            )
-            .unwrap();
-            assert_eq!(status[l], LaneSolve::Converged(iters), "lane {l}");
+            let (iters, xs, _) = scalar_lane(&rows, l, [1.0, 4.0], &[10.0, 10.0]);
+            assert_eq!(status[l], LaneSolve::Converged(iters.unwrap()), "lane {l}");
             assert_eq!(x[0][l].to_bits(), xs[0].to_bits(), "lane {l}");
             assert_eq!(x[1][l].to_bits(), xs[1].to_bits(), "lane {l}");
         }

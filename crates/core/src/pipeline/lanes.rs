@@ -42,29 +42,37 @@
 //!
 //! **Bit-identity contract.** Lane `l` of every column sees exactly the
 //! float operations, in exactly the order, that the scalar solver applies
-//! to die `l` — the lane residuals replicate the scalar residuals'
-//! exact-memoization reuse pattern (base-point currents are reused by the
-//! Jacobian columns that cannot perturb them, the shared thermal point is
-//! hoisted) and [`newton_solve_lanes`] replicates the scalar iteration
-//! schedule per lane. A population converted through the lane kernel is
-//! therefore *bit-identical* to the retained scalar path, which remains
-//! the default for single reads and the oracle every golden gate runs on.
+//! to die `l`: the lane systems (`ConversionLanes`, `CalibrationLanes`)
+//! run the lane forms of the scalar rows' kernels (`RingRows`, the
+//! device and ring partials) and assemble their Jacobians with the same
+//! row functions, and [`newton_solve_lanes`] replicates the scalar
+//! iteration schedule per lane. A population converted through the lane
+//! kernel is therefore *bit-identical* to the retained scalar path, which
+//! remains the default for single reads and the oracle every golden gate
+//! runs on.
 //!
-//! **Shared bias factors.** Beyond the scalar memo, the lane residuals
-//! evaluate each device's softplus bias factor once per (polarity, supply,
-//! ΔVt column) and recombine it per ring (`RingRows`): the factor reads
-//! no ring geometry, so rings at bit-equal supplies with bit-equal polarity
-//! constants get the identical value. Per lane-iteration (base point plus
-//! one Jacobian column per unknown) the libm calls are:
+//! **Analytic Jacobians and shared factors.** Each residual pass computes
+//! the device and ring partials along with the values, so the Jacobian
+//! costs arithmetic only and no extra model evaluation. Each device's
+//! softplus bias factor is evaluated once per (polarity, supply, ΔVt
+//! column) and recombined per ring (`RingRows`): the factor reads no ring
+//! geometry, so rings at bit-equal supplies with bit-equal polarity
+//! constants get the identical value. Per lane-iteration the libm calls
+//! are:
 //!
-//! | solve | unshared | shared |
+//! | solve | forward-difference Jacobian, shared factors | analytic Jacobian |
 //! |---|---|---|
-//! | 3×3 conversion (PSRO-N, PSRO-P share `vdd_low`) | 54 | 42 |
-//! | 4×4 calibration (the PSROs share each supply) | 68 | 44 |
+//! | 3×3 conversion (PSRO-N, PSRO-P share `vdd_low`) | 42 | 14 |
+//! | 4×4 calibration (the PSROs share each supply) | 44 | 12 |
 //!
-//! The conversion counts one `powf` (thermal point) and two `exp` (drain
-//! factors) for the base point and the temperature column, two calls per
-//! bias factor (`exp`, `ln_1p`) and one `ln` per residual row.
+//! The conversion counts one `powf` (thermal point), two `exp` (drain
+//! factors, one per supply), two calls per bias factor (`exp`, `ln_1p`;
+//! four factors) and one `ln` per residual row. The calibration holds the
+//! temperature, so its thermal point and drain factors are hoisted out of
+//! the solve: four bias factors and four `ln`s remain. The forward-
+//! difference column counts add, per iteration, a full re-evaluation for
+//! the temperature column and one device's factors plus every row's `ln`
+//! for each threshold or mobility column.
 //!
 //! **Masking and fallback.** Partial chunks (population size not a
 //! multiple of [`LANES`]) leave trailing lanes masked: they are excluded
@@ -84,31 +92,23 @@ use crate::calib::Calibration;
 use crate::error::SensorError;
 use crate::health::Health;
 use crate::metrics::{Stage, StageTimer};
-use crate::newton::{newton_solve_lanes, LaneSolve};
+use crate::newton::{newton_solve_lanes, LaneSolve, LaneSystem};
 use crate::pipeline::batch::DieConversion;
 use crate::pipeline::gate::{self, Gated};
 use crate::pipeline::output::Reading;
-use crate::pipeline::solve::{self, Solved};
+use crate::pipeline::solve::{
+    self, calibration_jacobian_row, calibration_rows, conversion_jacobian_row, conversion_rows,
+    RingRows, Solved, CAL_STEP_LIMITS, CONV_STEP_LIMITS, NMOS, PMOS,
+};
 use crate::pipeline::{begin, finish, finish_calibration, solve_one, Begun, Pass, Scratch};
 use crate::sensor::{PtSensor, SensorInputs};
-use ptsim_circuit::ring::RingCache;
-use ptsim_device::delay::{DelayCache, ThermalPoint};
+use ptsim_circuit::ring::LnFrequency;
+use ptsim_device::delay::{DrainFactor, OnCurrent, ThermalPoint};
 use ptsim_device::units::{Celsius, Volt};
-use ptsim_device::MosPolarity;
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_rng::Rng;
 
 pub use ptsim_device::delay::LANES;
-
-/// Finite-difference steps of the 3×3 conversion decoupling (must match
-/// the scalar solver's).
-const CONV_FD_STEPS: [f64; 3] = [0.01, 1e-4, 1e-4];
-/// Per-unknown step limits of the 3×3 conversion decoupling.
-const CONV_STEP_LIMITS: [f64; 3] = [40.0, 0.03, 0.03];
-/// Finite-difference steps of the 4×4 calibration decoupling.
-const CAL_FD_STEPS: [f64; 4] = [1e-4, 1e-4, 1e-3, 1e-3];
-/// Per-unknown step limits of the 4×4 calibration decoupling.
-const CAL_STEP_LIMITS: [f64; 4] = [0.04, 0.04, 0.15, 0.15];
 
 /// Column-wise carrier of up to [`LANES`] independently-gated conversions
 /// against one sensor design: the per-die calibration parameters, measured
@@ -228,82 +228,6 @@ impl LaneBatch {
     }
 }
 
-const NMOS: MosPolarity = MosPolarity::Nmos;
-const PMOS: MosPolarity = MosPolarity::Pmos;
-
-/// The model rows of one lane solve — each row's ring and supply — and,
-/// per polarity, which row's bias factor each row reuses.
-///
-/// A device's bias factor (`softplus`, one `exp` and one `ln_1p`) reads
-/// only its polarity constants, `2n`, the thermal point, the supply and the
-/// threshold column, never the ring geometry. Rows whose supplies are
-/// bit-equal and whose devices [share the
-/// factor](DelayCache::shares_bias_factor) therefore get the identical
-/// value from one evaluation; each row still recombines it with its own
-/// geometry. The share is derived here from the operands, never assumed:
-/// rows that differ in any of them evaluate their own factor.
-struct RingRows<'a, const R: usize> {
-    rings: [&'a RingCache; R],
-    vdds: [Volt; R],
-    /// `share_n[i]`: the first row whose NMOS factor row `i` reuses
-    /// (`i` itself when no earlier row shares it).
-    share_n: [usize; R],
-    /// PMOS counterpart of `share_n`.
-    share_p: [usize; R],
-}
-
-impl<'a, const R: usize> RingRows<'a, R> {
-    fn new(rings: [&'a RingCache; R], vdds: [Volt; R]) -> Self {
-        let share = |pol| {
-            core::array::from_fn(|i| {
-                (0..i)
-                    .find(|&j| {
-                        vdds[j].0.to_bits() == vdds[i].0.to_bits()
-                            && rings[j].delay().shares_bias_factor(rings[i].delay(), pol)
-                    })
-                    .unwrap_or(i)
-            })
-        };
-        RingRows {
-            rings,
-            vdds,
-            share_n: share(NMOS),
-            share_p: share(PMOS),
-        }
-    }
-
-    /// Polarity-`pol` on-currents of every row at threshold column `dvt`:
-    /// each distinct bias factor is evaluated once, then recombined per
-    /// ring. Bit-identical, per row and lane, to
-    /// [`DelayCache::nmos_current`]/[`DelayCache::pmos_current`].
-    // One SoA column per parameter, as in the device-level lane kernels.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn currents(
-        &self,
-        pol: MosPolarity,
-        th: &[ThermalPoint; LANES],
-        dvt: &[f64; LANES],
-        mu: &[f64; LANES],
-        drains: [&[f64; LANES]; R],
-        live: &[bool; LANES],
-        out: &mut [[f64; LANES]; R],
-    ) {
-        let share = match pol {
-            MosPolarity::Nmos => &self.share_n,
-            MosPolarity::Pmos => &self.share_p,
-        };
-        let mut g = [[0.0; LANES]; R];
-        for i in 0..R {
-            let delay = self.rings[i].delay();
-            if share[i] == i {
-                delay.bias_factor_lanes(pol, th, self.vdds[i], dvt, live, &mut g[i]);
-            }
-            delay.current_from_bias_lanes(pol, th, &g[share[i]], mu, drains[i], live, &mut out[i]);
-        }
-    }
-}
-
 /// Lane-parallel form of the scalar `solve_gated` solver:
 /// solves every occupied lane of `batch` jointly, writing lane `l`'s result
 /// to `out[l]` and recording its health events in `healths[l]`.
@@ -376,6 +300,67 @@ pub fn solve_gated_lanes(
     }
 }
 
+/// The lane form of [`ConversionRows`](crate::pipeline::solve::ConversionRows):
+/// the analytic 3×3 conversion rows of every occupied lane of a
+/// [`LaneBatch`], with the partials of the last residual pass cached for
+/// the Jacobian.
+pub(crate) struct ConversionLanes<'a> {
+    rows: RingRows<'a, 3>,
+    batch: &'a LaneBatch,
+    n: [[OnCurrent; LANES]; 3],
+    p: [[OnCurrent; LANES]; 3],
+    f: [[LnFrequency; LANES]; 3],
+}
+
+impl<'a> ConversionLanes<'a> {
+    pub(crate) fn new(sensor: &'a PtSensor, batch: &'a LaneBatch) -> Self {
+        ConversionLanes {
+            rows: conversion_rows(sensor),
+            batch,
+            n: [[OnCurrent::default(); LANES]; 3],
+            p: [[OnCurrent::default(); LANES]; 3],
+            f: [[LnFrequency::default(); LANES]; 3],
+        }
+    }
+}
+
+impl LaneSystem<3> for ConversionLanes<'_> {
+    fn residual(
+        &mut self,
+        x: &[[f64; LANES]; 3],
+        live: &[bool; LANES],
+        out: &mut [[f64; LANES]; 3],
+    ) {
+        let (rows, b) = (&self.rows, self.batch);
+        let th = rows.rings[0].delay().thermal_lanes(&x[0], live);
+        let drains = rows.drains_lanes(&th, live);
+        rows.currents_lanes(NMOS, &th, &x[1], &b.mu_n, &drains, live, &mut self.n);
+        rows.currents_lanes(PMOS, &th, &x[2], &b.mu_p, &drains, live, &mut self.p);
+        rows.ln_frequencies_lanes(&self.n, &self.p, live, &mut self.f);
+        for l in (0..LANES).filter(|&l| live[l]) {
+            out[0][l] = self.f[0][l].ln_f - b.ln_ft[l] + b.ln_scale[l];
+            out[1][l] = self.f[1][l].ln_f - b.ln_fn[l];
+            out[2][l] = self.f[2][l].ln_f - b.ln_fp[l];
+        }
+    }
+
+    fn jacobian(
+        &mut self,
+        _: &[[f64; LANES]; 3],
+        live: &[bool; LANES],
+        jac: &mut [[[f64; LANES]; 3]; 3],
+    ) {
+        for (i, jac_i) in jac.iter_mut().enumerate() {
+            for l in (0..LANES).filter(|&l| live[l]) {
+                let row = conversion_jacobian_row(&self.f[i][l], &self.n[i][l], &self.p[i][l]);
+                for (jac_ij, d) in jac_i.iter_mut().zip(row) {
+                    jac_ij[l] = d;
+                }
+            }
+        }
+    }
+}
+
 /// Lane-parallel form of the analytic 3×3 conversion decoupling under the
 /// default Newton tuning: solves the occupied lanes of `batch` jointly and
 /// returns the unknowns column-wise (`x[j][l]` = unknown `j` of lane `l`)
@@ -392,115 +377,98 @@ pub(crate) fn solve_conversion_lanes(
         sensor.characterized_model().is_none(),
         "the lane kernel is analytic-only; characterized sensors take the scalar path"
     );
-    let spec = sensor.spec;
-    let rows = RingRows::new(
-        [
-            sensor.cache.ring(RoClass::Tsro),
-            sensor.cache.ring(RoClass::PsroN),
-            sensor.cache.ring(RoClass::PsroP),
-        ],
-        [spec.bank.vdd_tsro, spec.bank.vdd_low, spec.bank.vdd_low],
-    );
     let mut active = [false; LANES];
     active[..batch.len()].fill(true);
     let mut x = batch.x;
-
-    // Base-point cache replicating the scalar residual's exact memoization:
-    // the thermal point and both drain factors are functions of the
-    // temperature column only, and each device's currents are untouched by
-    // the *other* device's threshold column, so the perturbed Jacobian
-    // columns replay these stored values exactly as the scalar memo does.
-    let th_seed = sensor.cache.thermal(spec.calib_temp);
-    let mut th = [th_seed; LANES];
-    let mut dt = [0.0; LANES];
-    let mut dl = [0.0; LANES];
-    let mut ions_n = [[0.0; LANES]; 3];
-    let mut ions_p = [[0.0; LANES]; 3];
-
     let statuses = newton_solve_lanes(
         &mut x,
         active,
-        |x: &[[f64; LANES]; 3],
-         col: Option<usize>,
-         live: &[bool; LANES],
-         out: &mut [[f64; LANES]; 3]| {
-            let residuals =
-                |nn: &[[f64; LANES]; 3], pp: &[[f64; LANES]; 3], out: &mut [[f64; LANES]; 3]| {
-                    let mut f = [0.0; LANES];
-                    for i in 0..3 {
-                        rows.rings[i].frequency_from_currents_lanes(
-                            &nn[i],
-                            &pp[i],
-                            rows.vdds[i],
-                            live,
-                            &mut f,
-                        );
-                        if i == 0 {
-                            for l in 0..LANES {
-                                if live[l] {
-                                    out[0][l] = f[l].ln() - batch.ln_ft[l] + batch.ln_scale[l];
-                                }
-                            }
-                        } else {
-                            let ln_m = if i == 1 { &batch.ln_fn } else { &batch.ln_fp };
-                            for l in 0..LANES {
-                                if live[l] {
-                                    out[i][l] = f[l].ln() - ln_m[l];
-                                }
-                            }
-                        }
-                    }
-                };
-            match col {
-                None => {
-                    // Base point: refresh every cached column (live lanes
-                    // only — a retired lane's stale cache is never read).
-                    th = rows.rings[0].delay().thermal_lanes(&x[0], live);
-                    DelayCache::drain_factor_lanes(&th, spec.bank.vdd_tsro, live, &mut dt);
-                    DelayCache::drain_factor_lanes(&th, spec.bank.vdd_low, live, &mut dl);
-                    let drains = [&dt, &dl, &dl];
-                    rows.currents(NMOS, &th, &x[1], &batch.mu_n, drains, live, &mut ions_n);
-                    rows.currents(PMOS, &th, &x[2], &batch.mu_p, drains, live, &mut ions_p);
-                    residuals(&ions_n, &ions_p, out);
-                }
-                Some(0) => {
-                    // Temperature column: everything depends on it — fresh
-                    // locals, the base cache stays resident for columns 1–2.
-                    let th0 = rows.rings[0].delay().thermal_lanes(&x[0], live);
-                    let mut dt0 = [0.0; LANES];
-                    let mut dl0 = [0.0; LANES];
-                    DelayCache::drain_factor_lanes(&th0, spec.bank.vdd_tsro, live, &mut dt0);
-                    DelayCache::drain_factor_lanes(&th0, spec.bank.vdd_low, live, &mut dl0);
-                    let drains = [&dt0, &dl0, &dl0];
-                    let mut nn = [[0.0; LANES]; 3];
-                    let mut pp = [[0.0; LANES]; 3];
-                    rows.currents(NMOS, &th0, &x[1], &batch.mu_n, drains, live, &mut nn);
-                    rows.currents(PMOS, &th0, &x[2], &batch.mu_p, drains, live, &mut pp);
-                    residuals(&nn, &pp, out);
-                }
-                Some(1) => {
-                    // ΔVtn column: temperature unchanged — reuse the base
-                    // thermal/drain cache and the untouched PMOS currents.
-                    let mut nn = [[0.0; LANES]; 3];
-                    let drains = [&dt, &dl, &dl];
-                    rows.currents(NMOS, &th, &x[1], &batch.mu_n, drains, live, &mut nn);
-                    residuals(&nn, &ions_p, out);
-                }
-                Some(2) => {
-                    // ΔVtp column: reuse base cache and NMOS currents.
-                    let mut pp = [[0.0; LANES]; 3];
-                    let drains = [&dt, &dl, &dl];
-                    rows.currents(PMOS, &th, &x[2], &batch.mu_p, drains, live, &mut pp);
-                    residuals(&ions_n, &pp, out);
-                }
-                Some(j) => unreachable!("3x3 solve has no column {j}"),
-            }
-        },
-        &CONV_FD_STEPS,
+        &mut ConversionLanes::new(sensor, batch),
         &CONV_STEP_LIMITS,
         "conversion decoupling",
     );
     (x, statuses)
+}
+
+/// The lane form of
+/// [`CalibrationRows`](crate::pipeline::solve::CalibrationRows): the
+/// analytic 4×4 calibration rows of lanes `0..n` against per-lane measured
+/// frequencies.
+pub(crate) struct CalibrationLanes<'a> {
+    rows: RingRows<'a, 4>,
+    /// The calibration temperature's thermal point and drain factors,
+    /// shared by every lane (same sensor design, same assumed boot
+    /// temperature): what the scalar rows hoist per die hoists per chunk.
+    th: [ThermalPoint; LANES],
+    drains: [[DrainFactor; LANES]; 4],
+    ln_m: [[f64; LANES]; 4],
+    n: [[OnCurrent; LANES]; 4],
+    p: [[OnCurrent; LANES]; 4],
+    f: [[LnFrequency; LANES]; 4],
+}
+
+impl<'a> CalibrationLanes<'a> {
+    pub(crate) fn new(
+        sensor: &'a PtSensor,
+        plan: &[(RoClass, Volt); 4],
+        measured: &[[f64; 4]; LANES],
+        n: usize,
+    ) -> Self {
+        let rows = calibration_rows(sensor, plan);
+        let th = sensor.cache.thermal(sensor.spec.calib_temp);
+        let drains = rows.drains(&th).map(|d| [d; LANES]);
+        let mut ln_m = [[0.0; LANES]; 4];
+        for (l, m) in measured.iter().enumerate().take(n) {
+            for (slot, lm) in ln_m.iter_mut().enumerate() {
+                lm[l] = m[slot].ln();
+            }
+        }
+        CalibrationLanes {
+            rows,
+            th: [th; LANES],
+            drains,
+            ln_m,
+            n: [[OnCurrent::default(); LANES]; 4],
+            p: [[OnCurrent::default(); LANES]; 4],
+            f: [[LnFrequency::default(); LANES]; 4],
+        }
+    }
+}
+
+impl LaneSystem<4> for CalibrationLanes<'_> {
+    fn residual(
+        &mut self,
+        x: &[[f64; LANES]; 4],
+        live: &[bool; LANES],
+        out: &mut [[f64; LANES]; 4],
+    ) {
+        let (rows, th, d) = (&self.rows, &self.th, &self.drains);
+        rows.currents_lanes(NMOS, th, &x[0], &x[2], d, live, &mut self.n);
+        rows.currents_lanes(PMOS, th, &x[1], &x[3], d, live, &mut self.p);
+        rows.ln_frequencies_lanes(&self.n, &self.p, live, &mut self.f);
+        for ((out_s, f), ln_m) in out.iter_mut().zip(&self.f).zip(&self.ln_m) {
+            for l in (0..LANES).filter(|&l| live[l]) {
+                out_s[l] = f[l].ln_f - ln_m[l];
+            }
+        }
+    }
+
+    fn jacobian(
+        &mut self,
+        x: &[[f64; LANES]; 4],
+        live: &[bool; LANES],
+        jac: &mut [[[f64; LANES]; 4]; 4],
+    ) {
+        for (i, jac_i) in jac.iter_mut().enumerate() {
+            for l in (0..LANES).filter(|&l| live[l]) {
+                let (f, n, p) = (&self.f[i][l], &self.n[i][l], &self.p[i][l]);
+                let row = calibration_jacobian_row(f, n, p, x[2][l], x[3][l]);
+                for (jac_ij, d) in jac_i.iter_mut().zip(row) {
+                    jac_ij[l] = d;
+                }
+            }
+        }
+    }
 }
 
 /// Lane-parallel form of the analytic 4×4 calibration decoupling under the
@@ -520,87 +488,13 @@ pub(crate) fn solve_calibration_lanes(
     x: &mut [[f64; LANES]; 4],
 ) -> [LaneSolve; LANES] {
     debug_assert!(sensor.characterized_model().is_none());
-    let t_cal = sensor.spec.calib_temp;
-    // Chunk-wide hoists: the calibration temperature — and with it the
-    // thermal point and per-row drain factors — is shared by every lane
-    // (same sensor design, same assumed boot temperature), so what the
-    // scalar solver hoists per die hoists per chunk here.
-    let th = sensor.cache.thermal(t_cal);
-    let th_l = [th; LANES];
-    let rows = RingRows::new(
-        plan.map(|(class, _)| sensor.cache.ring(class)),
-        plan.map(|(_, vdd)| vdd),
-    );
-    let drains = plan.map(|(_, vdd)| DelayCache::drain_factor(&th, vdd));
-    let drains_l: [[f64; LANES]; 4] = core::array::from_fn(|i| [drains[i]; LANES]);
-    let drains_l = drains_l.each_ref();
-    let mut ln_m = [[0.0; LANES]; 4];
-    for (l, m) in measured.iter().enumerate().take(n) {
-        for (slot, lm) in ln_m.iter_mut().enumerate() {
-            lm[l] = m[slot].ln();
-        }
-    }
     let mut active = [false; LANES];
     active[..n].fill(true);
     *x = [[0.0; LANES], [0.0; LANES], [1.0; LANES], [1.0; LANES]];
-
-    let mut n_base = [[0.0; LANES]; 4];
-    let mut p_base = [[0.0; LANES]; 4];
     newton_solve_lanes(
         x,
         active,
-        |x: &[[f64; LANES]; 4],
-         col: Option<usize>,
-         live: &[bool; LANES],
-         out: &mut [[f64; LANES]; 4]| {
-            let residuals =
-                |nn: &[[f64; LANES]; 4], pp: &[[f64; LANES]; 4], out: &mut [[f64; LANES]; 4]| {
-                    let mut f = [0.0; LANES];
-                    for slot in 0..4 {
-                        rows.rings[slot].frequency_from_currents_lanes(
-                            &nn[slot],
-                            &pp[slot],
-                            rows.vdds[slot],
-                            live,
-                            &mut f,
-                        );
-                        for l in 0..LANES {
-                            if live[l] {
-                                out[slot][l] = f[l].ln() - ln_m[slot][l];
-                            }
-                        }
-                    }
-                };
-            // NMOS currents depend on `(x[0], x[2])`, PMOS on `(x[1], x[3])`
-            // — each perturbed column recomputes only the device it touches
-            // and replays the base values of the other, exactly like the
-            // scalar solver's current memo.
-            let n_fresh = |x: &[[f64; LANES]; 4], nn: &mut [[f64; LANES]; 4]| {
-                rows.currents(NMOS, &th_l, &x[0], &x[2], drains_l, live, nn);
-            };
-            let p_fresh = |x: &[[f64; LANES]; 4], pp: &mut [[f64; LANES]; 4]| {
-                rows.currents(PMOS, &th_l, &x[1], &x[3], drains_l, live, pp);
-            };
-            match col {
-                None => {
-                    n_fresh(x, &mut n_base);
-                    p_fresh(x, &mut p_base);
-                    residuals(&n_base, &p_base, out);
-                }
-                Some(0) | Some(2) => {
-                    let mut nn = [[0.0; LANES]; 4];
-                    n_fresh(x, &mut nn);
-                    residuals(&nn, &p_base, out);
-                }
-                Some(1) | Some(3) => {
-                    let mut pp = [[0.0; LANES]; 4];
-                    p_fresh(x, &mut pp);
-                    residuals(&n_base, &pp, out);
-                }
-                Some(j) => unreachable!("4x4 solve has no column {j}"),
-            }
-        },
-        &CAL_FD_STEPS,
+        &mut CalibrationLanes::new(sensor, plan, measured, n),
         &CAL_STEP_LIMITS,
         "calibration decoupling",
     )
@@ -872,6 +766,7 @@ mod tests {
     use crate::newton::{NewtonOptions, NewtonScratch};
     use crate::sensor::SensorSpec;
     use ptsim_circuit::energy::EnergyLedger;
+    use ptsim_device::delay::DelayCache;
     use ptsim_device::process::Technology;
     use ptsim_rng::{forall, Pcg64};
 
@@ -998,7 +893,8 @@ mod tests {
     }
 
     /// Every row's shared-factor current against the unshared scalar
-    /// current of its own ring, lane by lane, with one masked lane.
+    /// current of its own ring, lane by lane, with one masked lane; and
+    /// the scalar rows against the lane rows.
     fn assert_rows_match<const R: usize>(
         rows: &RingRows<'_, R>,
         th: &[ThermalPoint; LANES],
@@ -1006,31 +902,32 @@ mod tests {
         mu: &[f64; LANES],
         live: &[bool; LANES],
     ) {
-        let drains: [[f64; LANES]; R] = core::array::from_fn(|i| {
-            let mut d = [0.0; LANES];
-            DelayCache::drain_factor_lanes(th, rows.vdds[i], live, &mut d);
-            d
-        });
+        let drains = rows.drains_lanes(th, live);
+        let bits = |c: &OnCurrent| [c.i, c.dln_dvt, c.dln_dt].map(f64::to_bits);
         for pol in [NMOS, PMOS] {
-            let mut out = [[-1.0; LANES]; R];
-            rows.currents(pol, th, dvt, mu, drains.each_ref(), live, &mut out);
-            for i in 0..R {
-                let delay = rows.rings[i].delay();
-                for l in 0..LANES {
-                    if !live[l] {
-                        assert_eq!(out[i][l], -1.0, "masked lane written");
-                        continue;
+            let mut out = [[OnCurrent::default(); LANES]; R];
+            rows.currents_lanes(pol, th, dvt, mu, &drains, live, &mut out);
+            for l in 0..LANES {
+                if !live[l] {
+                    for row in &out {
+                        assert_eq!(row[l], OnCurrent::default(), "masked lane written");
                     }
-                    let (v, d) = (rows.vdds[i], drains[i][l]);
-                    let scalar = match pol {
-                        MosPolarity::Nmos => delay.nmos_current(&th[l], v, dvt[l], mu[l], d),
-                        MosPolarity::Pmos => delay.pmos_current(&th[l], v, dvt[l], mu[l], d),
-                    };
+                    continue;
+                }
+                let scalar_drains = rows.drains(&th[l]);
+                let scalar_rows = rows.currents(pol, &th[l], dvt[l], mu[l], &scalar_drains);
+                for i in 0..R {
+                    let delay = rows.rings[i].delay();
+                    let d = DelayCache::drain_partials(&th[l], rows.vdds[i]);
+                    assert_eq!(drains[i][l], d, "row {i} lane {l}");
+                    let b = delay.bias_partials(pol, &th[l], rows.vdds[i], dvt[l]);
+                    let unshared = delay.current_partials(pol, &th[l], &b, mu[l], &d);
                     assert_eq!(
-                        out[i][l].to_bits(),
-                        scalar.to_bits(),
+                        bits(&out[i][l]),
+                        bits(&unshared),
                         "{pol:?} row {i} lane {l}"
                     );
+                    assert_eq!(bits(&scalar_rows[i]), bits(&unshared), "{pol:?} row {i}");
                 }
             }
         }

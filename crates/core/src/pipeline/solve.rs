@@ -8,18 +8,27 @@
 //! 1×1 temperature-only solve on the TSRO row. Every escalation is recorded
 //! in [`Health`], and the [`Solved`] boundary type is what the output stage
 //! consumes.
+//!
+//! On the analytic model the 3×3 and 4×4 rows (`ConversionRows`,
+//! `CalibrationRows`) compute their Jacobian in the same pass as the
+//! residual, from the device and ring partials
+//! ([`OnCurrent`], [`LnFrequency`]). The characterized ROM has no
+//! derivative, so its rows and the 1×1 temperature-only solve take a
+//! forward-difference Jacobian.
 
 use crate::bank::RoClass;
 use crate::calib::Calibration;
 use crate::error::SensorError;
 use crate::health::{Health, HealthEvent};
 use crate::metrics::PipelineMetrics;
-use crate::newton::{newton_solve_with, NewtonOptions, NewtonScratch};
+use crate::newton::{newton_solve_with, ForwardDifference, NewtonOptions, NewtonScratch, System};
 use crate::pipeline::gate::Gated;
 use crate::sensor::PtSensor;
-use ptsim_device::delay::{DelayCache, ThermalPoint};
+use ptsim_circuit::ring::{LnFrequency, RingCache};
+use ptsim_device::delay::{BiasFactor, DelayCache, DrainFactor, OnCurrent, ThermalPoint, LANES};
 use ptsim_device::inverter::CmosEnv;
 use ptsim_device::units::{Celsius, Hertz, Volt};
+use ptsim_device::MosPolarity;
 
 /// Step of the characterized-response bisection grid used as the last-ditch
 /// solver fallback, in °C.
@@ -48,53 +57,334 @@ pub(crate) fn model_env(d_vtn: f64, d_vtp: f64, mu_n: f64, mu_p: f64, temp: Cels
     }
 }
 
-/// A tiny exact-memoization cache for per-device on-currents inside the
-/// Newton residual closures. Keys are the raw bits of the two unknowns a
-/// device's current actually depends on; a hit replays exactly the values
-/// the miss path computed from the same operands, so the finite-difference
-/// Jacobian sweep skips re-evaluating the device a perturbation left
-/// untouched (perturbing an NMOS unknown cannot change any PMOS current,
-/// and vice versa). Three entries cover the sweep's reuse pattern: the
-/// base iterate stays resident while the per-unknown perturbations cycle
-/// through the remaining slots.
-struct CurrentMemo<const R: usize> {
-    keys: [(u64, u64); 3],
-    vals: [[f64; R]; 3],
-    stamp: [u32; 3],
-    len: usize,
-    clock: u32,
+/// Forward-difference steps of the 3×3 conversion decoupling on the
+/// characterized model.
+pub(crate) const CONV_FD_STEPS: [f64; 3] = [0.01, 1e-4, 1e-4];
+/// Per-unknown step limits of the 3×3 conversion decoupling.
+pub(crate) const CONV_STEP_LIMITS: [f64; 3] = [40.0, 0.03, 0.03];
+/// Forward-difference steps of the 4×4 calibration decoupling on the
+/// characterized model.
+pub(crate) const CAL_FD_STEPS: [f64; 4] = [1e-4, 1e-4, 1e-3, 1e-3];
+/// Per-unknown step limits of the 4×4 calibration decoupling.
+pub(crate) const CAL_STEP_LIMITS: [f64; 4] = [0.04, 0.04, 0.15, 0.15];
+
+pub(crate) const NMOS: MosPolarity = MosPolarity::Nmos;
+pub(crate) const PMOS: MosPolarity = MosPolarity::Pmos;
+
+/// The model rows of one decoupling solve — each row's ring and supply —
+/// and which earlier row's drain factor and per-polarity bias factor each
+/// row reuses.
+///
+/// A device's bias factor (`softplus`, one `exp` and one `ln_1p`) reads
+/// only its polarity constants, `2n`, the thermal point, the supply and the
+/// threshold shift, never the ring geometry; the drain factor reads only
+/// the thermal point and the supply. Rows whose supplies are bit-equal
+/// (and, for a bias factor, whose devices [share the
+/// factor](DelayCache::shares_bias_factor)) therefore get the identical
+/// value, partials included, from one evaluation; each row still
+/// recombines it with its own geometry. The share is derived here from the
+/// operands, never assumed.
+pub(crate) struct RingRows<'a, const R: usize> {
+    pub(crate) rings: [&'a RingCache; R],
+    pub(crate) vdds: [Volt; R],
+    /// `share_vdd[i]`: the first row at row `i`'s supply.
+    share_vdd: [usize; R],
+    /// `share_n[i]`: the first row whose NMOS factor row `i` reuses
+    /// (`i` itself when no earlier row shares it).
+    pub(crate) share_n: [usize; R],
+    /// PMOS counterpart of `share_n`.
+    pub(crate) share_p: [usize; R],
 }
 
-impl<const R: usize> CurrentMemo<R> {
-    fn new() -> Self {
-        CurrentMemo {
-            keys: [(0, 0); 3],
-            vals: [[0.0; R]; 3],
-            stamp: [0; 3],
-            len: 0,
-            clock: 0,
+impl<'a, const R: usize> RingRows<'a, R> {
+    pub(crate) fn new(rings: [&'a RingCache; R], vdds: [Volt; R]) -> Self {
+        let same_vdd = |i: usize, j: usize| vdds[j].0.to_bits() == vdds[i].0.to_bits();
+        let share = |pol| {
+            core::array::from_fn(|i| {
+                (0..i)
+                    .find(|&j| {
+                        same_vdd(i, j) && rings[j].delay().shares_bias_factor(rings[i].delay(), pol)
+                    })
+                    .unwrap_or(i)
+            })
+        };
+        RingRows {
+            rings,
+            vdds,
+            share_vdd: core::array::from_fn(|i| (0..i).find(|&j| same_vdd(i, j)).unwrap_or(i)),
+            share_n: share(NMOS),
+            share_p: share(PMOS),
         }
     }
 
-    fn get_or(&mut self, key: (u64, u64), compute: impl FnOnce() -> [f64; R]) -> [f64; R] {
-        self.clock += 1;
-        for i in 0..self.len {
-            if self.keys[i] == key {
-                self.stamp[i] = self.clock;
-                return self.vals[i];
+    fn share(&self, pol: MosPolarity) -> &[usize; R] {
+        match pol {
+            MosPolarity::Nmos => &self.share_n,
+            MosPolarity::Pmos => &self.share_p,
+        }
+    }
+
+    /// Each row's drain factor at `th`, one evaluation per distinct supply.
+    pub(crate) fn drains(&self, th: &ThermalPoint) -> [DrainFactor; R] {
+        let mut out = [DrainFactor::default(); R];
+        for i in 0..R {
+            out[i] = if self.share_vdd[i] == i {
+                DelayCache::drain_partials(th, self.vdds[i])
+            } else {
+                out[self.share_vdd[i]]
+            };
+        }
+        out
+    }
+
+    /// Lane-parallel [`RingRows::drains`].
+    pub(crate) fn drains_lanes(
+        &self,
+        th: &[ThermalPoint; LANES],
+        live: &[bool; LANES],
+    ) -> [[DrainFactor; LANES]; R] {
+        let mut out = [[DrainFactor::default(); LANES]; R];
+        for i in 0..R {
+            if self.share_vdd[i] == i {
+                DelayCache::drain_partials_lanes(th, self.vdds[i], live, &mut out[i]);
+            } else {
+                out[i] = out[self.share_vdd[i]];
             }
         }
-        let slot = if self.len < self.keys.len() {
-            self.len += 1;
-            self.len - 1
-        } else {
-            // Evict the least-recently-used entry.
-            (1..self.keys.len()).fold(0, |m, i| if self.stamp[i] < self.stamp[m] { i } else { m })
-        };
-        self.keys[slot] = key;
-        self.vals[slot] = compute();
-        self.stamp[slot] = self.clock;
-        self.vals[slot]
+        out
+    }
+
+    /// Polarity-`pol` on-currents of every row with their partials at
+    /// threshold shift `dvt`: each distinct bias factor is evaluated once,
+    /// then recombined per ring.
+    pub(crate) fn currents(
+        &self,
+        pol: MosPolarity,
+        th: &ThermalPoint,
+        dvt: f64,
+        mu: f64,
+        drains: &[DrainFactor; R],
+    ) -> [OnCurrent; R] {
+        let share = self.share(pol);
+        let mut g = [BiasFactor::default(); R];
+        core::array::from_fn(|i| {
+            let delay = self.rings[i].delay();
+            if share[i] == i {
+                g[i] = delay.bias_partials(pol, th, self.vdds[i], dvt);
+            }
+            delay.current_partials(pol, th, &g[share[i]], mu, &drains[i])
+        })
+    }
+
+    /// Lane-parallel [`RingRows::currents`]; each row and active lane is
+    /// bit-identical to the scalar call with that lane's operands.
+    // One SoA column per parameter, as in the device-level lane kernels.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn currents_lanes(
+        &self,
+        pol: MosPolarity,
+        th: &[ThermalPoint; LANES],
+        dvt: &[f64; LANES],
+        mu: &[f64; LANES],
+        drains: &[[DrainFactor; LANES]; R],
+        live: &[bool; LANES],
+        out: &mut [[OnCurrent; LANES]; R],
+    ) {
+        let share = self.share(pol);
+        let mut g = [[BiasFactor::default(); LANES]; R];
+        for i in 0..R {
+            let delay = self.rings[i].delay();
+            if share[i] == i {
+                delay.bias_partials_lanes(pol, th, self.vdds[i], dvt, live, &mut g[i]);
+            }
+            delay.current_partials_lanes(pol, th, &g[share[i]], mu, &drains[i], live, &mut out[i]);
+        }
+    }
+
+    /// Each row's `ln f` with its partials, from its two currents.
+    pub(crate) fn ln_frequencies(
+        &self,
+        n: &[OnCurrent; R],
+        p: &[OnCurrent; R],
+    ) -> [LnFrequency; R] {
+        core::array::from_fn(|i| {
+            self.rings[i].ln_frequency_from_currents(n[i].i, p[i].i, self.vdds[i])
+        })
+    }
+
+    /// Lane-parallel [`RingRows::ln_frequencies`].
+    pub(crate) fn ln_frequencies_lanes(
+        &self,
+        n: &[[OnCurrent; LANES]; R],
+        p: &[[OnCurrent; LANES]; R],
+        live: &[bool; LANES],
+        out: &mut [[LnFrequency; LANES]; R],
+    ) {
+        for i in 0..R {
+            self.rings[i].ln_frequency_lanes(&n[i], &p[i], self.vdds[i], live, &mut out[i]);
+        }
+    }
+}
+
+/// Jacobian row `∂r/∂(T, ΔVtn, ΔVtp)` of one conversion row, by the chain
+/// rule through the ring's `ln f` partials and the device partials. The
+/// scalar and lane solvers both assemble their rows here.
+#[inline]
+pub(crate) fn conversion_jacobian_row(f: &LnFrequency, n: &OnCurrent, p: &OnCurrent) -> [f64; 3] {
+    [
+        f.d_ln_in * n.dln_dt + f.d_ln_ip * p.dln_dt,
+        f.d_ln_in * n.dln_dvt,
+        f.d_ln_ip * p.dln_dvt,
+    ]
+}
+
+/// Jacobian row `∂r/∂(ΔVtn, ΔVtp, µn, µp)` of one calibration row
+/// (`∂ln I/∂µ = 1/µ`).
+#[inline]
+pub(crate) fn calibration_jacobian_row(
+    f: &LnFrequency,
+    n: &OnCurrent,
+    p: &OnCurrent,
+    mu_n: f64,
+    mu_p: f64,
+) -> [f64; 4] {
+    [
+        f.d_ln_in * n.dln_dvt,
+        f.d_ln_ip * p.dln_dvt,
+        f.d_ln_in / mu_n,
+        f.d_ln_ip / mu_p,
+    ]
+}
+
+/// The analytic 3×3 conversion rows of one die, unknowns
+/// `(T °C, ΔVtn, ΔVtp)`: TSRO, PSRO-N and PSRO-P, each `ln f_model − ln
+/// f_measured` (the TSRO row plus the calibrated `ln_scale`). The residual
+/// pass caches the partials its Jacobian is assembled from.
+pub(crate) struct ConversionRows<'a> {
+    rows: RingRows<'a, 3>,
+    /// Measured `ln f` per row.
+    ln_m: [f64; 3],
+    ln_scale: f64,
+    mu_n: f64,
+    mu_p: f64,
+    n: [OnCurrent; 3],
+    p: [OnCurrent; 3],
+    f: [LnFrequency; 3],
+}
+
+/// The conversion rows' rings and supplies.
+pub(crate) fn conversion_rows(sensor: &PtSensor) -> RingRows<'_, 3> {
+    let bank = &sensor.spec.bank;
+    RingRows::new(
+        [RoClass::Tsro, RoClass::PsroN, RoClass::PsroP].map(|c| sensor.cache.ring(c)),
+        [bank.vdd_tsro, bank.vdd_low, bank.vdd_low],
+    )
+}
+
+impl<'a> ConversionRows<'a> {
+    pub(crate) fn new(
+        sensor: &'a PtSensor,
+        cal: &Calibration,
+        f_t: Hertz,
+        f_n: Hertz,
+        f_p: Hertz,
+    ) -> Self {
+        ConversionRows {
+            rows: conversion_rows(sensor),
+            // Same evaluation order as `LaneBatch::push`.
+            ln_m: [f_t.0.ln(), f_n.0.ln(), f_p.0.ln()],
+            ln_scale: cal.ln_tsro_scale(),
+            mu_n: cal.mu_n(),
+            mu_p: cal.mu_p(),
+            n: [OnCurrent::default(); 3],
+            p: [OnCurrent::default(); 3],
+            f: [LnFrequency::default(); 3],
+        }
+    }
+}
+
+impl System for ConversionRows<'_> {
+    fn residual(&mut self, v: &[f64], out: &mut [f64]) {
+        let th = self.rows.rings[0].thermal(Celsius(v[0]));
+        let drains = self.rows.drains(&th);
+        self.n = self.rows.currents(NMOS, &th, v[1], self.mu_n, &drains);
+        self.p = self.rows.currents(PMOS, &th, v[2], self.mu_p, &drains);
+        self.f = self.rows.ln_frequencies(&self.n, &self.p);
+        out[0] = self.f[0].ln_f - self.ln_m[0] + self.ln_scale;
+        out[1] = self.f[1].ln_f - self.ln_m[1];
+        out[2] = self.f[2].ln_f - self.ln_m[2];
+    }
+
+    fn jacobian(&mut self, _: &[f64], _: &[f64], jac: &mut [f64]) {
+        for i in 0..3 {
+            let row = conversion_jacobian_row(&self.f[i], &self.n[i], &self.p[i]);
+            jac[3 * i..3 * i + 3].copy_from_slice(&row);
+        }
+    }
+}
+
+/// The analytic 4×4 calibration rows of one die, unknowns
+/// `(ΔVtn, ΔVtp, µn, µp)` at the fixed calibration temperature: one row
+/// per boot-plan measurement, `ln f_model − ln f_measured`.
+pub(crate) struct CalibrationRows<'a> {
+    rows: RingRows<'a, 4>,
+    th: ThermalPoint,
+    drains: [DrainFactor; 4],
+    ln_m: [f64; 4],
+    n: [OnCurrent; 4],
+    p: [OnCurrent; 4],
+    f: [LnFrequency; 4],
+}
+
+/// The calibration rows' rings and supplies, one per boot-plan entry.
+pub(crate) fn calibration_rows<'a>(
+    sensor: &'a PtSensor,
+    plan: &[(RoClass, Volt); 4],
+) -> RingRows<'a, 4> {
+    RingRows::new(
+        plan.map(|(class, _)| sensor.cache.ring(class)),
+        plan.map(|(_, vdd)| vdd),
+    )
+}
+
+impl<'a> CalibrationRows<'a> {
+    pub(crate) fn new(
+        sensor: &'a PtSensor,
+        plan: &[(RoClass, Volt); 4],
+        measured: &[f64; 4],
+    ) -> Self {
+        // The calibration temperature is fixed, so the thermal point and
+        // the drain factors are loop constants.
+        let rows = calibration_rows(sensor, plan);
+        let th = sensor.cache.thermal(sensor.spec.calib_temp);
+        CalibrationRows {
+            drains: rows.drains(&th),
+            rows,
+            th,
+            ln_m: measured.map(f64::ln),
+            n: [OnCurrent::default(); 4],
+            p: [OnCurrent::default(); 4],
+            f: [LnFrequency::default(); 4],
+        }
+    }
+}
+
+impl System for CalibrationRows<'_> {
+    fn residual(&mut self, v: &[f64], out: &mut [f64]) {
+        self.n = self.rows.currents(NMOS, &self.th, v[0], v[2], &self.drains);
+        self.p = self.rows.currents(PMOS, &self.th, v[1], v[3], &self.drains);
+        self.f = self.rows.ln_frequencies(&self.n, &self.p);
+        for (slot, out_s) in out.iter_mut().enumerate() {
+            *out_s = self.f[slot].ln_f - self.ln_m[slot];
+        }
+    }
+
+    fn jacobian(&mut self, v: &[f64], _: &[f64], jac: &mut [f64]) {
+        for i in 0..4 {
+            let row = calibration_jacobian_row(&self.f[i], &self.n[i], &self.p[i], v[2], v[3]);
+            jac[4 * i..4 * i + 4].copy_from_slice(&row);
+        }
     }
 }
 
@@ -124,77 +414,24 @@ pub(crate) fn solve_calibration(
     opts: &NewtonOptions,
     ns: &mut NewtonScratch,
 ) -> Result<([f64; 4], usize), SensorError> {
-    let t_cal = sensor.spec.calib_temp;
-    // The calibration temperature is fixed across iterations, so the shared
-    // per-temperature point — and with it each row's drain-saturation
-    // factor — is hoisted out of the residual entirely, as are the measured
-    // log-frequencies (all bit-identical: the same pure expressions, just
-    // evaluated once instead of per residual call).
-    let th = sensor.cache.thermal(t_cal);
-    let drains = plan.map(|(_, vdd)| DelayCache::drain_factor(&th, vdd));
-    let ln_m = measured.map(f64::ln);
-    const FD_STEPS: [f64; 4] = [1e-4, 1e-4, 1e-3, 1e-3];
-    const STEP_LIMITS: [f64; 4] = [0.04, 0.04, 0.15, 0.15];
+    let what = "calibration decoupling";
     let mut x = [0.0, 0.0, 1.0, 1.0];
     let iters = if sensor.characterized_model().is_some() {
-        newton_solve_with(
-            ns,
-            &mut x,
-            |v, out| {
+        let t_cal = sensor.spec.calib_temp;
+        let ln_m = measured.map(f64::ln);
+        let mut rom = ForwardDifference::new(
+            |v: &[f64], out: &mut [f64]| {
                 let env = model_env(v[0], v[1], v[2], v[3], t_cal);
                 for (slot, (class, vdd)) in plan.iter().enumerate() {
-                    out[slot] = sensor.model_ln_f_at_drain(*class, *vdd, &env, &th, drains[slot])
-                        - ln_m[slot];
+                    out[slot] = sensor.model_ln_f(*class, *vdd, &env) - ln_m[slot];
                 }
             },
-            &FD_STEPS,
-            &STEP_LIMITS,
-            opts,
-            "calibration decoupling",
-        )?
+            &CAL_FD_STEPS,
+        );
+        newton_solve_with(ns, &mut x, &mut rom, &CAL_STEP_LIMITS, opts, what)?
     } else {
-        // Analytic path: evaluate per-device on-currents so the Jacobian
-        // sweep can reuse the device a perturbation left untouched — the
-        // NMOS currents depend only on `(v[0], v[2])` and the PMOS
-        // currents only on `(v[1], v[3])` (the temperature is fixed at
-        // `t_cal`). Bit-identical to the unmemoized path: a memo hit
-        // replays the exact values the miss path computes, and the
-        // current→delay→frequency recombination below is the same
-        // arithmetic `frequency_with_drain` performs.
-        let rings = plan.map(|(class, _)| sensor.cache.ring(class));
-        let mut n_memo = CurrentMemo::<4>::new();
-        let mut p_memo = CurrentMemo::<4>::new();
-        newton_solve_with(
-            ns,
-            &mut x,
-            |v, out| {
-                let ions_n = n_memo.get_or((v[0].to_bits(), v[2].to_bits()), || {
-                    core::array::from_fn(|i| {
-                        rings[i]
-                            .delay()
-                            .nmos_current(&th, plan[i].1, v[0], v[2], drains[i])
-                    })
-                });
-                let ions_p = p_memo.get_or((v[1].to_bits(), v[3].to_bits()), || {
-                    core::array::from_fn(|i| {
-                        rings[i]
-                            .delay()
-                            .pmos_current(&th, plan[i].1, v[1], v[3], drains[i])
-                    })
-                });
-                for (slot, out_s) in out.iter_mut().enumerate() {
-                    *out_s = rings[slot]
-                        .frequency_from_currents(ions_n[slot], ions_p[slot], plan[slot].1)
-                        .0
-                        .ln()
-                        - ln_m[slot];
-                }
-            },
-            &FD_STEPS,
-            &STEP_LIMITS,
-            opts,
-            "calibration decoupling",
-        )?
+        let mut rows = CalibrationRows::new(sensor, plan, measured);
+        newton_solve_with(ns, &mut x, &mut rows, &CAL_STEP_LIMITS, opts, what)?
     };
     Ok((x, iters))
 }
@@ -238,135 +475,31 @@ fn solve_conversion(
     opts: &NewtonOptions,
     ns: &mut NewtonScratch,
 ) -> Result<([f64; 3], usize), SensorError> {
-    let spec = sensor.spec;
-    let ln_scale = cal.ln_tsro_scale();
-    let (mu_n, mu_p) = (cal.mu_n(), cal.mu_p());
-    // Measured log-frequencies are loop constants; hoisting the `ln`s out
-    // of the residual is bit-identical (the subtraction order below is
-    // unchanged — `ln_ft` and `ln_scale` stay separate addends).
-    let (ln_ft, ln_fn, ln_fp) = (f_t.0.ln(), f_n.0.ln(), f_p.0.ln());
-    // One thermal point (one `powf`) and two drain factors (one `exp`
-    // each) per *distinct temperature*, shared by the three model rows and
-    // — via the memo — by the two threshold-perturbed Jacobian evaluations
-    // of each Newton iteration, which re-visit the iterate's temperature.
-    // Exact memoization: a hit replays the identical values the miss path
-    // computes from the same `t`.
-    let mut point_memo: Option<(u64, ThermalPoint, f64, f64)> = None;
-    const FD_STEPS: [f64; 3] = [0.01, 1e-4, 1e-4];
-    const STEP_LIMITS: [f64; 3] = [40.0, 0.03, 0.03];
+    let what = "conversion decoupling";
     // The TSRO row dominates temperature and the PSRO rows dominate the
     // thresholds, so the Jacobian is diagonally strong and quadratic
     // convergence holds even for large post-calibration drift (aging,
     // stress).
     let mut x = [cal.calib_temp().0, cal.d_vtn().0, cal.d_vtp().0];
     let iters = if sensor.characterized_model().is_some() {
-        newton_solve_with(
-            ns,
-            &mut x,
-            |v, out| {
+        let spec = sensor.spec;
+        let ln_scale = cal.ln_tsro_scale();
+        let (mu_n, mu_p) = (cal.mu_n(), cal.mu_p());
+        let (ln_ft, ln_fn, ln_fp) = (f_t.0.ln(), f_n.0.ln(), f_p.0.ln());
+        let mut rom = ForwardDifference::new(
+            |v: &[f64], out: &mut [f64]| {
                 let env = model_env(v[1], v[2], mu_n, mu_p, Celsius(v[0]));
-                let (th, drain_tsro, drain_low) = match point_memo {
-                    Some((bits, th, dt, dl)) if bits == v[0].to_bits() => (th, dt, dl),
-                    _ => {
-                        let th = sensor.cache.thermal(env.temp);
-                        let dt = DelayCache::drain_factor(&th, spec.bank.vdd_tsro);
-                        let dl = DelayCache::drain_factor(&th, spec.bank.vdd_low);
-                        point_memo = Some((v[0].to_bits(), th, dt, dl));
-                        (th, dt, dl)
-                    }
-                };
-                out[0] = sensor.model_ln_f_at_drain(
-                    RoClass::Tsro,
-                    spec.bank.vdd_tsro,
-                    &env,
-                    &th,
-                    drain_tsro,
-                ) - ln_ft
-                    + ln_scale;
-                out[1] = sensor.model_ln_f_at_drain(
-                    RoClass::PsroN,
-                    spec.bank.vdd_low,
-                    &env,
-                    &th,
-                    drain_low,
-                ) - ln_fn;
-                out[2] = sensor.model_ln_f_at_drain(
-                    RoClass::PsroP,
-                    spec.bank.vdd_low,
-                    &env,
-                    &th,
-                    drain_low,
-                ) - ln_fp;
+                let (vdd_t, vdd_l) = (spec.bank.vdd_tsro, spec.bank.vdd_low);
+                out[0] = sensor.model_ln_f(RoClass::Tsro, vdd_t, &env) - ln_ft + ln_scale;
+                out[1] = sensor.model_ln_f(RoClass::PsroN, vdd_l, &env) - ln_fn;
+                out[2] = sensor.model_ln_f(RoClass::PsroP, vdd_l, &env) - ln_fp;
             },
-            &FD_STEPS,
-            &STEP_LIMITS,
-            opts,
-            "conversion decoupling",
-        )?
+            &CONV_FD_STEPS,
+        );
+        newton_solve_with(ns, &mut x, &mut rom, &CONV_STEP_LIMITS, opts, what)?
     } else {
-        // Analytic path: per-device currents with exact memoization — the
-        // NMOS currents depend only on `(v[0], v[1])` and the PMOS
-        // currents only on `(v[0], v[2])`, so the threshold-perturbed
-        // Jacobian columns reuse the other device's currents verbatim.
-        let rings = [
-            sensor.cache.ring(RoClass::Tsro),
-            sensor.cache.ring(RoClass::PsroN),
-            sensor.cache.ring(RoClass::PsroP),
-        ];
-        let vdds = [spec.bank.vdd_tsro, spec.bank.vdd_low, spec.bank.vdd_low];
-        let mut n_memo = CurrentMemo::<3>::new();
-        let mut p_memo = CurrentMemo::<3>::new();
-        newton_solve_with(
-            ns,
-            &mut x,
-            |v, out| {
-                let (th, drain_tsro, drain_low) = match point_memo {
-                    Some((bits, th, dt, dl)) if bits == v[0].to_bits() => (th, dt, dl),
-                    _ => {
-                        let th = sensor.cache.thermal(Celsius(v[0]));
-                        let dt = DelayCache::drain_factor(&th, spec.bank.vdd_tsro);
-                        let dl = DelayCache::drain_factor(&th, spec.bank.vdd_low);
-                        point_memo = Some((v[0].to_bits(), th, dt, dl));
-                        (th, dt, dl)
-                    }
-                };
-                let drains = [drain_tsro, drain_low, drain_low];
-                let ions_n = n_memo.get_or((v[0].to_bits(), v[1].to_bits()), || {
-                    core::array::from_fn(|i| {
-                        rings[i]
-                            .delay()
-                            .nmos_current(&th, vdds[i], v[1], mu_n, drains[i])
-                    })
-                });
-                let ions_p = p_memo.get_or((v[0].to_bits(), v[2].to_bits()), || {
-                    core::array::from_fn(|i| {
-                        rings[i]
-                            .delay()
-                            .pmos_current(&th, vdds[i], v[2], mu_p, drains[i])
-                    })
-                });
-                out[0] = rings[0]
-                    .frequency_from_currents(ions_n[0], ions_p[0], vdds[0])
-                    .0
-                    .ln()
-                    - ln_ft
-                    + ln_scale;
-                out[1] = rings[1]
-                    .frequency_from_currents(ions_n[1], ions_p[1], vdds[1])
-                    .0
-                    .ln()
-                    - ln_fn;
-                out[2] = rings[2]
-                    .frequency_from_currents(ions_n[2], ions_p[2], vdds[2])
-                    .0
-                    .ln()
-                    - ln_fp;
-            },
-            &FD_STEPS,
-            &STEP_LIMITS,
-            opts,
-            "conversion decoupling",
-        )?
+        let mut rows = ConversionRows::new(sensor, cal, f_t, f_n, f_p);
+        newton_solve_with(ns, &mut x, &mut rows, &CONV_STEP_LIMITS, opts, what)?
     };
     Ok((x, iters))
 }
@@ -405,11 +538,14 @@ pub(crate) fn solve_temperature_only(
     let ln_ft = f_t.0.ln();
     let run = |opts: &NewtonOptions, ns: &mut NewtonScratch| -> Result<(f64, usize), SensorError> {
         let mut x = [cal.calib_temp().0];
+        let mut tsro = ForwardDifference::new(
+            |v: &[f64], out: &mut [f64]| out[0] = tsro_residual_ln(sensor, cal, ln_ft, v[0]),
+            &[0.01],
+        );
         let iters = newton_solve_with(
             ns,
             &mut x,
-            |v, out| out[0] = tsro_residual_ln(sensor, cal, ln_ft, v[0]),
-            &[0.01],
+            &mut tsro,
             &[40.0],
             opts,
             "temperature-only decoupling",
@@ -564,10 +700,14 @@ pub(crate) fn solve_gated_with(
 mod tests {
     use super::*;
     use crate::bank::RoClass;
-    use crate::sensor::{SensorInputs, SensorSpec};
+    use crate::pipeline::gate;
+    use crate::sensor::{HardeningSpec, SensorInputs, SensorSpec};
+    use ptsim_circuit::energy::EnergyLedger;
     use ptsim_device::process::Technology;
+    use ptsim_faults::catalog;
     use ptsim_mc::die::{DieSample, DieSite};
-    use ptsim_rng::Pcg64;
+    use ptsim_mc::model::VariationModel;
+    use ptsim_rng::{forall, Pcg64};
 
     fn calibrated() -> (PtSensor, DieSample) {
         let die = DieSample::nominal();
@@ -655,5 +795,174 @@ mod tests {
         let b = solve_gated(&s, &cal, &gated, &mut h2).unwrap();
         assert_eq!(a.temperature.to_bits(), b.temperature.to_bits());
         assert_eq!(a.iterations, b.iterations);
+    }
+
+    /// The retained forward-difference solve of the same analytic rows:
+    /// the Jacobian from one perturbed residual per unknown, the steps the
+    /// characterized model uses.
+    fn solve_fd<S: System>(
+        rows: &mut S,
+        x: &mut [f64],
+        steps: &[f64],
+        limits: &[f64],
+        opts: &NewtonOptions,
+    ) -> Result<usize, SensorError> {
+        let mut fd =
+            ForwardDifference::new(|v: &[f64], out: &mut [f64]| rows.residual(v, out), steps);
+        newton_solve_with(
+            &mut NewtonScratch::new(),
+            x,
+            &mut fd,
+            limits,
+            opts,
+            "fd oracle",
+        )
+    }
+
+    /// Where a conversion's escalation ladder ends — 0: default tuning,
+    /// 1: robust tuning, 2: ROM fallback — with the unknowns and iterations
+    /// of the tuning that converged.
+    fn conversion_ladder(
+        sensor: &PtSensor,
+        cal: &Calibration,
+        gated: &Gated,
+        fd: bool,
+    ) -> (usize, [f64; 3], usize) {
+        let (f_n, f_p) = (gated.f_psro_n.unwrap(), gated.f_psro_p.unwrap());
+        for (stage, opts) in [NewtonOptions::default(), NewtonOptions::robust()]
+            .iter()
+            .enumerate()
+        {
+            let mut rows = ConversionRows::new(sensor, cal, gated.f_tsro, f_n, f_p);
+            let mut x = [cal.calib_temp().0, cal.d_vtn().0, cal.d_vtp().0];
+            let r = if fd {
+                solve_fd(&mut rows, &mut x, &CONV_FD_STEPS, &CONV_STEP_LIMITS, opts)
+            } else {
+                let mut ns = NewtonScratch::new();
+                newton_solve_with(
+                    &mut ns,
+                    &mut x,
+                    &mut rows,
+                    &CONV_STEP_LIMITS,
+                    opts,
+                    "analytic",
+                )
+            };
+            match r {
+                Ok(iters) => return (stage, x, iters),
+                Err(e) => assert!(solver_failed(&e), "{e}"),
+            }
+        }
+        (2, [f64::NAN; 3], 0)
+    }
+
+    fn assert_same_root(what: &str, analytic: &[f64], fd: &[f64], tol: &[f64]) {
+        for j in 0..analytic.len() {
+            assert!(
+                (analytic[j] - fd[j]).abs() <= tol[j],
+                "{what} unknown {j}: analytic {:?} vs forward-difference {:?}",
+                analytic,
+                fd
+            );
+        }
+    }
+
+    forall! {
+        #![cases = 24]
+
+        #[test]
+        fn analytic_jacobian_matches_the_forward_difference_oracle(
+            seed in 0u64..u64::MAX,
+            t in -40.0f64..125.0,
+            severity_pick in 0u64..3,
+            hardened in 0u64..2,
+        ) {
+            let tech = Technology::n65();
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let die = VariationModel::new(&tech).sample_die(&mut rng);
+            let mut spec = SensorSpec::default_65nm();
+            if hardened == 1 {
+                // The R1 campaign's spec.
+                spec.hardening = HardeningSpec::redundant();
+                spec.hardening.max_drift = Volt(0.005);
+            }
+            let mut sensor = PtSensor::new(tech, spec).unwrap();
+
+            // 4×4: the boot measurements of this die.
+            let boot = SensorInputs::new(&die, DieSite::CENTER, spec.calib_temp);
+            let plan = gate::calibration_plan(&spec);
+            let (mut ledger, mut health) = (EnergyLedger::new(), Health::nominal());
+            let measured =
+                gate::gate_plan(&sensor, &plan, &boot, &mut rng, &mut ledger, &mut health).unwrap();
+            let opts = NewtonOptions::default();
+            let (x_a, iters_a) =
+                solve_calibration(&sensor, &plan, &measured, &opts, &mut NewtonScratch::new())
+                    .unwrap();
+            let mut x_fd = [0.0, 0.0, 1.0, 1.0];
+            let mut rows = CalibrationRows::new(&sensor, &plan, &measured);
+            let iters_fd =
+                solve_fd(&mut rows, &mut x_fd, &CAL_FD_STEPS, &CAL_STEP_LIMITS, &opts).unwrap();
+            assert_same_root("calibration", &x_a, &x_fd, &[1e-9, 1e-9, 1e-9, 1e-9]);
+            assert!(iters_a <= iters_fd, "calibration iterations {iters_a} > {iters_fd}");
+
+            // 3×3: a healthy conversion at `t`.
+            sensor.calibrate(&boot, &mut rng).unwrap();
+            let cal = *sensor.calibration().unwrap();
+            let inputs = SensorInputs::new(&die, DieSite::CENTER, Celsius(t));
+            let (mut ledger, mut health) = (EnergyLedger::new(), Health::nominal());
+            let gated =
+                gate::gate_conversion(&sensor, &inputs, &mut rng, &mut ledger, &mut health)
+                    .unwrap();
+            let (stage_a, x_a, iters_a) = conversion_ladder(&sensor, &cal, &gated, false);
+            let (stage_fd, x_fd, iters_fd) = conversion_ladder(&sensor, &cal, &gated, true);
+            assert_eq!((stage_a, stage_fd), (0, 0), "healthy conversion escalated");
+            assert_same_root("conversion", &x_a, &x_fd, &[1e-6, 1e-9, 1e-9]);
+            assert!(iters_a <= iters_fd, "conversion iterations {iters_a} > {iters_fd}");
+
+            // One channel scaled as a slowed ring (k < 1) or a stuck high
+            // counter bit (k > 1) would scale it, past the gate: these drive
+            // the ladder to every rung, and both Jacobians must stop on the
+            // same one.
+            for ch in 0..3 {
+                for k in [0.05, 0.2, 0.5, 2.0, 5.0, 20.0] {
+                    let mut bad = gated;
+                    let scale = |f: Hertz| Hertz(f.0 * k);
+                    match ch {
+                        0 => bad.f_tsro = scale(bad.f_tsro),
+                        1 => bad.f_psro_n = bad.f_psro_n.map(scale),
+                        _ => bad.f_psro_p = bad.f_psro_p.map(scale),
+                    }
+                    let (stage_a, x_a, _) = conversion_ladder(&sensor, &cal, &bad, false);
+                    let (stage_fd, x_fd, _) = conversion_ladder(&sensor, &cal, &bad, true);
+                    assert_eq!(stage_a, stage_fd, "channel {ch} scaled by {k}");
+                    if stage_a < 2 {
+                        assert_same_root("scaled", &x_a, &x_fd, &[1e-6, 1e-9, 1e-9]);
+                    }
+                }
+            }
+
+            // The R1 catalog's corrupted measurements: whatever passes the
+            // gate must end on the same rung of the escalation ladder.
+            let severity = [0.25, 0.5, 1.0][severity_pick as usize];
+            for entry in catalog(severity) {
+                // A register SEU outlives `clear_faults`: fault a copy.
+                let mut faulty = sensor.clone();
+                faulty.inject_faults(entry.plan.clone());
+                let (mut ledger, mut health) = (EnergyLedger::new(), Health::nominal());
+                let gated =
+                    gate::gate_conversion(&faulty, &inputs, &mut rng, &mut ledger, &mut health);
+                let Ok(gated) = gated else { continue };
+                if gated.f_psro_n.is_none() || gated.f_psro_p.is_none() {
+                    continue;
+                }
+                let Some(cal) = faulty.calibration().copied() else { continue };
+                let (stage_a, x_a, _) = conversion_ladder(&faulty, &cal, &gated, false);
+                let (stage_fd, x_fd, _) = conversion_ladder(&faulty, &cal, &gated, true);
+                assert_eq!(stage_a, stage_fd, "{} at severity {severity}", entry.id);
+                if stage_a < 2 {
+                    assert_same_root(entry.id, &x_a, &x_fd, &[1e-6, 1e-9, 1e-9]);
+                }
+            }
+        }
     }
 }

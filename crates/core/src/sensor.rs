@@ -49,7 +49,6 @@ use crate::pipeline::bands::{design_bands, Band};
 use ptsim_circuit::counter::GatedCounter;
 use ptsim_circuit::energy::EnergyLedger;
 use ptsim_circuit::fixed::QFormat;
-use ptsim_device::delay::ThermalPoint;
 use ptsim_device::inverter::CmosEnv;
 use ptsim_device::process::Technology;
 use ptsim_device::units::{Celsius, Hertz, Joule, Volt};
@@ -166,7 +165,10 @@ impl SensorSpec {
             temp_range: (Celsius(-55.0), Celsius(150.0)),
             counter_energy_per_count: Joule(18e-15),
             controller_cycles: 680,
-            solver_cycles_per_iteration: 192,
+            // Fit with the other energy constants to the paper's 367.5 pJ at
+            // the nominal corner, where the analytic-Jacobian solve takes 3
+            // iterations: 768 datapath cycles per nominal conversion.
+            solver_cycles_per_iteration: 256,
             digital_energy_per_cycle: Joule(85e-15),
             hardening: HardeningSpec::baseline(),
         }
@@ -331,35 +333,6 @@ impl PtSensor {
                 .ln_frequency(class, vdd, env)
                 .expect("measurement plan pairs are always characterized"),
             None => self.cache.frequency(class, vdd, env).0.ln(),
-        }
-    }
-
-    /// [`PtSensor::model_ln_f`] with a caller-computed [`ThermalPoint`]
-    /// (`th` must be `self.cache.thermal(env.temp)`) and drain-saturation
-    /// factor (`drain` must be
-    /// [`DelayCache::drain_factor`](ptsim_device::delay::DelayCache::drain_factor)
-    /// `(th, vdd)`): the decoupling residuals evaluate three model rows at
-    /// one temperature per call, so sharing the point saves two `powf` —
-    /// and sharing the factor one `exp` — per residual evaluation. The
-    /// golden (characterized) path ignores `th` and `drain`.
-    pub(crate) fn model_ln_f_at_drain(
-        &self,
-        class: RoClass,
-        vdd: Volt,
-        env: &CmosEnv,
-        th: &ThermalPoint,
-        drain: f64,
-    ) -> f64 {
-        match &self.golden {
-            Some(g) => g
-                .ln_frequency(class, vdd, env)
-                .expect("measurement plan pairs are always characterized"),
-            None => self
-                .cache
-                .ring(class)
-                .frequency_with_drain(th, drain, vdd, env)
-                .0
-                .ln(),
         }
     }
 

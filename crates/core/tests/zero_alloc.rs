@@ -190,7 +190,8 @@ fn warm_transient_step_is_allocation_free() {
     stack
         .power_mut(0)
         .unwrap()
-        .add_hotspot(0.5, 0.5, 0.15, Watt(2.0));
+        .add_hotspot(0.5, 0.5, 0.15, Watt(2.0))
+        .unwrap();
     let mut scratch = TransientScratch::new();
     let tick = Seconds(0.002);
     let double_tick = Seconds(0.004);
@@ -202,8 +203,8 @@ fn warm_transient_step_is_allocation_free() {
     for i in 0..16usize {
         // A moving hotspot, written straight into the stored map.
         let map = stack.power_mut(0).unwrap();
-        map.set_cell(i % 16, (3 * i) % 16, Watt(4.0));
-        map.set_cell((i + 7) % 16, i % 16, Watt(0.5));
+        map.set_cell(i % 16, (3 * i) % 16, Watt(4.0)).unwrap();
+        map.set_cell((i + 7) % 16, i % 16, Watt(0.5)).unwrap();
         let (dt, substeps) = if i % 2 == 0 {
             (tick, 25)
         } else {

@@ -122,12 +122,21 @@ pub struct Mosfet {
 
 /// Numerically-stable softplus: `ln(1 + e^x)`.
 pub(crate) fn softplus(x: f64) -> f64 {
+    softplus_with_slope(x).0
+}
+
+/// Softplus and its slope, the logistic `e^x / (1 + e^x)`, from one `exp`.
+/// Past ±30 the slope is 1 or `e^x` to within `e^-30` relative.
+#[inline]
+pub(crate) fn softplus_with_slope(x: f64) -> (f64, f64) {
     if x > 30.0 {
-        x
+        (x, 1.0)
     } else if x < -30.0 {
-        x.exp()
+        let e = x.exp();
+        (e, e)
     } else {
-        x.exp().ln_1p()
+        let e = x.exp();
+        (e.ln_1p(), e / (1.0 + e))
     }
 }
 

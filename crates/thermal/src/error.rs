@@ -41,6 +41,14 @@ pub enum ThermalError {
         /// Number of tiers in the stack.
         tiers: usize,
     },
+    /// The iterative solver converged on a field holding a non-finite
+    /// temperature. The sweep's residual folds with `f64::max`, which
+    /// drops NaN updates, so convergence alone does not prove a finite
+    /// field.
+    NonFiniteField {
+        /// Sweeps performed.
+        iterations: usize,
+    },
     /// The iterative solver failed to converge.
     NotConverged {
         /// Iterations performed.
@@ -57,6 +65,10 @@ impl fmt::Display for ThermalError {
                 write!(f, "invalid thermal grid {nx}x{ny}")
             }
             ThermalError::InvalidPower { watts } => write!(f, "invalid power {watts} W"),
+            ThermalError::NonFiniteField { iterations } => write!(
+                f,
+                "steady-state field non-finite after {iterations} sweeps"
+            ),
             ThermalError::InvalidGeometry { name, value } => {
                 write!(f, "invalid geometry parameter {name} = {value}")
             }

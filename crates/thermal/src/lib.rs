@@ -28,7 +28,7 @@
 //! # fn main() -> Result<(), ptsim_thermal::error::ThermalError> {
 //! let mut stack = ThermalStack::new(StackConfig::four_tier_5mm())?;
 //! let mut power = PowerMap::zero(16, 16)?;
-//! power.add_hotspot(0.3, 0.7, 0.1, Watt(1.5));
+//! power.add_hotspot(0.3, 0.7, 0.1, Watt(1.5))?;
 //! stack.set_power(0, power)?;
 //! solve_steady_state(&mut stack, &SolveOptions::default())?;
 //! assert!(stack.max_temperature(0)?.0 > 25.0);

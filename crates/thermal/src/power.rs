@@ -61,14 +61,21 @@ impl PowerMap {
         Watt(self.cells[iy * self.nx + ix])
     }
 
-    /// Sets the power of one cell.
+    /// Sets the power of one cell (a negative wattage is stored as 0).
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::InvalidPower`] if `p` is non-finite; the map is left
+    /// unchanged.
     ///
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn set_cell(&mut self, ix: usize, iy: usize, p: Watt) {
+    pub fn set_cell(&mut self, ix: usize, iy: usize, p: Watt) -> Result<(), ThermalError> {
         assert!(ix < self.nx && iy < self.ny, "power-map index out of range");
+        finite(p)?;
         self.cells[iy * self.nx + ix] = p.0.max(0.0);
+        Ok(())
     }
 
     /// Flat index of the cell whose centre is nearest to the normalized
@@ -96,7 +103,19 @@ impl PowerMap {
     /// (or the radius so small) that every cell weight underflows to zero,
     /// the full wattage lands in the cell nearest the clamped centre
     /// instead of being silently dropped.
-    pub fn add_hotspot(&mut self, cx: f64, cy: f64, radius: f64, total: Watt) {
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::InvalidPower`] if `total` is non-finite; the map is
+    /// left unchanged.
+    pub fn add_hotspot(
+        &mut self,
+        cx: f64,
+        cy: f64,
+        radius: f64,
+        total: Watt,
+    ) -> Result<(), ThermalError> {
+        finite(total)?;
         let r = radius.max(1e-6);
         let mut weights = vec![0.0; self.cells.len()];
         let mut sum = 0.0;
@@ -118,6 +137,7 @@ impl PowerMap {
             let i = self.nearest_cell_index(cx, cy);
             self.cells[i] += total.0;
         }
+        Ok(())
     }
 
     /// Adds a rectangular power block covering normalized `[x0,x1]×[y0,y1]`,
@@ -127,7 +147,20 @@ impl PowerMap {
     /// between cell centres (or lying off-die entirely) deposits the full
     /// wattage in the cell nearest the clamped block centre instead of
     /// being silently dropped.
-    pub fn add_block(&mut self, x0: f64, y0: f64, x1: f64, y1: f64, total: Watt) {
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::InvalidPower`] if `total` is non-finite; the map is
+    /// left unchanged.
+    pub fn add_block(
+        &mut self,
+        x0: f64,
+        y0: f64,
+        x1: f64,
+        y1: f64,
+        total: Watt,
+    ) -> Result<(), ThermalError> {
+        finite(total)?;
         let mut indices = Vec::new();
         for iy in 0..self.ny {
             for ix in 0..self.nx {
@@ -149,6 +182,7 @@ impl PowerMap {
             let i = self.nearest_cell_index(cx, cy);
             self.cells[i] += total.0;
         }
+        Ok(())
     }
 
     /// Total power of the map.
@@ -167,6 +201,15 @@ impl PowerMap {
     #[must_use]
     pub fn cells(&self) -> &[f64] {
         &self.cells
+    }
+}
+
+/// Refuses a non-finite wattage, as [`PowerMap::uniform`] does.
+fn finite(p: Watt) -> Result<(), ThermalError> {
+    if p.0.is_finite() {
+        Ok(())
+    } else {
+        Err(ThermalError::InvalidPower { watts: p.0 })
     }
 }
 
@@ -198,7 +241,7 @@ mod tests {
     #[test]
     fn hotspot_conserves_total_and_peaks_at_center() {
         let mut m = PowerMap::zero(16, 16).unwrap();
-        m.add_hotspot(0.5, 0.5, 0.1, Watt(1.0));
+        m.add_hotspot(0.5, 0.5, 0.1, Watt(1.0)).unwrap();
         assert!((m.total().0 - 1.0).abs() < 1e-9);
         let center = m.cell(8, 8).0;
         let corner = m.cell(0, 0).0;
@@ -208,7 +251,7 @@ mod tests {
     #[test]
     fn block_covers_expected_cells() {
         let mut m = PowerMap::zero(10, 10).unwrap();
-        m.add_block(0.0, 0.0, 0.499, 0.499, Watt(1.0));
+        m.add_block(0.0, 0.0, 0.499, 0.499, Watt(1.0)).unwrap();
         assert!((m.total().0 - 1.0).abs() < 1e-12);
         assert!(m.cell(0, 0).0 > 0.0);
         assert_eq!(m.cell(9, 9).0, 0.0);
@@ -217,9 +260,9 @@ mod tests {
     #[test]
     fn set_cell_clamps_negative() {
         let mut m = PowerMap::zero(2, 2).unwrap();
-        m.set_cell(0, 0, Watt(-5.0));
+        m.set_cell(0, 0, Watt(-5.0)).unwrap();
         assert_eq!(m.cell(0, 0).0, 0.0);
-        m.set_cell(1, 1, Watt(0.25));
+        m.set_cell(1, 1, Watt(0.25)).unwrap();
         assert_eq!(m.peak().0, 0.25);
     }
 
@@ -236,7 +279,7 @@ mod tests {
         // block spanning [0.26, 0.30] contains none of them and used to
         // drop the full wattage on the floor.
         let mut m = PowerMap::zero(8, 8).unwrap();
-        m.add_block(0.26, 0.26, 0.30, 0.30, Watt(1.5));
+        m.add_block(0.26, 0.26, 0.30, 0.30, Watt(1.5)).unwrap();
         assert!((m.total().0 - 1.5).abs() < 1e-12);
         // Snapped to the cell whose centre is nearest the block centre.
         assert_eq!(m.cell(2, 2).0, Watt(1.5).0);
@@ -245,7 +288,7 @@ mod tests {
     #[test]
     fn off_die_block_snaps_to_nearest_edge_cell() {
         let mut m = PowerMap::zero(4, 4).unwrap();
-        m.add_block(1.2, -0.7, 1.4, -0.5, Watt(0.8));
+        m.add_block(1.2, -0.7, 1.4, -0.5, Watt(0.8)).unwrap();
         assert!((m.total().0 - 0.8).abs() < 1e-12);
         assert_eq!(m.cell(3, 0).0, Watt(0.8).0);
     }
@@ -255,7 +298,7 @@ mod tests {
         // exp(-d²/2r²) underflows to 0.0 for every cell when the centre is
         // far off-die and the radius tiny; the watts must still arrive.
         let mut m = PowerMap::zero(8, 8).unwrap();
-        m.add_hotspot(50.0, 50.0, 1e-6, Watt(2.0));
+        m.add_hotspot(50.0, 50.0, 1e-6, Watt(2.0)).unwrap();
         assert!((m.total().0 - 2.0).abs() < 1e-12);
         assert_eq!(m.cell(7, 7).0, Watt(2.0).0);
     }
@@ -263,7 +306,8 @@ mod tests {
     #[test]
     fn non_finite_hotspot_center_still_conserves_power() {
         let mut m = PowerMap::zero(4, 4).unwrap();
-        m.add_hotspot(f64::NAN, f64::INFINITY, 0.05, Watt(1.0));
+        m.add_hotspot(f64::NAN, f64::INFINITY, 0.05, Watt(1.0))
+            .unwrap();
         assert!((m.total().0 - 1.0).abs() < 1e-12);
     }
 
@@ -281,7 +325,7 @@ mod tests {
         ) {
             let mut m = PowerMap::uniform(8, 8, Watt(1.0)).unwrap();
             let before = m.total().0;
-            m.add_block(x0, y0, x0 + w, y0 + h, Watt(watts));
+            m.add_block(x0, y0, x0 + w, y0 + h, Watt(watts)).unwrap();
             let gained = m.total().0 - before;
             assert!(
                 (gained - watts).abs() < 1e-9 * watts.max(1.0),
@@ -297,7 +341,7 @@ mod tests {
         ) {
             let mut m = PowerMap::uniform(8, 8, Watt(1.0)).unwrap();
             let before = m.total().0;
-            m.add_hotspot(cx, cy, radius, Watt(watts));
+            m.add_hotspot(cx, cy, radius, Watt(watts)).unwrap();
             let gained = m.total().0 - before;
             assert!(
                 (gained - watts).abs() < 1e-9 * watts.max(1.0),

@@ -50,8 +50,10 @@ pub struct SolveStats {
 /// # Errors
 ///
 /// Returns [`ThermalError::NotConverged`] if the residual does not fall
-/// below `opts.tolerance` within `opts.max_iterations` sweeps, and
-/// [`ThermalError::InvalidGeometry`] for an out-of-range `omega`.
+/// below `opts.tolerance` within `opts.max_iterations` sweeps,
+/// [`ThermalError::NonFiniteField`] if it does but the field holds a
+/// non-finite temperature, and [`ThermalError::InvalidGeometry`] for an
+/// out-of-range `omega`.
 pub fn solve_steady_state(
     stack: &mut ThermalStack,
     opts: &SolveOptions,
@@ -68,6 +70,9 @@ pub fn solve_steady_state(
     for sweep in 1..=opts.max_iterations {
         residual = st.sor_sweep(temps, opts.omega);
         if residual < opts.tolerance {
+            if !temps.iter().all(|t| t.is_finite()) {
+                return Err(ThermalError::NonFiniteField { iterations: sweep });
+            }
             return Ok(SolveStats {
                 iterations: sweep,
                 residual,
@@ -231,7 +236,7 @@ mod tests {
     fn hotspot_creates_lateral_gradient() {
         let mut s = ThermalStack::new(StackConfig::single_die_5mm()).unwrap();
         let mut p = PowerMap::zero(16, 16).unwrap();
-        p.add_hotspot(0.5, 0.5, 0.08, Watt(2.0));
+        p.add_hotspot(0.5, 0.5, 0.08, Watt(2.0)).unwrap();
         s.set_power(0, p).unwrap();
         solve_steady_state(&mut s, &SolveOptions::default()).unwrap();
         let center = s.temperature_at(0, 0.5, 0.5).unwrap().0;
@@ -392,7 +397,7 @@ mod tests {
             // Mutate power between steps: the scratch must pick up the new
             // map exactly like a freshly built stencil does.
             let mut p = PowerMap::uniform(8, 8, Watt(0.3 + 0.1 * step as f64)).unwrap();
-            p.add_hotspot(0.3, 0.7, 0.1, Watt(0.5));
+            p.add_hotspot(0.3, 0.7, 0.1, Watt(0.5)).unwrap();
             fresh.set_power(2, p.clone()).unwrap();
             warm.set_power(2, p).unwrap();
             let a = step_transient(&mut fresh, Seconds(5e-4));
@@ -491,7 +496,7 @@ mod tests {
         };
         let mut s = ThermalStack::new(cfg).unwrap();
         let mut p = PowerMap::uniform(8, 8, Watt(0.2)).unwrap();
-        p.add_hotspot(cx, cy, 0.15, Watt(w));
+        p.add_hotspot(cx, cy, 0.15, Watt(w)).unwrap();
         s.set_power(1, p).unwrap();
         s.set_power(0, PowerMap::uniform(8, 8, Watt(0.5)).unwrap())
             .unwrap();
@@ -600,10 +605,12 @@ mod tests {
                 rng.gen_range(0.0..1.0),
                 rng.gen_range(0.02..0.3),
             );
-            p.add_hotspot(cx, cy, r, Watt(rng.gen_range(0.0..3.0)));
+            p.add_hotspot(cx, cy, r, Watt(rng.gen_range(0.0..3.0)))
+                .unwrap();
             let (x0, y0) = (rng.gen_range(0.0..0.8), rng.gen_range(0.0..0.8));
             let (x1, y1) = (x0 + rng.gen_range(0.0..0.5), y0 + rng.gen_range(0.0..0.5));
-            p.add_block(x0, y0, x1, y1, Watt(rng.gen_range(0.0..2.0)));
+            p.add_block(x0, y0, x1, y1, Watt(rng.gen_range(0.0..2.0)))
+                .unwrap();
             s.set_power(tier, p).unwrap();
         }
         s
@@ -690,5 +697,41 @@ mod tests {
         let stats = solve_steady_state(&mut s, &SolveOptions::default()).unwrap();
         assert!(stats.residual < 1e-6);
         assert!((s.mean_temperature(0).unwrap().0 - 85.0).abs() < 1e-6);
+    }
+
+    ptsim_rng::forall! {
+        #![cases = 24]
+
+        #[test]
+        fn non_finite_power_never_solves_to_ok(
+            ix in 0usize..16,
+            iy in 0usize..16,
+            pick in 0usize..3,
+            which in 0usize..3,
+            exp10 in 307.3f64..308.0,
+        ) {
+            // The probe: `set_cell(3, 3, Watt(INFINITY))` on `four_tier_5mm`
+            // used to store the +∞ and solve to `Ok(residual 0.0)`.
+            let mut s = ThermalStack::new(StackConfig::four_tier_5mm()).unwrap();
+            let map = s.power_mut(0).unwrap();
+            assert!(matches!(
+                map.set_cell(3, 3, Watt(f64::INFINITY)),
+                Err(ThermalError::InvalidPower { .. })
+            ));
+            let bad = Watt([f64::INFINITY, f64::NEG_INFINITY, f64::NAN][pick]);
+            let refused = match which {
+                0 => map.set_cell(ix, iy, bad),
+                1 => map.add_hotspot(0.4, 0.6, 0.1, bad),
+                _ => map.add_block(0.2, 0.2, 0.6, 0.5, bad),
+            };
+            assert!(matches!(refused, Err(ThermalError::InvalidPower { .. })), "{refused:?}");
+            assert_eq!(map.total(), Watt(0.0), "a refused wattage left the map changed");
+            // A finite wattage large enough to overflow the field: the
+            // sweeps "converge" once every update is NaN, and the solve must
+            // report the non-finite field instead of success.
+            map.set_cell(ix, iy, Watt(10f64.powf(exp10))).unwrap();
+            let r = solve_steady_state(&mut s, &SolveOptions::default());
+            assert!(matches!(r, Err(ThermalError::NonFiniteField { .. })), "{r:?}");
+        }
     }
 }

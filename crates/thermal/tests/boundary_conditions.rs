@@ -111,7 +111,7 @@ fn corner_impulse_is_the_hottest_cell() {
     };
     let mut s = ThermalStack::new(cfg).unwrap();
     let mut p = PowerMap::zero(9, 9).unwrap();
-    p.set_cell(0, 0, Watt(0.5));
+    p.set_cell(0, 0, Watt(0.5)).unwrap();
     s.set_power(0, p).unwrap();
     solve_tight(&mut s);
     // The impulse cell must be the hottest one on its tier.
@@ -135,7 +135,7 @@ fn center_impulse_field_is_symmetric() {
     };
     let mut s = ThermalStack::new(cfg).unwrap();
     let mut p = PowerMap::zero(9, 9).unwrap();
-    p.set_cell(4, 4, Watt(1.0));
+    p.set_cell(4, 4, Watt(1.0)).unwrap();
     s.set_power(0, p).unwrap();
     solve_tight(&mut s);
     for d in 1..5 {
@@ -169,7 +169,7 @@ fn ambient_shift_translates_the_field() {
         };
         let mut s = ThermalStack::new(cfg).unwrap();
         let mut p = PowerMap::zero(16, 16).unwrap();
-        p.add_hotspot(0.4, 0.6, 0.15, Watt(1.5));
+        p.add_hotspot(0.4, 0.6, 0.15, Watt(1.5)).unwrap();
         s.set_power(1, p).unwrap();
         solve_tight(&mut s);
         s

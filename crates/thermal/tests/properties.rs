@@ -25,7 +25,7 @@ forall! {
     ) {
         let mut s = small_stack(2);
         let mut p = PowerMap::zero(8, 8).unwrap();
-        p.add_hotspot(cx, cy, 0.15, Watt(w));
+        p.add_hotspot(cx, cy, 0.15, Watt(w)).unwrap();
         s.set_power(0, p).unwrap();
         solve_steady_state(&mut s, &SolveOptions::default()).unwrap();
         for tier in 0..2 {
@@ -47,7 +47,7 @@ forall! {
         let solve_rise = |w: f64, cx: f64| {
             let mut s = small_stack(1);
             let mut p = PowerMap::zero(8, 8).unwrap();
-            p.add_hotspot(cx, 0.5, 0.12, Watt(w));
+            p.add_hotspot(cx, 0.5, 0.12, Watt(w)).unwrap();
             s.set_power(0, p).unwrap();
             solve_steady_state(&mut s, &SolveOptions::default()).unwrap();
             s.temperature_at(0, 0.5, 0.5).unwrap().0 - 25.0
@@ -57,8 +57,8 @@ forall! {
         let both = {
             let mut s = small_stack(1);
             let mut p = PowerMap::zero(8, 8).unwrap();
-            p.add_hotspot(0.3, 0.5, 0.12, Watt(w1));
-            p.add_hotspot(0.7, 0.5, 0.12, Watt(w2));
+            p.add_hotspot(0.3, 0.5, 0.12, Watt(w1)).unwrap();
+            p.add_hotspot(0.7, 0.5, 0.12, Watt(w2)).unwrap();
             s.set_power(0, p).unwrap();
             solve_steady_state(&mut s, &SolveOptions::default()).unwrap();
             s.temperature_at(0, 0.5, 0.5).unwrap().0 - 25.0
@@ -86,7 +86,7 @@ forall! {
         x0 in 0.0f64..0.5, y0 in 0.0f64..0.5, w in 0.1f64..4.0,
     ) {
         let mut m = PowerMap::zero(16, 16).unwrap();
-        m.add_block(x0, y0, x0 + 0.4, y0 + 0.4, Watt(w));
+        m.add_block(x0, y0, x0 + 0.4, y0 + 0.4, Watt(w)).unwrap();
         assert!((m.total().0 - w).abs() < 1e-9);
         assert!(m.peak().0 <= w);
     }

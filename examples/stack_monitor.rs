@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // tier 2 (memory refresh).
     let mut thermal = monitor.build_thermal()?;
     let mut p0 = PowerMap::zero(16, 16)?;
-    p0.add_hotspot(0.3, 0.3, 0.12, Watt(2.0));
+    p0.add_hotspot(0.3, 0.3, 0.12, Watt(2.0))?;
     thermal.set_power(0, p0)?;
     thermal.set_power(2, PowerMap::uniform(16, 16, Watt(0.5))?)?;
 

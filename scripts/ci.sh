@@ -177,6 +177,12 @@ cargo test -q --release --offline -p ptsim-core --lib lane_and_scalar_population
 # contract must stay bit-identical under release codegen too.
 cargo test -q --release --offline -p ptsim-device --lib lane_kernels_match_scalar_per_lane
 cargo test -q --release --offline -p ptsim-core --test batch_equivalence
+# The decoupling solves take analytic Jacobians from the device and ring
+# partials: check those against central differences, and the solves against
+# the retained forward-difference oracle, under release codegen too.
+cargo test -q --release --offline -p ptsim-device --lib partials_match_central_differences
+cargo test -q --release --offline -p ptsim-circuit --lib ln_frequency_partials_match_central_differences
+cargo test -q --release --offline -p ptsim-core --lib analytic_jacobian_matches_the_forward_difference_oracle
 
 echo "==> bench smoke (1 sample, parse-only — timing never gates CI)"
 # Keeps every bench binary buildable and its JSON output machine-parseable;

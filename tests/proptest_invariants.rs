@@ -124,7 +124,7 @@ forall! {
     fn power_map_hotspot_conserves_total(cx in 0.1f64..0.9, cy in 0.1f64..0.9,
                                          r in 0.02f64..0.3, w in 0.1f64..5.0) {
         let mut m = PowerMap::zero(16, 16).unwrap();
-        m.add_hotspot(cx, cy, r, Watt(w));
+        m.add_hotspot(cx, cy, r, Watt(w)).unwrap();
         assert!((m.total().0 - w).abs() < 1e-9);
     }
 

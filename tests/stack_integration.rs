@@ -27,7 +27,7 @@ fn heated_stack_read_within_band_on_every_tier() {
 
     let mut thermal = mon.build_thermal().unwrap();
     let mut p = PowerMap::zero(16, 16).unwrap();
-    p.add_hotspot(0.4, 0.6, 0.15, Watt(2.5));
+    p.add_hotspot(0.4, 0.6, 0.15, Watt(2.5)).unwrap();
     thermal.set_power(0, p).unwrap();
     thermal
         .set_power(1, PowerMap::uniform(16, 16, Watt(0.4)).unwrap())
