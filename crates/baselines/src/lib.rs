@@ -11,7 +11,7 @@
 //! * [`pvt2013::Pvt2013Sensor`] — the group's 2013 near-/sub-Vth PVT sensor
 //!   with dynamic voltage selection (the paper's follow-up, implemented as
 //!   the extension experiment X1);
-//! * [`adapter::PtSensorThermometer`] — the paper's sensor behind the same
+//! * the paper's own `PtSensor`, which implements the same
 //!   [`traits::Thermometer`] interface, for apples-to-apples comparison.
 //!
 //! Every sensor implements the shared pipeline [`traits::Conversion`]
@@ -49,14 +49,12 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
-pub mod adapter;
 pub mod bjt;
 pub mod dvs;
 pub mod pvt2013;
 pub mod ro_thermometer;
 pub mod traits;
 
-pub use adapter::PtSensorThermometer;
 pub use bjt::BjtSensor;
 pub use dvs::DvsDtmSensing;
 pub use pvt2013::Pvt2013Sensor;

@@ -5,10 +5,12 @@
 //! full PT-sensor reading flow through the identical [`Reading`]/`Health`
 //! types. [`Thermometer`] layers the comparison-table metadata (display
 //! name, external-test flag, area proxy) on top, and collapses a full
-//! [`Reading`] to the [`TempReading`] view the tables print.
+//! [`Reading`] to the [`TempReading`] view the tables print. The paper's
+//! own [`PtSensor`] implements it here too, so the comparison harness
+//! grades it alongside the baselines.
 
 use ptsim_core::error::SensorError;
-use ptsim_core::sensor::{Reading, SensorInputs};
+use ptsim_core::sensor::{PtSensor, Reading, SensorInputs};
 use ptsim_device::units::{Celsius, Joule};
 
 pub use ptsim_core::pipeline::Conversion;
@@ -62,6 +64,23 @@ pub trait Thermometer: Conversion {
 
     /// Rough area proxy: number of transistors in the sensing front-end.
     fn device_count(&self) -> usize;
+}
+
+/// The SOCC 2012 sensor viewed as a plain thermometer; preparation and
+/// conversion are [`PtSensor`]'s own [`Conversion`] impl.
+impl Thermometer for PtSensor {
+    fn name(&self) -> &'static str {
+        "this work (self-calibrated PT)"
+    }
+
+    fn needs_external_test(&self) -> bool {
+        false
+    }
+
+    fn device_count(&self) -> usize {
+        // Three 51-stage rings + counters + controller datapath.
+        3 * 51 * 2 + 260
+    }
 }
 
 /// Convenience: draw a uniform phase from a dyn RNG.
@@ -151,5 +170,23 @@ mod tests {
         let full = th.convert(&inputs, &mut rng).unwrap();
         assert!(full.health.is_nominal());
         assert_eq!(full.raw_frequencies.0, Hertz(1.0e8));
+    }
+
+    #[test]
+    fn pt_sensor_round_trip() {
+        use ptsim_core::sensor::SensorSpec;
+        use ptsim_device::process::Technology;
+        use ptsim_mc::die::{DieSample, DieSite};
+        let mut th = PtSensor::new(Technology::n65(), SensorSpec::default_65nm()).unwrap();
+        let die = DieSample::nominal();
+        let mut rng = Pcg64::seed_from_u64(1);
+        let cal = SensorInputs::new(&die, DieSite::CENTER, Celsius(25.0));
+        th.prepare(&cal, &mut rng).unwrap();
+        let probe = SensorInputs::new(&die, DieSite::CENTER, Celsius(85.0));
+        let r = th.read_temperature(&probe, &mut rng).unwrap();
+        assert!((r.temperature.0 - 85.0).abs() < 1.5);
+        assert!(r.energy.picojoules() > 100.0);
+        assert!(!th.needs_external_test());
+        assert!(th.calibration().is_some());
     }
 }

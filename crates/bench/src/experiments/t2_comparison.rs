@@ -7,12 +7,11 @@
 
 use crate::experiments::population_size;
 use crate::table::{f, Table};
-use ptsim_baselines::adapter::PtSensorThermometer;
 use ptsim_baselines::bjt::BjtSensor;
 use ptsim_baselines::pvt2013::Pvt2013Sensor;
 use ptsim_baselines::ro_thermometer::{RoCalibration, RoThermometer};
 use ptsim_baselines::traits::Thermometer;
-use ptsim_core::sensor::{SensorInputs, SensorSpec};
+use ptsim_core::sensor::{PtSensor, SensorInputs, SensorSpec};
 use ptsim_device::process::Technology;
 use ptsim_device::units::{Celsius, Volt};
 use ptsim_mc::driver::{run_parallel, McConfig};
@@ -135,10 +134,8 @@ pub fn run_with(n: usize) -> String {
     ));
     rows.push(grade(
         || {
-            Box::new(
-                PtSensorThermometer::new(tech.clone(), SensorSpec::default_65nm())
-                    .expect("this work"),
-            ) as Box<dyn Thermometer>
+            Box::new(PtSensor::new(tech.clone(), SensorSpec::default_65nm()).expect("this work"))
+                as Box<dyn Thermometer>
         },
         n,
         5,

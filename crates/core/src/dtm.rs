@@ -526,13 +526,6 @@ impl WorkloadTrace {
         self.total_steps == 0
     }
 
-    /// Normalized hotspot centre — the natural sensor placement for a
-    /// monitor guarding this workload.
-    #[must_use]
-    pub fn hotspot_center(&self) -> (f64, f64) {
-        (self.hotspot.0, self.hotspot.1)
-    }
-
     /// The step with the highest demand in one cycle (first such step).
     #[must_use]
     pub fn peak_demand_step(&self) -> usize {

@@ -75,6 +75,33 @@ fn eval_basis(indices: &[Vec<usize>], x: &[f64], out: &mut Vec<f64>) {
     }
 }
 
+/// Adds one grid sample to the normal equations `AᵀA x = Aᵀb`, filling only
+/// the upper triangle (`c ≥ r`) of the symmetric `AᵀA`; [`mirror_upper`]
+/// completes it once after the last sample. Every entry sums the same
+/// products in the same order as a full fill (IEEE multiplication
+/// commutes), so the mirrored matrix is bit-identical to it at half the
+/// multiply-adds.
+fn accumulate_upper(ata: &mut [f64], atb: &mut [f64], basis: &[f64], lnf: f64) {
+    let n = basis.len();
+    for r in 0..n {
+        let br = basis[r];
+        for (a, bc) in ata[r * n + r..(r + 1) * n].iter_mut().zip(&basis[r..]) {
+            *a += br * bc;
+        }
+        atb[r] += br * lnf;
+    }
+}
+
+/// Copies the upper triangle of the `n × n` row-major `ata` onto its lower
+/// triangle.
+fn mirror_upper(ata: &mut [f64], n: usize) {
+    for r in 1..n {
+        for c in 0..r {
+            ata[r * n + c] = ata[c * n + r];
+        }
+    }
+}
+
 /// One fitted `ln f` surface.
 #[derive(Debug, Clone, PartialEq)]
 struct Surface {
@@ -137,18 +164,14 @@ impl GoldenModel {
                                 let env = space.denormalize(&x);
                                 let lnf = bank.frequency(tech, class, vdd, &env).0.ln();
                                 eval_basis(&indices, &x, &mut basis);
-                                for r in 0..n_coef {
-                                    for c in 0..n_coef {
-                                        ata[r * n_coef + c] += basis[r] * basis[c];
-                                    }
-                                    atb[r] += basis[r] * lnf;
-                                }
+                                accumulate_upper(&mut ata, &mut atb, &basis, lnf);
                                 samples.push((x.to_vec(), lnf));
                             }
                         }
                     }
                 }
             }
+            mirror_upper(&mut ata, n_coef);
             solve_linear(&mut ata, &mut atb, n_coef, "golden-model fit")?;
             let coeffs = atb;
 
@@ -268,6 +291,46 @@ impl CharacterizationSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptsim_rng::{forall, Pcg64, Rng};
+
+    /// The full-matrix accumulation [`accumulate_upper`] replaced, kept as
+    /// the bit-exact oracle for the triangular fill.
+    fn accumulate_full(ata: &mut [f64], atb: &mut [f64], basis: &[f64], lnf: f64) {
+        let n = basis.len();
+        for r in 0..n {
+            for c in 0..n {
+                ata[r * n + c] += basis[r] * basis[c];
+            }
+            atb[r] += basis[r] * lnf;
+        }
+    }
+
+    forall! {
+        #[test]
+        fn triangular_fill_matches_the_full_fill_bit_for_bit(
+            seed in 0u64..1000,
+            n in 1usize..40,
+            samples in 1usize..30,
+        ) {
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let (mut full, mut upper) = (vec![0.0; n * n], vec![0.0; n * n]);
+            let (mut full_b, mut upper_b) = (vec![0.0; n], vec![0.0; n]);
+            for _ in 0..samples {
+                // Basis values span the magnitudes a degree-5 monomial of
+                // normalized coordinates takes, signs included.
+                let basis: Vec<f64> = (0..n)
+                    .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-6..2)))
+                    .collect();
+                let lnf = rng.gen_range(10.0..25.0);
+                accumulate_full(&mut full, &mut full_b, &basis, lnf);
+                accumulate_upper(&mut upper, &mut upper_b, &basis, lnf);
+            }
+            mirror_upper(&mut upper, n);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&upper), bits(&full));
+            assert_eq!(bits(&upper_b), bits(&full_b));
+        }
+    }
 
     /// A cheap space for structural unit tests (the full default space is
     /// exercised in release mode by the A1 ablation bench).

@@ -52,7 +52,6 @@ pub mod monitor;
 pub mod newton;
 pub mod pipeline;
 pub mod sensor;
-pub mod vsense;
 
 pub use bank::{BankCache, BankSpec, RoBank, RoClass};
 pub use calib::Calibration;
@@ -68,4 +67,3 @@ pub use metrics::{PipelineMetrics, Stage};
 pub use monitor::{SensorNode, StackMonitor, TierReading};
 pub use pipeline::{BatchPlan, Conversion, DieConversion, Scratch};
 pub use sensor::{CalibrationOutcome, HardeningSpec, PtSensor, Reading, SensorInputs, SensorSpec};
-pub use vsense::VddMonitor;

@@ -2,20 +2,18 @@
 //!
 //! A [`BatchPlan`] captures everything that is identical across dies of a
 //! population — the sensor prototype (with its design-time plausibility
-//! bands and optional characterized model already built), the boot
-//! conditions, the site, and the temperature schedule — so per-conversion
+//! bands already built) and the temperature schedule — so per-conversion
 //! setup is amortized: cloning the prototype per die skips the 160-corner
-//! band envelope scan and the polynomial characterization that
-//! [`PtSensor::new`] / [`PtSensor::use_characterized_model`] pay.
+//! band envelope scan that [`PtSensor::new`] pays. Every die calibrates at
+//! the spec's `calib_temp` with its bank at [`DieSite::CENTER`].
 //!
-//! Cloning is bit-identical to fresh construction: band derivation and
-//! characterization consume no RNG, and [`PtSensor::calibrate`] fully
-//! overwrites the stored state, so a cloned prototype behaves exactly like
-//! a sensor built from scratch on the same die.
+//! Cloning is bit-identical to fresh construction: band derivation
+//! consumes no RNG, and [`PtSensor::calibrate`] fully overwrites the stored
+//! state, so a cloned prototype behaves exactly like a sensor built from
+//! scratch on the same die.
 
 use crate::bank::RoClass;
 use crate::error::SensorError;
-use crate::golden::CharacterizationSpace;
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::lanes::{self, LANES};
 use crate::pipeline::output::{CalibrationOutcome, Reading};
@@ -45,8 +43,6 @@ pub struct DieConversion {
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     prototype: PtSensor,
-    boot_temp: Celsius,
-    site: DieSite,
     temps: Vec<Celsius>,
 }
 
@@ -57,43 +53,10 @@ impl BatchPlan {
     ///
     /// Propagates sensor construction errors.
     pub fn new(tech: Technology, spec: SensorSpec) -> Result<Self, SensorError> {
-        let boot_temp = spec.calib_temp;
         Ok(BatchPlan {
             prototype: PtSensor::new(tech, spec)?,
-            boot_temp,
-            site: DieSite::CENTER,
             temps: Vec::new(),
         })
-    }
-
-    /// Switches the prototype (and so every die of the batch) to the
-    /// design-time characterized polynomial model, paying the
-    /// characterization cost once for the whole population.
-    ///
-    /// # Errors
-    ///
-    /// Propagates characterization failures.
-    pub fn with_characterized_model(
-        mut self,
-        space: CharacterizationSpace,
-    ) -> Result<Self, SensorError> {
-        self.prototype.use_characterized_model(space)?;
-        Ok(self)
-    }
-
-    /// Places the sensor bank at `site` on every die.
-    #[must_use]
-    pub fn at_site(mut self, site: DieSite) -> Self {
-        self.site = site;
-        self
-    }
-
-    /// True die temperature during the boot-time self-calibration
-    /// (defaults to the spec's assumed calibration temperature).
-    #[must_use]
-    pub fn boot_temp(mut self, temp: Celsius) -> Self {
-        self.boot_temp = temp;
-        self
     }
 
     /// Schedules one reading per temperature (°C), in order, on every die.
@@ -110,16 +73,10 @@ impl BatchPlan {
         self.prototype.clone()
     }
 
-    /// The scheduled read temperatures.
-    #[must_use]
-    pub fn temperatures(&self) -> &[Celsius] {
-        &self.temps
-    }
-
     /// Runs the plan on one die with a caller-provided sensor (obtained
     /// from [`BatchPlan::sensor`], possibly with faults injected):
-    /// calibrates at the boot conditions, then reads every scheduled
-    /// temperature in order.
+    /// calibrates at the spec's `calib_temp`, then reads every scheduled
+    /// temperature in order, all at [`DieSite::CENTER`].
     ///
     /// # Errors
     ///
@@ -148,11 +105,11 @@ impl BatchPlan {
         rng: &mut R,
         scratch: &mut Scratch,
     ) -> Result<DieConversion, SensorError> {
-        let boot = SensorInputs::new(die, self.site, self.boot_temp);
+        let boot = SensorInputs::new(die, DieSite::CENTER, self.prototype.spec.calib_temp);
         let calibration = crate::pipeline::run_calibration_with(sensor, &boot, rng, scratch)?;
         let mut readings = Vec::with_capacity(self.temps.len());
         for &t in &self.temps {
-            let inputs = SensorInputs::new(die, self.site, t);
+            let inputs = SensorInputs::new(die, DieSite::CENTER, t);
             readings.push(crate::pipeline::run_conversion_with(
                 sensor, &inputs, rng, scratch,
             )?);
@@ -161,23 +118,6 @@ impl BatchPlan {
             calibration,
             readings,
         })
-    }
-
-    /// Runs the plan on one die with a fresh prototype clone, returning the
-    /// calibrated sensor alongside the conversions (for campaigns that keep
-    /// probing the same die afterwards, e.g. fault injection).
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration/read failures.
-    pub fn convert_die<R: Rng + ?Sized>(
-        &self,
-        die: &DieSample,
-        rng: &mut R,
-    ) -> Result<(PtSensor, DieConversion), SensorError> {
-        let mut sensor = self.sensor();
-        let conv = self.convert_with(&mut sensor, die, rng)?;
-        Ok((sensor, conv))
     }
 
     /// Runs the plan over a whole Monte-Carlo population under the batch
@@ -195,12 +135,11 @@ impl BatchPlan {
     /// created — once per worker thread, not per die, so the steady-state
     /// conversion loop is allocation-free.
     ///
-    /// Analytic-model plans run through the struct-of-arrays **lane
-    /// kernel** ([`crate::pipeline::lanes`]): dies are dispatched in
-    /// [`LANES`]-wide chunks whose RNG-free Newton solves run
-    /// lane-parallel, bit-identical to — and substantially faster than —
-    /// the retained scalar oracle ([`BatchPlan::run_population_scalar`]).
-    /// Characterized-model plans take the scalar path unconditionally.
+    /// The population runs through the struct-of-arrays **lane kernel**
+    /// ([`crate::pipeline::lanes`]): dies are dispatched in [`LANES`]-wide
+    /// chunks whose RNG-free Newton solves run lane-parallel, bit-identical
+    /// to — and substantially faster than — the retained scalar oracle
+    /// ([`BatchPlan::run_population_scalar`]).
     #[must_use]
     pub fn run_population(
         &self,
@@ -231,8 +170,7 @@ impl BatchPlan {
     }
 
     /// The retained scalar population path — the bit-exact oracle the lane
-    /// kernel is gated against (and the unconditional path for
-    /// characterized-model plans). One die at a time through the staged
+    /// kernel is gated against. One die at a time through the staged
     /// pipeline, one worker context per thread, drawing each die under the
     /// same two-stream sampling discipline as the lane path (see
     /// [`BatchPlan::run_population`]) so the two are comparable die for
@@ -255,9 +193,6 @@ impl BatchPlan {
         model: &VariationModel,
         scratch: fn() -> Scratch,
     ) -> (Vec<Result<DieConversion, SensorError>>, Vec<Scratch>) {
-        if self.prototype.characterized_model().is_some() {
-            return self.scalar_population(cfg, model, scratch);
-        }
         let (results, reports) = run_parallel_chunked(
             cfg,
             LANES,
@@ -317,7 +252,7 @@ impl BatchPlan {
     /// probes a die at: this plan's three ring sites.
     fn site_masks(&self, sensor: &PtSensor, sampler: &DieSampler) -> (FieldMask, FieldMask) {
         let points = [RoClass::PsroN, RoClass::PsroP, RoClass::Tsro].map(|class| {
-            let site = sensor.bank().site_of(class, self.site);
+            let site = sensor.bank().site_of(class, DieSite::CENTER);
             (site.x, site.y)
         });
         sampler.field_masks(&points)
@@ -381,16 +316,7 @@ impl BatchPlan {
             ));
             rngs.push(rng);
         }
-        lanes::convert_population_chunk(
-            sensor,
-            scratch,
-            self.site,
-            self.boot_temp,
-            &self.temps,
-            dies,
-            rngs,
-            out,
-        );
+        lanes::convert_population_chunk(sensor, scratch, &self.temps, dies, rngs, out);
     }
 }
 
@@ -527,7 +453,7 @@ mod tests {
         let die = DieSample::nominal();
         let mut rng_a = die_rng(1, 0);
         let mut rng_b = die_rng(1, 0);
-        let (_, via_plan) = p.convert_die(&die, &mut rng_a).unwrap();
+        let via_plan = p.convert_with(&mut p.sensor(), &die, &mut rng_a).unwrap();
         let mut fresh = PtSensor::new(Technology::n65(), SensorSpec::default_65nm()).unwrap();
         let via_fresh = p.convert_with(&mut fresh, &die, &mut rng_b).unwrap();
         assert_eq!(via_plan, via_fresh);
@@ -536,9 +462,9 @@ mod tests {
     #[test]
     fn read_batch_amortizes_over_the_schedule() {
         let die = DieSample::nominal();
-        let p = plan().boot_temp(Celsius(25.0));
+        let p = plan();
         let mut rng = die_rng(2, 0);
-        let (_, conv) = p.convert_die(&die, &mut rng).unwrap();
+        let conv = p.convert_with(&mut p.sensor(), &die, &mut rng).unwrap();
         assert_eq!(conv.readings.len(), 3);
         for (r, t) in conv.readings.iter().zip([0.0, 50.0, 100.0]) {
             assert!((r.temperature.0 - t).abs() < 1.5);

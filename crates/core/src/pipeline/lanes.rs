@@ -174,12 +174,6 @@ impl LaneBatch {
         self.len == 0
     }
 
-    /// True when every lane is occupied.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.len == LANES
-    }
-
     /// Resets the batch to empty (no heap memory to keep warm).
     pub fn clear(&mut self) {
         self.len = 0;
@@ -565,14 +559,9 @@ pub(crate) fn solve_lanes<'s>(
 ///               solve_lanes: 3×3 conversion decoupling    (RNG-free)
 ///               finish per die
 /// ```
-// The parameters are the per-worker SoA columns (dies, rngs, output) plus
-// the plan constants; a bundling struct would exist for this one call.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn convert_population_chunk<R: Rng>(
     sensor: &PtSensor,
     scratch: &mut Scratch,
-    site: DieSite,
-    boot_temp: Celsius,
     temps: &[Celsius],
     dies: &[DieSample],
     rngs: &mut [R],
@@ -585,9 +574,10 @@ pub(crate) fn convert_population_chunk<R: Rng>(
     // ---- Phase A: boot-plan gating per die, the 4×4 decoupling across
     // the lanes, then each die's calibration finish.
     let plan = gate::calibration_plan(&sensor.spec);
+    let boot_temp = sensor.spec.calib_temp;
     let mut measured = [[0.0; 4]; LANES];
     let mut gated: [Option<Result<Pass, SensorError>>; LANES] = core::array::from_fn(|k| {
-        let boot = SensorInputs::new(dies.get(k)?, site, boot_temp);
+        let boot = SensorInputs::new(dies.get(k)?, DieSite::CENTER, boot_temp);
         let mut pass = Pass::start(scratch);
         let m = gate::gate_plan_with(
             sensor,
@@ -632,7 +622,7 @@ pub(crate) fn convert_population_chunk<R: Rng>(
                 };
                 Ok((pass, x, iters))
             });
-            let boot = SensorInputs::new(&dies[k], site, boot_temp);
+            let boot = SensorInputs::new(&dies[k], DieSite::CENTER, boot_temp);
             let calibration = finish_calibration(sensor, &boot, &mut rngs[k], solved, scratch);
             Some(calibration.map(|calibration| DieConversion {
                 calibration,
@@ -647,7 +637,7 @@ pub(crate) fn convert_population_chunk<R: Rng>(
             Some(Ok(conv)) => Some(begin(
                 sensor,
                 Some(conv.calibration.calibration),
-                &SensorInputs::new(&dies[k], site, t),
+                &SensorInputs::new(&dies[k], DieSite::CENTER, t),
                 &mut rngs[k],
                 scratch,
             )),

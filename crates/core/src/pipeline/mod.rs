@@ -101,11 +101,6 @@ impl Scratch {
         self.metrics.as_ref()
     }
 
-    /// Mutable access to the attached metrics, if any.
-    pub fn metrics_mut(&mut self) -> Option<&mut PipelineMetrics> {
-        self.metrics.as_mut()
-    }
-
     /// Detaches and returns the metrics (e.g. to merge per-worker instances
     /// after a batch run). The scratch keeps its warm buffers.
     pub fn take_metrics(&mut self) -> Option<PipelineMetrics> {

@@ -191,12 +191,6 @@ impl Mosfet {
         self.w.0 / self.l.0
     }
 
-    /// Gate area W·L in µm².
-    #[must_use]
-    pub fn gate_area(&self) -> f64 {
-        self.w.0 * self.l.0
-    }
-
     /// Effective threshold magnitude under `env`.
     #[must_use]
     pub fn vt_eff(&self, tech: &Technology, env: &DeviceEnv) -> Volt {

@@ -165,21 +165,6 @@ impl Technology {
             corner_mu_shift: 0.06,
         }
     }
-
-    /// Generic 65 nm general-purpose flavour: lower Vt, faster, leakier.
-    ///
-    /// Used by ablation benches to show the sensor generalizes across
-    /// threshold flavours.
-    #[must_use]
-    pub fn n65_gp() -> Self {
-        Technology {
-            name: "65nm-GP".to_owned(),
-            vtn0: Volt(0.28),
-            vtp0: Volt(0.26),
-            vdd_nominal: Volt(1.0),
-            ..Technology::n65()
-        }
-    }
 }
 
 impl Default for Technology {
@@ -238,13 +223,5 @@ mod tests {
         assert_eq!(t.name, "65nm-LP");
         assert!(t.vtn0.0 > t.vtp0.0);
         assert!(t.kp_n > t.kp_p, "NMOS mobility exceeds PMOS");
-    }
-
-    #[test]
-    fn gp_flavour_has_lower_thresholds() {
-        let lp = Technology::n65();
-        let gp = Technology::n65_gp();
-        assert!(gp.vtn0.0 < lp.vtn0.0);
-        assert!(gp.vtp0.0 < lp.vtp0.0);
     }
 }

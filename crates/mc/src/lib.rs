@@ -34,13 +34,11 @@
 pub mod die;
 pub mod driver;
 pub mod gaussian;
-pub mod lhs;
 pub mod model;
 pub mod spatial;
 pub mod stats;
 
 pub use die::{DieSample, DieSite};
 pub use driver::{die_rng, run_parallel, run_parallel_with, McConfig};
-pub use lhs::{sample_dies_lhs, unit_hypercube};
 pub use model::VariationModel;
 pub use stats::{Histogram, OnlineStats};

@@ -3,7 +3,6 @@
 use ptsim_device::process::Technology;
 use ptsim_mc::die::DieSite;
 use ptsim_mc::driver::{die_rng, run_parallel, McConfig};
-use ptsim_mc::lhs::{inverse_normal_cdf, unit_hypercube};
 use ptsim_mc::model::VariationModel;
 use ptsim_mc::spatial::{SpatialConfig, SpatialField};
 use ptsim_mc::stats::{quantile_in_place, Histogram, OnlineStats};
@@ -83,24 +82,6 @@ forall! {
         xs.remove(first_nan);
         if !xs.is_empty() {
             assert!(quantile_in_place(&mut xs, q).unwrap().is_finite());
-        }
-    }
-
-    #[test]
-    fn inverse_cdf_antisymmetric(p in 0.001f64..0.499) {
-        let a = inverse_normal_cdf(p);
-        let b = inverse_normal_cdf(1.0 - p);
-        assert!((a + b).abs() < 1e-6);
-    }
-
-    #[test]
-    fn hypercube_points_in_unit_box(seed in 0u64..200, n in 1usize..50, d in 1usize..6) {
-        let mut rng = Pcg64::seed_from_u64(seed);
-        for point in unit_hypercube(&mut rng, n, d) {
-            assert_eq!(point.len(), d);
-            for c in point {
-                assert!((0.0..1.0).contains(&c));
-            }
         }
     }
 

@@ -16,7 +16,6 @@
 //! - [`check`] — a seeded, shrink-free property-test harness with the
 //!   [`forall!`] macro, replacing `proptest` for the workspace's invariant
 //!   tests.
-//! - [`seq::SliceRandom`] — Fisher–Yates shuffling for slices.
 //!
 //! ```
 //! use ptsim_rng::{Pcg64, Rng, RngCore};
@@ -37,9 +36,7 @@
 pub mod check;
 pub mod gaussian;
 pub mod pcg;
-pub mod seq;
 pub mod traits;
 
 pub use pcg::{Pcg64, SplitMix64};
-pub use seq::SliceRandom;
 pub use traits::{FromRng, Rng, RngCore, SampleUniform};

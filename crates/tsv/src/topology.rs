@@ -142,19 +142,6 @@ impl StackTopology {
         &self.thermal_cfg
     }
 
-    /// Stress model in use.
-    #[must_use]
-    pub fn stress_model(&self) -> &StressModel {
-        &self.stress
-    }
-
-    /// Replaces the stress model.
-    #[must_use]
-    pub fn with_stress_model(mut self, stress: StressModel) -> Self {
-        self.stress = stress;
-        self
-    }
-
     /// Adds a TSV array at a tier interface.
     ///
     /// # Errors

@@ -183,6 +183,10 @@ cargo test -q --release --offline -p ptsim-core --test batch_equivalence
 cargo test -q --release --offline -p ptsim-device --lib partials_match_central_differences
 cargo test -q --release --offline -p ptsim-circuit --lib ln_frequency_partials_match_central_differences
 cargo test -q --release --offline -p ptsim-core --lib analytic_jacobian_matches_the_forward_difference_oracle
+# The characterized model's normal equations fill only the upper triangle
+# of AᵀA and mirror it; that must equal the full fill bit for bit under
+# release codegen too, which may vectorise the triangular inner loop.
+cargo test -q --release --offline -p ptsim-core --lib triangular_fill_matches_the_full_fill_bit_for_bit
 
 echo "==> bench smoke (1 sample, parse-only — timing never gates CI)"
 # Keeps every bench binary buildable and its JSON output machine-parseable;

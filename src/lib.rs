@@ -64,8 +64,8 @@ pub use ptsim_tsv as tsv;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use ptsim_baselines::{
-        BjtSensor, DvsDtmSensing, PtSensorThermometer, Pvt2013Sensor, RoCalibration, RoThermometer,
-        TempReading, Thermometer,
+        BjtSensor, DvsDtmSensing, Pvt2013Sensor, RoCalibration, RoThermometer, TempReading,
+        Thermometer,
     };
     pub use ptsim_circuit::{EnergyLedger, Fixed, GatedCounter, InverterRing, Prescaler, QFormat};
     pub use ptsim_core::{
@@ -73,7 +73,7 @@ pub mod prelude {
         DtmConfig, DtmController, DtmOutcome, DtmSensing, DvfsTable, HardeningSpec, Health,
         HealthEvent, HealthStatus, NominalSensing, OperatingPoint, PtSensor, Reading, RoBank,
         RoClass, SensingMode, SensorError, SensorInputs, SensorSpec, StackMonitor, TierReading,
-        VddMonitor, WorkloadTrace,
+        WorkloadTrace,
     };
     pub use ptsim_device::units::{
         Ampere, Celsius, Farad, Hertz, Joule, Kelvin, Micron, Ohm, Pascal, Seconds, Volt, Watt,
