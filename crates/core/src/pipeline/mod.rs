@@ -365,7 +365,7 @@ pub(crate) fn finish_calibration<R: Rng + ?Sized>(
             let ln_f_t_model = sensor.model_ln_f(RoClass::Tsro, spec.bank.vdd_tsro, &model_env);
             let ln_scale = f_t.0.ln() - ln_f_t_model;
             sensor.charge_digital(&mut pass.ledger, "controller", spec.controller_cycles * 2);
-            let calibration = Calibration::store(
+            let calibration = sensor.anchor(Calibration::store(
                 Volt(x[0]),
                 Volt(x[1]),
                 x[2],
@@ -373,7 +373,7 @@ pub(crate) fn finish_calibration<R: Rng + ?Sized>(
                 ln_scale,
                 spec.calib_temp,
                 spec.qformat,
-            );
+            ));
             if let Some(m) = scratch.metrics.as_mut() {
                 m.on_calibration();
                 m.on_solver_iterations(iters);

@@ -46,6 +46,7 @@ use crate::error::SensorError;
 use crate::golden::{CharacterizationSpace, GoldenModel};
 use crate::health::HealthEvent;
 use crate::pipeline::bands::{design_bands, Band};
+use crate::pipeline::solve::StartTable;
 use ptsim_circuit::counter::GatedCounter;
 use ptsim_circuit::energy::EnergyLedger;
 use ptsim_circuit::fixed::QFormat;
@@ -55,6 +56,7 @@ use ptsim_device::units::{Celsius, Hertz, Joule, Volt};
 use ptsim_faults::FaultPlan;
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_rng::Rng;
+use std::sync::{Arc, OnceLock};
 
 pub use crate::pipeline::output::{CalibrationOutcome, Reading};
 
@@ -235,6 +237,9 @@ pub struct PtSensor {
     pub(crate) calibration: Option<Calibration>,
     /// Design-time plausibility bands, one per measurement-plan pair.
     pub(crate) bands: Vec<Band>,
+    /// Design-time TSRO table of the conversion start, built on first use
+    /// and shared by every clone of this sensor.
+    start_table: SharedTable,
     /// Active injected faults (empty in a healthy sensor).
     pub(crate) faults: FaultPlan,
 }
@@ -294,8 +299,29 @@ impl PtSensor {
             golden: None,
             calibration: None,
             bands,
+            start_table: SharedTable::default(),
             faults: FaultPlan::new(),
         })
+    }
+
+    /// The design-time TSRO table the conversion solves start from (see
+    /// [`StartTable`]), built on the first call for this design and shared
+    /// with every clone; `None` on a characterized-model sensor, whose
+    /// solves keep the calibration-temperature start.
+    pub(crate) fn start_table(&self) -> Option<&StartTable> {
+        if self.golden.is_some() {
+            return None;
+        }
+        Some(self.start_table.0.get_or_init(|| StartTable::build(self)))
+    }
+
+    /// `calibration` with the start anchor of this design derived from its
+    /// registers (unanchored on a characterized-model sensor).
+    pub(crate) fn anchor(&self, calibration: Calibration) -> Calibration {
+        let anchor = self
+            .start_table()
+            .map(|table| table.anchor(self, &calibration));
+        calibration.anchored(anchor)
     }
 
     /// Switches the on-chip math to a design-time characterized polynomial
@@ -361,9 +387,9 @@ impl PtSensor {
     }
 
     /// Installs an externally-stored calibration (e.g. replayed from
-    /// non-volatile memory).
+    /// non-volatile memory), deriving its start anchor from the registers.
     pub fn set_calibration(&mut self, calibration: Calibration) {
-        self.calibration = Some(calibration);
+        self.calibration = Some(self.anchor(calibration));
     }
 
     /// Injects a set of hardware faults. Calibration-register SEUs strike
@@ -528,6 +554,18 @@ impl PtSensor {
         rng: &mut R,
     ) -> Result<Vec<Reading>, SensorError> {
         crate::pipeline::lanes::read_batch_lanes(self, inputs, rng)
+    }
+}
+
+/// The shared start-table cell. A memo of a pure function of the design
+/// (technology, bank, spec), which the sensor's other fields already
+/// compare, so two cells are always equal, built or not.
+#[derive(Debug, Clone, Default)]
+struct SharedTable(Arc<OnceLock<StartTable>>);
+
+impl PartialEq for SharedTable {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 

@@ -175,6 +175,37 @@ fn warm_conversion_path_with_metrics_is_allocation_free() {
 }
 
 #[test]
+fn warm_read_after_a_fresh_calibration_is_allocation_free() {
+    // A conversion starts its Newton solve at a temperature predicted from
+    // a design-time TSRO table, which a sensor builds on its first
+    // calibration (and shares with its clones). So the first read after
+    // the first calibration of a fresh sensor, on a warm scratch, must not
+    // touch the heap: the table is never built on the read path.
+    let die = DieSample::nominal();
+    let mut rng = Pcg64::seed_from_u64(0xa110f);
+    let boot = SensorInputs::new(&die, DieSite::CENTER, Celsius(25.0));
+    let read = SensorInputs::new(&die, DieSite::CENTER, Celsius(110.0));
+    let mut scratch = Scratch::new();
+    let mut warm = PtSensor::new(Technology::n65(), SensorSpec::default_65nm()).unwrap();
+    warm.calibrate(&boot, &mut rng).unwrap();
+    run_conversion_with(&warm, &read, &mut rng, &mut scratch).unwrap();
+
+    let mut fresh = PtSensor::new(Technology::n65(), SensorSpec::default_65nm()).unwrap();
+    fresh.calibrate(&boot, &mut rng).unwrap();
+    let before = allocations();
+    let r = run_conversion_with(&fresh, &read, &mut rng, &mut scratch).unwrap();
+    let after = allocations();
+
+    assert!((r.temperature.0 - 110.0).abs() < 2.0, "{}", r.temperature.0);
+    assert_eq!(
+        after - before,
+        0,
+        "the first read after a fresh calibration allocated {} times",
+        after - before
+    );
+}
+
+#[test]
 fn warm_transient_step_is_allocation_free() {
     // The 2 ms DTM control-loop tick on the R3 stack (16×16×4 with a TSV
     // array adding vertical conductance at every interface): retune

@@ -17,6 +17,9 @@ cargo test -q --offline --workspace
 echo "==> perfbench build (outside the workspace; compiles against the service API)"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench self-tests (percentiles, latency and rate arithmetic, metric list)"
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --offline --workspace (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -183,6 +186,10 @@ cargo test -q --release --offline -p ptsim-core --test batch_equivalence
 cargo test -q --release --offline -p ptsim-device --lib partials_match_central_differences
 cargo test -q --release --offline -p ptsim-circuit --lib ln_frequency_partials_match_central_differences
 cargo test -q --release --offline -p ptsim-core --lib analytic_jacobian_matches_the_forward_difference_oracle
+# Each conversion solve starts at a temperature predicted from a design-time
+# TSRO table; the calibration-point start stays as its oracle: same root,
+# no more iterations, same escalation rung, lane kernel bit for bit.
+cargo test -q --release --offline -p ptsim-core --lib predicted_start_matches_the_calibration_point_oracle
 # The characterized model's normal equations fill only the upper triangle
 # of AᵀA and mirror it; that must equal the full fill bit for bit under
 # release codegen too, which may vectorise the triangular inner loop.
