@@ -4,6 +4,7 @@
 //! the pipeline modules; these exercise the composed datapath exactly like
 //! an application would.
 
+use ptsim_core::calib::Calibration;
 use ptsim_core::error::SensorError;
 use ptsim_core::health::{HealthEvent, HealthStatus};
 use ptsim_core::sensor::{HardeningSpec, PtSensor, SensorInputs, SensorSpec};
@@ -198,8 +199,22 @@ fn set_calibration_replays_stored_state() {
     let die = DieSample::nominal();
     let s1 = calibrated_on(&die, 9);
     let cal = *s1.calibration().unwrap();
+    // Registers replayed from non-volatile memory equal the calibration
+    // that wrote them and the one installed from them: the start anchor a
+    // sensor derives is not a register.
+    let replayed = Calibration::store(
+        cal.d_vtn(),
+        cal.d_vtp(),
+        cal.mu_n(),
+        cal.mu_p(),
+        cal.ln_tsro_scale(),
+        cal.calib_temp(),
+        cal.format(),
+    );
+    assert_eq!(replayed, cal);
     let mut s2 = sensor();
-    s2.set_calibration(cal);
+    s2.set_calibration(replayed);
+    assert_eq!(*s2.calibration().unwrap(), replayed);
     let mut rng = Pcg64::seed_from_u64(99);
     let inputs = SensorInputs::new(&die, DieSite::CENTER, Celsius(40.0));
     let r = s2.read(&inputs, &mut rng).unwrap();
