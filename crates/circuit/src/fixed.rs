@@ -75,11 +75,17 @@ impl QFormat {
         self.int_bits + self.frac_bits
     }
 
-    /// Smallest representable increment.
+    /// Smallest representable increment, `2^-frac_bits`.
     #[inline]
     #[must_use]
     pub fn resolution(self) -> f64 {
-        (self.frac_bits as f64).exp2().recip()
+        pow2(-(self.frac_bits as i32))
+    }
+
+    /// `2^frac_bits`: the factor from a real value to a raw word.
+    #[inline]
+    fn scale(self) -> f64 {
+        pow2(self.frac_bits as i32)
     }
 
     /// Largest representable magnitude.
@@ -97,6 +103,13 @@ impl QFormat {
     fn raw_min(self) -> i64 {
         -(1i64 << self.total_bits())
     }
+}
+
+/// `2^e`, built from its exponent bits: exact, and no libm call. A valid
+/// format has `frac_bits <= 62`, so `e` stays far inside the normal range.
+#[inline]
+fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
 }
 
 impl fmt::Display for QFormat {
@@ -118,7 +131,7 @@ impl Fixed {
     #[inline]
     #[must_use]
     pub fn from_f64(value: f64, format: QFormat) -> Self {
-        let scaled = value * (format.frac_bits as f64).exp2();
+        let scaled = value * format.scale();
         let raw = if scaled.is_nan() {
             0
         } else {
@@ -469,6 +482,20 @@ mod tests {
         assert_eq!(q.to_string(), "Q4.10");
         let v = Fixed::from_f64(0.5, q);
         assert!(v.to_string().contains("0.5"));
+    }
+
+    #[test]
+    fn exact_powers_of_two_match_libm_for_every_format() {
+        for frac_bits in 0..=62 {
+            for int_bits in 0..=62 - frac_bits {
+                let Ok(q) = QFormat::new(int_bits, frac_bits) else {
+                    continue;
+                };
+                let libm = f64::from(frac_bits).exp2();
+                assert_eq!(q.resolution().to_bits(), libm.recip().to_bits(), "{q}");
+                assert_eq!(q.scale().to_bits(), libm.to_bits(), "{q}");
+            }
+        }
     }
 
     #[test]

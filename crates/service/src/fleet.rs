@@ -9,6 +9,9 @@
 //! `Dead` and its queue is drained with typed `shard_down` rejections;
 //! the rest of the fleet keeps serving.
 //!
+//! A request to an idle shard is served on the submitting thread: nothing
+//! queued, nobody holding the shard's context, not an `inject`, and no
+//! one-shot chaos armed on its die. Everything else queues for the worker.
 //! Admission control is strictly bounded: a full queue sheds the
 //! *lowest-priority read* (answering it `overloaded`) to admit
 //! higher-priority work, and rejects the newcomer otherwise. Replies are
@@ -19,7 +22,7 @@
 use crate::protocol::{
     HealthWire, Rejection, Request, Response, ShardHealthWire, DEFAULT_DEADLINE_MS,
 };
-use crate::shard::{recover, worker_loop, ShardConfig, ShardShared, ShardState, SvcMetrics};
+use crate::shard::{recover, serve, worker_loop, ShardConfig, ShardShared, ShardState, SvcMetrics};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
@@ -152,9 +155,10 @@ impl Fleet {
         &self.cfg
     }
 
-    /// Routes one die-addressed request: admission control, bounded queue,
-    /// deadline-bounded reply wait. Always answers — with the result or a
-    /// typed rejection, never a hang and never silence.
+    /// Routes one die-addressed request: served here if its shard is idle,
+    /// otherwise admission control, bounded queue, deadline-bounded reply
+    /// wait. Always answers — with the result or a typed rejection, never a
+    /// hang and never silence.
     #[must_use]
     pub fn submit(&self, req: Request) -> Response {
         let (die, priority, deadline_ms) = match &req {
@@ -213,21 +217,38 @@ impl Fleet {
             );
         }
 
-        let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+        let admitted = Instant::now();
+        let deadline = admitted + Duration::from_millis(deadline_ms);
+        let mut q = recover(shard.queue.lock());
+        // A request already past its deadline queues, so the worker drops it
+        // and counts it exactly as before.
+        if state == ShardState::Up && deadline_ms > 0 {
+            if let Some((serving, flags)) = shard.try_inline(&mut q, &req) {
+                drop(q);
+                {
+                    let mut m = recover(shard.metrics.lock());
+                    let (requests, inline) = (m.requests, m.served_inline);
+                    m.reg.inc(requests);
+                    m.reg.inc(inline);
+                }
+                return serving.with_ctx(|ctx| serve(shard, ctx, &req, flags, admitted));
+            }
+        }
+
         let (tx, rx) = mpsc::channel();
         let job = crate::shard::Job {
             req,
             priority,
             deadline,
-            enqueued: Instant::now(),
+            enqueued: admitted,
             reply: tx,
         };
         {
-            let mut q = recover(shard.queue.lock());
-            if q.len() >= shard.cfg.queue_depth {
+            if q.jobs.len() >= shard.cfg.queue_depth {
                 // Shed the lowest-priority queued *read* if it ranks below
                 // the newcomer; otherwise the newcomer is the one shed.
                 let victim = q
+                    .jobs
                     .iter()
                     .enumerate()
                     .filter(|(_, j)| matches!(j.req, Request::Read { .. }))
@@ -235,13 +256,13 @@ impl Fleet {
                     .map(|(i, j)| (i, j.priority));
                 match victim {
                     Some((i, vp)) if vp < priority => {
-                        let shed = q.remove(i).expect("victim index valid under lock");
+                        let shed = q.jobs.remove(i).expect("victim index valid under lock");
                         let _ = shed.reply.send(Response::rejected(
                             Rejection::Overloaded,
                             "shed for higher-priority work",
                         ));
                         shard.count(|m| m.rej_overloaded);
-                        q.push_back(job);
+                        q.jobs.push_back(job);
                     }
                     _ => {
                         drop(q);
@@ -253,9 +274,9 @@ impl Fleet {
                     }
                 }
             } else {
-                q.push_back(job);
+                q.jobs.push_back(job);
             }
-            let depth = q.len();
+            let depth = q.jobs.len();
             drop(q);
             let mut m = recover(shard.metrics.lock());
             let req_id = m.requests;
@@ -293,7 +314,7 @@ impl Fleet {
                     id: s.cfg.shard_id,
                     state: st.state.name().to_string(),
                     restarts: st.restarts,
-                    queue_len: recover(s.queue.lock()).len() as u64,
+                    queue_len: recover(s.queue.lock()).jobs.len() as u64,
                     dies: s.cfg.owned_dies(),
                 }
             })
@@ -332,7 +353,7 @@ impl Fleet {
 }
 
 fn drain_with_rejection(shard: &ShardShared, detail: &str) {
-    let drained: Vec<_> = recover(shard.queue.lock()).drain(..).collect();
+    let drained: Vec<_> = recover(shard.queue.lock()).jobs.drain(..).collect();
     for job in drained {
         shard.count(|m| m.rej_shard_down);
         let _ = job
@@ -342,19 +363,18 @@ fn drain_with_rejection(shard: &ShardShared, detail: &str) {
 }
 
 /// The supervisor body: run the worker, and on an escaped panic back off
-/// and restart it with a fresh context until the restart budget runs out.
+/// and restart it until the restart budget runs out. The panic has already
+/// discarded the shard's context on its way out, so the restarted worker
+/// rebuilds every die it touches from the seeds.
 fn supervise(shared: &Arc<ShardShared>, cfg: &FleetConfig) {
-    let mut ctx = None;
     loop {
-        let run = catch_unwind(AssertUnwindSafe(|| worker_loop(shared, &mut ctx)));
+        let run = catch_unwind(AssertUnwindSafe(|| worker_loop(shared)));
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         match run {
             Ok(()) => return, // clean exit only happens on shutdown
             Err(payload) => {
-                // The worker context may be mid-update; rebuild from seeds.
-                ctx = None;
                 let message = panic_message(payload.as_ref());
                 let restarts = {
                     let mut st = recover(shared.status.lock());

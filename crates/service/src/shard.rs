@@ -1,21 +1,24 @@
-//! One shard of the fleet: a bounded job queue plus the worker that owns a
-//! stripe of dies.
+//! One shard of the fleet: a bounded job queue, the worker that drains it,
+//! and the context that owns a stripe of dies.
 //!
-//! The worker keeps a lazily-built, calibrated [`PtSensor`] per owned die
+//! The context keeps a lazily-built, calibrated [`PtSensor`] per owned die
 //! (prototype clone + `die_rng(base_seed, die)` — the same deterministic
 //! per-die seeding the Monte-Carlo driver uses, so a die reads the same
-//! values no matter which fleet boot serves it). Every conversion runs
-//! inside `catch_unwind`: a panicking die answers with a typed
-//! [`Rejection::WorkerPanicked`](crate::protocol::Rejection) and has its
-//! slot rebuilt, while the shard keeps serving its other dies. Chaos flags
+//! values no matter which fleet boot serves it). It lives in the shard's
+//! shared state: whoever holds the queue's `busy` bit — the worker after a
+//! pop, or a connection thread serving an idle shard inline — owns it.
+//! Every conversion runs inside `catch_unwind`: a panicking die answers
+//! with a typed [`Rejection::WorkerPanicked`](crate::protocol::Rejection)
+//! and has its slot rebuilt, while the shard keeps serving its other dies.
+//! Chaos flags
 //! (degrade/stall/panic) live in the *shared* state, outside the worker,
 //! precisely so they survive a worker restart — a degraded die must stay
 //! degraded across a crash, or the chaos campaign could never observe
 //! "recovered but still degraded" serving.
 
 use crate::protocol::{BatchItem, InjectKind, Quality, Rejection, Request, Response};
-use ptsim_core::pipeline::read_group;
-use ptsim_core::{HealthStatus, PtSensor, SensorInputs, SensorSpec};
+use ptsim_core::pipeline::{read_group, run_conversion_with};
+use ptsim_core::{HealthStatus, PtSensor, Scratch, SensorInputs, SensorSpec};
 use ptsim_device::process::Technology;
 use ptsim_device::units::Celsius;
 use ptsim_mc::die::{DieSample, DieSite};
@@ -44,8 +47,10 @@ pub(crate) fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
 pub struct SvcMetrics {
     /// The backing registry.
     pub reg: Registry,
-    /// Requests admitted into a queue.
+    /// Requests admitted, queued or served inline.
     pub requests: CounterId,
+    /// Requests served on the submitting thread because the shard was idle.
+    pub served_inline: CounterId,
     /// Requests answered with a reading/outcome.
     pub served: CounterId,
     /// Served readings carrying `quality == "degraded"`.
@@ -95,6 +100,7 @@ impl SvcMetrics {
     pub fn new() -> Self {
         let mut reg = Registry::new();
         let requests = reg.counter("svc.requests");
+        let served_inline = reg.counter("svc.served_inline");
         let served = reg.counter("svc.served");
         let degraded_served = reg.counter("svc.degraded_served");
         let rej_timeout = reg.counter("svc.rejected.timeout");
@@ -118,6 +124,7 @@ impl SvcMetrics {
         SvcMetrics {
             reg,
             requests,
+            served_inline,
             served,
             degraded_served,
             rej_timeout,
@@ -199,6 +206,14 @@ pub struct DieFlags {
     pub stall_ms: u64,
 }
 
+impl DieFlags {
+    /// Whether a one-shot flag is armed. Such a die is served by the
+    /// worker only: its stall and panics belong on the supervised thread.
+    fn one_shot_armed(self) -> bool {
+        self.panic_conversion || self.panic_worker || self.stall_ms > 0
+    }
+}
+
 /// One queued request with its reply channel and deadline.
 #[derive(Debug)]
 pub struct Job {
@@ -249,6 +264,17 @@ impl ShardConfig {
     }
 }
 
+/// A shard's queued jobs and the bit that says who owns its context.
+#[derive(Debug)]
+pub struct ShardQueue {
+    /// Admitted jobs, in admission order.
+    pub jobs: VecDeque<Job>,
+    /// Set while one thread — the worker, or a connection thread serving
+    /// inline — holds the shard's [`WorkerCtx`]. Only the holder serves,
+    /// so each die is served in admission order.
+    pub busy: bool,
+}
+
 /// State shared between a shard's worker, its supervisor, and the fleet
 /// front-end.
 #[derive(Debug)]
@@ -256,7 +282,7 @@ pub struct ShardShared {
     /// Static configuration.
     pub cfg: ShardConfig,
     /// The bounded job queue.
-    pub queue: Mutex<VecDeque<Job>>,
+    pub queue: Mutex<ShardQueue>,
     /// Signals the worker when work arrives or shutdown begins.
     pub cv: Condvar,
     /// Supervision record.
@@ -267,6 +293,9 @@ pub struct ShardShared {
     pub metrics: Mutex<SvcMetrics>,
     /// Set once at fleet shutdown.
     pub shutdown: AtomicBool,
+    /// The dies' serving state; built on first use, discarded by a panic
+    /// that escapes a request. Locked only by the `busy` holder.
+    ctx: Mutex<Option<WorkerCtx>>,
 }
 
 impl ShardShared {
@@ -276,7 +305,10 @@ impl ShardShared {
         let owned = cfg.owned_dies() as usize;
         ShardShared {
             cfg,
-            queue: Mutex::new(VecDeque::with_capacity(cfg.queue_depth)),
+            queue: Mutex::new(ShardQueue {
+                jobs: VecDeque::with_capacity(cfg.queue_depth),
+                busy: false,
+            }),
             cv: Condvar::new(),
             status: Mutex::new(ShardStatus {
                 state: ShardState::Up,
@@ -286,7 +318,46 @@ impl ShardShared {
             flags: Mutex::new(vec![DieFlags::default(); owned]),
             metrics: Mutex::new(SvcMetrics::new()),
             shutdown: AtomicBool::new(false),
+            ctx: Mutex::new(None),
         }
+    }
+
+    /// Takes the context for a request, on the submitting thread, when the
+    /// shard is idle: nothing queued, nobody holding the context, and no
+    /// one-shot chaos armed on the request's die. `q` is this shard's
+    /// locked queue. Returns the context's guard and the die's flags.
+    pub(crate) fn try_inline(
+        &self,
+        q: &mut ShardQueue,
+        req: &Request,
+    ) -> Option<(Serving<'_>, DieFlags)> {
+        if q.busy || !q.jobs.is_empty() || matches!(req, Request::Inject { .. }) {
+            return None;
+        }
+        // Only the `busy` holder writes flags, and nobody holds it now.
+        let flags = self.flags_of(req, |f| *f);
+        if flags.one_shot_armed() {
+            return None;
+        }
+        q.busy = true;
+        Some((Serving { shared: self }, flags))
+    }
+
+    /// Applies `f` to the flags of the die `req` takes its chaos from
+    /// (`default` for a request that carries no die).
+    fn flags_of(&self, req: &Request, f: impl FnOnce(&mut DieFlags) -> DieFlags) -> DieFlags {
+        let die = match *req {
+            Request::Read { die, .. }
+            | Request::Calibrate { die, .. }
+            | Request::Inject { die, .. } => die,
+            // A batch takes its one-shot chaos flags from its anchor die.
+            Request::BatchRead { die0, .. } => die0,
+            // Ping carries no die, so it neither takes nor consumes any
+            // die's flags (a zero-die shard owns none to index);
+            // Health/Shutdown are answered by the fleet front-end.
+            _ => return DieFlags::default(),
+        };
+        f(&mut recover(self.flags.lock())[self.cfg.local_index(die)])
     }
 
     /// Increments the counter `pick` selects in this shard's registry.
@@ -305,14 +376,55 @@ struct DieSlot {
     calib_quality: Quality,
 }
 
-/// Per-worker context, rebuilt from shared state after every restart.
-/// Construction is deliberately lazy per die: a 4096-die fleet boots in
-/// milliseconds and pays each die's calibration on first touch.
+/// Ownership of a shard's [`WorkerCtx`], taken by setting the queue's
+/// `busy` bit. Dropping it clears the bit, and wakes the worker if jobs
+/// arrived meanwhile. A panic unwinding through it first discards the
+/// context, so the next holder rebuilds every touched die from its seed.
+pub(crate) struct Serving<'a> {
+    shared: &'a ShardShared,
+}
+
+impl Serving<'_> {
+    /// Runs `f` on the shard's context, building it on first use.
+    pub(crate) fn with_ctx<T>(&self, f: impl FnOnce(&mut WorkerCtx) -> T) -> T {
+        let mut ctx = recover(self.shared.ctx.lock());
+        f(ctx.get_or_insert_with(|| WorkerCtx::new(&self.shared.cfg)))
+    }
+}
+
+impl Drop for Serving<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            *recover(self.shared.ctx.lock()) = None;
+        }
+        let mut q = recover(self.shared.queue.lock());
+        q.busy = false;
+        let wake = !q.jobs.is_empty();
+        drop(q);
+        if wake {
+            self.shared.cv.notify_one();
+        }
+    }
+}
+
+/// A shard's serving context: every owned die's state and one conversion
+/// workspace. Construction is deliberately lazy per die: a 4096-die fleet
+/// boots in milliseconds and pays each die's calibration on first touch.
 pub struct WorkerCtx {
     prototype: PtSensor,
     sampler: DieSampler,
     boot_temp: Celsius,
     slots: Vec<Option<DieSlot>>,
+    /// Reused by every single read, so a warm read allocates nothing.
+    scratch: Scratch,
+}
+
+impl std::fmt::Debug for WorkerCtx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerCtx")
+            .field("built_slots", &self.slots.iter().flatten().count())
+            .finish_non_exhaustive()
+    }
 }
 
 impl WorkerCtx {
@@ -335,6 +447,7 @@ impl WorkerCtx {
             sampler: model.sampler(),
             boot_temp,
             slots: (0..cfg.owned_dies()).map(|_| None).collect(),
+            scratch: Scratch::new(),
         }
     }
 
@@ -387,74 +500,72 @@ fn quality_of(status: HealthStatus) -> Quality {
 }
 
 /// The worker body: pops one job per wake, in admission order, and serves
-/// it, until shutdown. The supervisor wraps each invocation in
-/// `catch_unwind`; `ctx` lives *outside* that boundary so an escaped panic
-/// discards it (`None`) and the next incarnation rebuilds every touched
-/// die from the deterministic seeds.
-pub fn worker_loop(shared: &ShardShared, ctx: &mut Option<WorkerCtx>) {
+/// it, until shutdown. It pops only while no connection thread is serving
+/// the shard inline. The supervisor wraps each invocation in
+/// `catch_unwind`; a panic that escapes discards the shared context (see
+/// `Serving`), and the next incarnation or inline server rebuilds every
+/// touched die from the deterministic seeds.
+pub fn worker_loop(shared: &ShardShared) {
     loop {
-        let job = {
+        let (job, serving) = {
             let mut q = recover(shared.queue.lock());
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(j) = q.pop_front() {
-                    break j;
+                if !q.busy {
+                    if let Some(j) = q.jobs.pop_front() {
+                        q.busy = true;
+                        break (j, Serving { shared });
+                    }
                 }
                 let (guard, _) = recover(shared.cv.wait_timeout(q, Duration::from_millis(25)));
                 q = guard;
             }
         };
-        serve(
-            shared,
-            ctx.get_or_insert_with(|| WorkerCtx::new(&shared.cfg)),
-            job,
-        );
+        let flags = shared.flags_of(&job.req, |f| {
+            let taken = *f;
+            // One-shot flags arm exactly one job.
+            f.panic_conversion = false;
+            f.panic_worker = false;
+            f.stall_ms = 0;
+            taken
+        });
+        if flags.stall_ms > 0 {
+            std::thread::sleep(Duration::from_millis(flags.stall_ms));
+        }
+        if flags.panic_worker {
+            shared.count(|m| m.worker_panics);
+            panic!("injected worker panic (shard {})", shared.cfg.shard_id);
+        }
+        if Instant::now() >= job.deadline {
+            // The fleet already answered the client with a typed timeout;
+            // record the late discard so "rejected vs silently dropped"
+            // stays auditable.
+            shared.count(|m| m.deadline_drops);
+            continue;
+        }
+        let response = serving.with_ctx(|ctx| serve(shared, ctx, &job.req, flags, job.enqueued));
+        // Release before replying, so the client's next request can find
+        // the shard idle.
+        drop(serving);
+        // A failed send means the client already gave up (typed timeout);
+        // never an error here.
+        let _ = job.reply.send(response);
     }
 }
 
-/// Serves one job. Panics injected with
-/// [`InjectKind::PanicWorker`] escape this function (by design — they
-/// exercise the supervisor); everything else is isolated per request.
-fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
-    let die = match job.req {
-        Request::Read { die, .. }
-        | Request::Calibrate { die, .. }
-        | Request::Inject { die, .. } => Some(die),
-        // A batch takes its one-shot chaos flags from its anchor die.
-        Request::BatchRead { die0, .. } => Some(die0),
-        // Ping carries no die, so it neither takes nor consumes any die's
-        // flags (a zero-die shard owns none to index); Health/Shutdown are
-        // answered by the fleet front-end and never queued.
-        _ => None,
-    };
-    let flags = die.map_or_else(DieFlags::default, |die| {
-        let mut all = recover(shared.flags.lock());
-        let f = &mut all[shared.cfg.local_index(die)];
-        let taken = *f;
-        // One-shot flags arm exactly one job.
-        f.panic_conversion = false;
-        f.panic_worker = false;
-        f.stall_ms = 0;
-        taken
-    });
-    if flags.stall_ms > 0 {
-        std::thread::sleep(Duration::from_millis(flags.stall_ms));
-    }
-    if flags.panic_worker {
-        shared.count(|m| m.worker_panics);
-        panic!("injected worker panic (shard {})", shared.cfg.shard_id);
-    }
-    if Instant::now() >= job.deadline {
-        // The fleet already answered the client with a typed timeout;
-        // record the late discard so "rejected vs silently dropped"
-        // stays auditable.
-        shared.count(|m| m.deadline_drops);
-        return;
-    }
-
-    let response = match job.req {
+/// Serves one admitted request with the die's `flags` (already taken; a
+/// stall or worker panic has already run) on the shard's context, on
+/// whichever thread holds it. Conversion panics are isolated per request.
+pub(crate) fn serve(
+    shared: &ShardShared,
+    worker: &mut WorkerCtx,
+    req: &Request,
+    flags: DieFlags,
+    enqueued: Instant,
+) -> Response {
+    match *req {
         Request::Read { die, temp_c, .. } => {
             let degraded = flags.degraded;
             match worker.slot(&shared.cfg, die, degraded) {
@@ -462,20 +573,25 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
                     shared.count(|m| m.rej_conversion_failed);
                     Response::rejected(Rejection::ConversionFailed, e.to_string())
                 }
-                Ok(slot) => {
+                Ok(_) => {
+                    let idx = shared.cfg.local_index(die);
+                    let slot = worker.slots[idx].as_mut().expect("slot built above");
+                    let scratch = &mut worker.scratch;
                     let inputs = SensorInputs::new(&slot.die, DieSite::CENTER, Celsius(temp_c));
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         assert!(
                             !flags.panic_conversion,
                             "injected conversion panic (die {die})"
                         );
-                        slot.sensor.read(&inputs, &mut slot.rng)
+                        run_conversion_with(&slot.sensor, &inputs, &mut slot.rng, scratch)
                     }));
                     match outcome {
                         Err(_) => {
-                            // The slot may be mid-update; rebuild it from
-                            // the deterministic seed on next touch.
-                            worker.slots[shared.cfg.local_index(die)] = None;
+                            // The slot and the workspace may be mid-update;
+                            // rebuild the die from its deterministic seed on
+                            // next touch.
+                            worker.slots[idx] = None;
+                            worker.scratch = Scratch::new();
                             shared.count(|m| m.rej_worker_panicked);
                             Response::rejected(
                                 Rejection::WorkerPanicked,
@@ -497,8 +613,7 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
                                     m.reg.inc(id);
                                 }
                                 let lat = m.latency_us;
-                                m.reg
-                                    .observe(lat, job.enqueued.elapsed().as_secs_f64() * 1e6);
+                                m.reg.observe(lat, enqueued.elapsed().as_secs_f64() * 1e6);
                             }
                             Response::Reading {
                                 die,
@@ -518,7 +633,7 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
             count,
             temp_c,
             ..
-        } => serve_batch(shared, worker, die0, count, temp_c, flags, job.enqueued),
+        } => serve_batch(shared, worker, die0, count, temp_c, flags, enqueued),
         Request::Calibrate { die, .. } => {
             // Recalibration rebuilds the slot from scratch (fresh sample of
             // the same deterministic die, fresh calibration).
@@ -569,10 +684,7 @@ fn serve(shared: &ShardShared, worker: &mut WorkerCtx, job: Job) {
         Request::Health | Request::Shutdown => {
             Response::rejected(Rejection::BadRequest, "not a shard-addressed op")
         }
-    };
-    // A failed send means the client already gave up (typed timeout);
-    // never an error here.
-    let _ = job.reply.send(response);
+    }
 }
 
 /// The stripe a `batch_read` anchored at `die0` addresses: the `count`

@@ -389,57 +389,193 @@ fn served_reads_equal_an_independent_seed_replay() {
     server.stop();
     server.join();
 
-    let spec = SensorSpec::default_65nm();
-    let prototype = PtSensor::new(Technology::n65(), spec).unwrap();
-    let mut sampler = VariationModel::new(&Technology::n65()).sampler();
     for die in 0..cfg.n_dies {
-        let mut rng = die_rng(cfg.base_seed, die);
-        let sample = sampler.sample_die_with_id(&mut rng, die);
-        let mut sensor = prototype.clone();
-        sensor
-            .calibrate(
-                &SensorInputs::new(&sample, DieSite::CENTER, spec.calib_temp),
-                &mut rng,
-            )
-            .unwrap();
-        let reads = served.iter().filter(|(d, _, _)| *d == die);
-        for (k, (_, temp_c, response)) in reads.enumerate() {
-            let inputs = SensorInputs::new(&sample, DieSite::CENTER, Celsius(*temp_c));
+        let reads: Vec<_> = served.iter().filter(|(d, _, _)| *d == die).collect();
+        let temps: Vec<f64> = reads.iter().map(|(_, t, _)| *t).collect();
+        let expected = seed_replay(&cfg, die, &temps);
+        for (k, ((_, _, response), expected)) in reads.iter().zip(expected).enumerate() {
+            assert_eq!(
+                reading_bits(die, response),
+                expected,
+                "die {die} read {k} differs from its seed replay"
+            );
+        }
+    }
+}
+
+/// The bits and quality of each reading die `die` yields when its own
+/// deterministic stream is replayed locally, one read per temperature.
+fn seed_replay(cfg: &FleetConfig, die: u64, temps: &[f64]) -> Vec<([u64; 4], Quality)> {
+    let spec = SensorSpec::default_65nm();
+    let mut sensor = PtSensor::new(Technology::n65(), spec).unwrap();
+    let mut sampler = VariationModel::new(&Technology::n65()).sampler();
+    let mut rng = die_rng(cfg.base_seed, die);
+    let sample = sampler.sample_die_with_id(&mut rng, die);
+    sensor
+        .calibrate(
+            &SensorInputs::new(&sample, DieSite::CENTER, spec.calib_temp),
+            &mut rng,
+        )
+        .unwrap();
+    temps
+        .iter()
+        .map(|&temp_c| {
+            let inputs = SensorInputs::new(&sample, DieSite::CENTER, Celsius(temp_c));
             let r = sensor.read(&inputs, &mut rng).unwrap();
             let quality = match r.health.status() {
                 HealthStatus::Nominal => Quality::Nominal,
                 HealthStatus::Recovered => Quality::Recovered,
                 HealthStatus::Degraded => Quality::Degraded,
             };
-            let bits = |t: f64, n: f64, p: f64, e: f64| [t, n, p, e].map(f64::to_bits);
-            let expected = (
-                bits(
-                    r.temperature.0,
-                    r.d_vtn.millivolts(),
-                    r.d_vtp.millivolts(),
-                    r.energy.total().picojoules(),
-                ),
-                quality,
-            );
-            let Response::Reading {
-                die: d,
-                temp_c,
-                d_vtn_mv,
-                d_vtp_mv,
-                energy_pj,
-                quality,
-            } = *response
-            else {
-                panic!("die {die} read {k}: expected a reading, got {response:?}");
-            };
-            assert_eq!(d, die);
-            assert_eq!(
-                (bits(temp_c, d_vtn_mv, d_vtp_mv, energy_pj), quality),
-                expected,
-                "die {die} read {k} differs from its seed replay"
-            );
-        }
+            let values = [
+                r.temperature.0,
+                r.d_vtn.millivolts(),
+                r.d_vtp.millivolts(),
+                r.energy.total().picojoules(),
+            ];
+            (values.map(f64::to_bits), quality)
+        })
+        .collect()
+}
+
+/// The bits and quality of a served reading of `die`.
+fn reading_bits(die: u64, response: &Response) -> ([u64; 4], Quality) {
+    let Response::Reading {
+        die: d,
+        temp_c,
+        d_vtn_mv,
+        d_vtp_mv,
+        energy_pj,
+        quality,
+    } = *response
+    else {
+        panic!("die {die}: expected a reading, got {response:?}");
+    };
+    assert_eq!(d, die);
+    (
+        [temp_c, d_vtn_mv, d_vtp_mv, energy_pj].map(f64::to_bits),
+        quality,
+    )
+}
+
+fn counter(fleet: &Fleet, name: &str) -> u64 {
+    let h = fleet.health();
+    h.counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
+}
+
+/// Polls `fleet` until counter `name` reaches `at_least`.
+fn await_counter(fleet: &Fleet, name: &str, at_least: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter(fleet, name) < at_least {
+        assert!(Instant::now() < deadline, "{name} never reached {at_least}");
+        thread::sleep(Duration::from_millis(2));
     }
+}
+
+#[test]
+fn a_read_behind_a_busy_worker_queues_in_admission_order() {
+    // Read A of die 2 queues, since the die has a stall armed, and the
+    // worker holds the shard's context through the stall. Read B of the
+    // same die, submitted once A is admitted, must queue behind A rather
+    // than be served inline ahead of it: both equal the die's seed replay
+    // in the order A, B.
+    let cfg = test_fleet_cfg();
+    let fleet = std::sync::Arc::new(Fleet::start(cfg));
+    let die = 2;
+    let _ = fleet.submit(Request::Inject {
+        die,
+        kind: InjectKind::StallMs(300),
+    });
+    let inline_before = counter(&fleet, "svc.served_inline");
+    let admitted_before = counter(&fleet, "svc.requests");
+    let submit = |temp_c: f64| {
+        let fleet = std::sync::Arc::clone(&fleet);
+        thread::spawn(move || {
+            fleet.submit(Request::Read {
+                die,
+                temp_c,
+                priority: 1,
+                deadline_ms: 10_000,
+            })
+        })
+    };
+    let a = submit(40.0);
+    await_counter(&fleet, "svc.requests", admitted_before + 1);
+    let b = submit(90.0);
+    let (a, b) = (a.join().unwrap(), b.join().unwrap());
+    assert_eq!(
+        counter(&fleet, "svc.served_inline"),
+        inline_before,
+        "both reads must have queued for the worker"
+    );
+    let expected = seed_replay(&cfg, die, &[40.0, 90.0]);
+    assert_eq!(reading_bits(die, &a), expected[0], "read A");
+    assert_eq!(reading_bits(die, &b), expected[1], "read B");
+    std::sync::Arc::try_unwrap(fleet)
+        .expect("submitters joined")
+        .shutdown();
+}
+
+#[test]
+fn dies_with_worker_chaos_armed_are_served_by_the_worker() {
+    let fleet = std::sync::Arc::new(Fleet::start(test_fleet_cfg()));
+    // Dies 1 and 3 share shard 1; warm die 1 so its shard is idle and
+    // ready to serve inline.
+    assert!(matches!(fleet.submit(read(1)), Response::Reading { .. }));
+    let inline_before = counter(&fleet, "svc.served_inline");
+    let submit_on_thread = |die: u64, deadline_ms: u64| {
+        let fleet = std::sync::Arc::clone(&fleet);
+        thread::spawn(move || {
+            fleet.submit(Request::Read {
+                die,
+                temp_c: 75.0,
+                priority: 1,
+                deadline_ms,
+            })
+        })
+        .join()
+        .expect("the submitting thread survives")
+    };
+    let is_timeout = |r: &Response| {
+        matches!(
+            r,
+            Response::Rejected {
+                rejection: Rejection::Timeout,
+                ..
+            }
+        )
+    };
+
+    let _ = fleet.submit(Request::Inject {
+        die: 1,
+        kind: InjectKind::PanicWorker,
+    });
+    let tripped = submit_on_thread(1, 300);
+    assert!(is_timeout(&tripped), "got {tripped:?}");
+    await_counter(&fleet, "svc.restarts", 1);
+
+    let _ = fleet.submit(Request::Inject {
+        die: 3,
+        kind: InjectKind::StallMs(500),
+    });
+    let stalled = submit_on_thread(3, 100);
+    assert!(is_timeout(&stalled), "got {stalled:?}");
+    assert_eq!(counter(&fleet, "svc.served_inline"), inline_before);
+
+    // Once the stall has run out, the restarted shard serves inline again.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !matches!(fleet.submit(read(3)), Response::Reading { .. }) {
+        assert!(Instant::now() < deadline, "shard 1 never recovered");
+        thread::sleep(Duration::from_millis(20));
+    }
+    assert!(matches!(fleet.submit(read(3)), Response::Reading { .. }));
+    assert_eq!(counter(&fleet, "svc.served_inline"), inline_before + 1);
+    std::sync::Arc::try_unwrap(fleet)
+        .expect("submitters joined")
+        .shutdown();
 }
 
 #[test]

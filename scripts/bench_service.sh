@@ -18,6 +18,11 @@ label="${1:-}"
 out="BENCH_SERVICE${label:+.$label}.json"
 
 PTSIM_BENCH_GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# A run over uncommitted source changes records the revision they sit on,
+# marked as such.
+if ! git diff --quiet HEAD -- crates Cargo.toml Cargo.lock 2>/dev/null; then
+    PTSIM_BENCH_GIT_REV="$PTSIM_BENCH_GIT_REV-dirty"
+fi
 PTSIM_BENCH_DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 export PTSIM_BENCH_GIT_REV PTSIM_BENCH_DATE
 

@@ -105,6 +105,9 @@ assert c["ok"] and c["op"] == "calibrate", c
 h = call(s, json.dumps({"op": "health"}).encode())
 assert h["ok"] and {sh["state"] for sh in h["shards"]} == {"up"}, h
 assert h["counters"]["svc.served"] >= 2, h
+# Nothing else is in flight, so the read and the calibrate find their
+# shard idle and are served on the connection thread.
+assert h["counters"]["svc.served_inline"] >= 1, h
 assert h["coalesce_max"] == 1 and h["wire_version"] == 2, h
 b = call(s, json.dumps({"op": "batch_read", "die0": 1, "count": 3, "temp_c": 70.0}).encode())
 assert b["ok"] and b["op"] == "batch_read" and len(b["items"]) == 3, b
