@@ -1,8 +1,8 @@
 //! **R2 — Robustness: fleet-service chaos campaign.**
 //!
 //! Boots the real daemon ([`ptsim_service::Server`] over loopback TCP) and
-//! attacks it the way production does: injected conversion panics, worker
-//! crashes, stalled workers against tight deadlines, overload bursts, a
+//! attacks it the way production does: injected conversion panics, shard
+//! crashes, stalled shards against tight deadlines, overload bursts, a
 //! shard driven past its restart budget, and a malformed-frame storm.
 //! Grading is on the service's failure contract, not on luck:
 //!
@@ -11,7 +11,7 @@
 //!   outage;
 //! * **accounting** — every request the campaign sends is *answered*
 //!   (a reading or a typed rejection); nothing is dropped silently;
-//! * **recovery** — a crashed worker is restarted within the backoff
+//! * **recovery** — a crashed shard is restarted within the backoff
 //!   budget and its dies rebuild bit-identical state from the
 //!   deterministic seeds;
 //! * **no silent corruption** — a reading flagged `nominal` must be
@@ -37,7 +37,7 @@ pub const R2_SEED: u64 = 0x0c4a05;
 /// junction temperature is counted as silent corruption.
 pub const SDC_TEMP_LIMIT: f64 = 5.0;
 
-/// Recovery budget for a supervised worker restart, ms.
+/// Recovery budget for a supervised shard restart, ms.
 pub const RECOVERY_BUDGET_MS: f64 = 5_000.0;
 
 /// Campaign sizing knobs.
@@ -131,7 +131,7 @@ impl PhaseStats {
 pub struct ChaosReport {
     /// Per-phase tallies, in execution order.
     pub phases: Vec<PhaseStats>,
-    /// Trigger-to-first-served latency of the worker-crash recovery, ms.
+    /// Trigger-to-first-served latency of the shard-crash recovery, ms.
     pub recovery_ms: f64,
     /// `nominal` readings beyond [`SDC_TEMP_LIMIT`] of the requested
     /// junction temperature.
@@ -207,13 +207,13 @@ impl ChaosReport {
         gate(
             self.recovery_ms.is_finite() && self.recovery_ms <= RECOVERY_BUDGET_MS,
             format!(
-                "worker recovery took {:.0} ms (budget {RECOVERY_BUDGET_MS:.0} ms)",
+                "shard recovery took {:.0} ms (budget {RECOVERY_BUDGET_MS:.0} ms)",
                 self.recovery_ms
             ),
         );
         gate(
             self.restarts() >= 1,
-            "no supervisor restart was recorded".to_string(),
+            "no shard restart was recorded".to_string(),
         );
         let panics = self.phase("conversion-panic");
         gate(
@@ -243,7 +243,7 @@ impl ChaosReport {
         let deadline = self.phase("stall-deadline");
         gate(
             deadline.rej_timeout >= 1,
-            "a stalled worker must surface as a typed timeout".to_string(),
+            "a stalled shard must surface as a typed timeout".to_string(),
         );
         gate(
             self.dead_shard_observed,
@@ -406,7 +406,8 @@ pub fn run_campaign(cfg: &ChaosConfig) -> ChaosReport {
     record(&mut degrade, &healed, Some(70.0), &mut silent);
     phases.push(degrade);
 
-    // Phase D — worker crash + supervised recovery, timed.
+    // Phase D — a panic escapes a request (typed `worker_panicked`), then
+    // supervised recovery, timed.
     let mut crash = PhaseStats::new("worker-crash");
     let r = client.call(&Request::Inject {
         die: 0,
@@ -429,7 +430,7 @@ pub fn run_campaign(cfg: &ChaosConfig) -> ChaosReport {
     }
     phases.push(crash);
 
-    // Phase E — stalled worker vs. deadline: the caller is released with a
+    // Phase E — stalled shard vs. deadline: the caller is released with a
     // typed timeout at its own budget.
     let mut stall = PhaseStats::new("stall-deadline");
     let r = client.call(&Request::Inject {
@@ -439,12 +440,12 @@ pub fn run_campaign(cfg: &ChaosConfig) -> ChaosReport {
     record(&mut stall, &r, None, &mut silent);
     let timed_out = client.call(&read_req(2, 60.0, 1, 100));
     record(&mut stall, &timed_out, Some(60.0), &mut silent);
-    // The stalled worker drains; the die serves again afterwards.
+    // The stall runs out; the die serves again afterwards.
     let after = client.call(&read_req(2, 60.0, 1, 10_000));
     record(&mut stall, &after, Some(60.0), &mut silent);
     phases.push(stall);
 
-    // Phase F — overload burst: stall one shard's worker, then flood its
+    // Phase F — overload burst: stall one shard, then flood its
     // queue with low-priority reads; sheds must be typed and a
     // high-priority read must still get through.
     let mut burst = PhaseStats::new("overload-burst");
@@ -628,7 +629,7 @@ pub fn render_report(report: &ChaosReport) -> String {
     let mut out = String::from("R2 — fleet-service chaos campaign\n\n");
     out.push_str(&table.render());
     out.push_str(&format!(
-        "\nbaseline availability: {:.3}\nunaccounted requests: {}\nsilent corruptions: {}\nworker recovery: {:.0} ms (budget {:.0} ms)\nsupervisor restarts: {}\ndead shard observed: {}\nsurvivors serving during outage: {}\nclean read after storm: {}\n",
+        "\nbaseline availability: {:.3}\nunaccounted requests: {}\nsilent corruptions: {}\nshard recovery: {:.0} ms (budget {:.0} ms)\nshard restarts: {}\ndead shard observed: {}\nsurvivors serving during outage: {}\nclean read after storm: {}\n",
         report.baseline_availability(),
         report.unaccounted(),
         report.silent_corruptions,

@@ -3,13 +3,14 @@
 //! ```text
 //! PTSIM_FLEET_ADDR=127.0.0.1:0   bind address (0 = ephemeral port)
 //! PTSIM_FLEET_DIES=64            virtual dies
-//! PTSIM_FLEET_SHARDS=4           supervised worker shards
+//! PTSIM_FLEET_SHARDS=4           supervised shards
 //! PTSIM_FLEET_SEED=0x5eed        base seed of the per-die streams
 //! PTSIM_FLEET_IDLE_SECS=30      idle-connection reap timeout
 //! ```
 //!
-//! Each shard worker serves one queued request per wake; `batch_read`
-//! is the one request that converts many dies in one lane-grouped pass.
+//! Each connection thread serves its own requests, one at a time per shard;
+//! `batch_read` is the one request that converts many dies in one
+//! lane-grouped pass.
 //!
 //! Prints `ptsim-fleetd listening on <addr>` once bound (scripts parse
 //! this line for the resolved ephemeral port), then serves until a

@@ -1,54 +1,39 @@
-//! The fleet: N virtual dies striped across supervised shard workers.
+//! The fleet: N virtual dies striped across shards, served by the threads
+//! that submit requests.
 //!
-//! Each shard gets a supervisor thread that runs [`worker_loop`] inside
-//! `catch_unwind`. An escaped panic marks the shard `Restarting`, backs
-//! off exponentially (`backoff_base · 2^(restarts-1)`, capped), and spawns
-//! the next worker incarnation with a *fresh* context — per-die state is
-//! rebuilt from the deterministic seeds, so a restart changes availability
-//! but never the values a die reports. Past `max_restarts` the shard goes
-//! `Dead` and its queue is drained with typed `shard_down` rejections;
-//! the rest of the fleet keeps serving.
-//!
-//! A request to an idle shard is served on the submitting thread: nothing
-//! queued, nobody holding the shard's context, not an `inject`, and no
-//! one-shot chaos armed on its die. Everything else queues for the worker.
+//! `Fleet::start` starts no thread. A request is served by the thread that
+//! calls [`Fleet::submit`]: at once when its shard is free and nobody waits
+//! for it, otherwise after waiting its turn in the shard's bounded queue.
 //! Admission control is strictly bounded: a full queue sheds the
-//! *lowest-priority read* (answering it `overloaded`) to admit
-//! higher-priority work, and rejects the newcomer otherwise. Replies are
-//! awaited with `recv_timeout` against the request's own deadline, so a
-//! stalled worker costs the caller its deadline budget, never an unbounded
-//! hang.
+//! *lowest-priority waiting read* (answering it `overloaded`) to admit
+//! higher-priority work, and rejects the newcomer otherwise. A waiter is
+//! answered `timeout` at its own deadline, so a stalled shard costs the
+//! caller its deadline budget, never an unbounded hang.
+//!
+//! Each serve runs inside `catch_unwind`: a panic that escapes a request
+//! answers it `worker_panicked`, discards the shard's context and marks
+//! the shard `Restarting` for an exponential backoff
+//! (`backoff_base · 2^(restarts-1)`, capped). Per-die state is rebuilt
+//! from the deterministic seeds, so a restart changes availability but
+//! never the values a die reports. Past `max_restarts` the shard goes
+//! `Dead` and answers `shard_down`; the rest of the fleet keeps serving.
 
-use crate::protocol::{
-    HealthWire, Rejection, Request, Response, ShardHealthWire, DEFAULT_DEADLINE_MS,
-};
-use crate::shard::{recover, serve, worker_loop, ShardConfig, ShardShared, ShardState, SvcMetrics};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Once};
-use std::thread;
+use crate::protocol::{HealthWire, Rejection, Request, Response, DEFAULT_DEADLINE_MS};
+use crate::shard::{holding_a_shard, recover, Shard, SvcMetrics};
+use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
-
-/// Thread-name prefix of shard workers; the quiet panic hook uses it to
-/// keep *expected* (supervised) panics off stderr while leaving every
-/// other thread's panics loud.
-pub const SHARD_THREAD_PREFIX: &str = "ptsim-shard-";
 
 static QUIET_HOOK: Once = Once::new();
 
-/// Installs a process-wide panic hook that silences panics on supervised
-/// shard threads (they are caught, counted, and reported through typed
+/// Installs a process-wide panic hook that silences panics on threads
+/// serving a shard (they are caught, counted, and reported through typed
 /// responses) while delegating everything else to the previous hook.
 /// Idempotent.
-pub fn install_supervised_panic_hook() {
+fn install_supervised_panic_hook() {
     QUIET_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let supervised = thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(SHARD_THREAD_PREFIX));
-            if !supervised {
+            if !holding_a_shard() {
                 prev(info);
             }
         }));
@@ -60,13 +45,14 @@ pub fn install_supervised_panic_hook() {
 pub struct FleetConfig {
     /// Virtual dies owned by the fleet.
     pub n_dies: u64,
-    /// Shard (worker thread) count.
+    /// Shard count: dies are striped across this many independently
+    /// served, independently supervised shards.
     pub n_shards: u64,
     /// Bounded per-shard queue depth.
     pub queue_depth: usize,
     /// Base seed of the deterministic per-die streams.
     pub base_seed: u64,
-    /// Worker restarts a shard may consume before going `Dead`.
+    /// Restarts a shard may consume before going `Dead`.
     pub max_restarts: u64,
     /// First restart backoff; doubles per consecutive restart.
     pub backoff_base: Duration,
@@ -91,8 +77,7 @@ impl Default for FleetConfig {
 /// The running fleet.
 pub struct Fleet {
     cfg: FleetConfig,
-    shards: Vec<Arc<ShardShared>>,
-    supervisors: Vec<thread::JoinHandle<()>>,
+    shards: Vec<Shard>,
     /// Connection-level metrics (frames, reaps, bad requests) merged into
     /// `/health` alongside the per-shard registries.
     pub front_metrics: Mutex<SvcMetrics>,
@@ -109,7 +94,7 @@ impl std::fmt::Debug for Fleet {
 }
 
 impl Fleet {
-    /// Boots the fleet: shared state plus one supervisor thread per shard.
+    /// Boots the fleet: one shard state per shard, no threads.
     #[must_use]
     pub fn start(cfg: FleetConfig) -> Self {
         install_supervised_panic_hook();
@@ -118,32 +103,9 @@ impl Fleet {
             queue_depth: cfg.queue_depth.max(1),
             ..cfg
         };
-        let shards: Vec<Arc<ShardShared>> = (0..cfg.n_shards)
-            .map(|shard_id| {
-                Arc::new(ShardShared::new(ShardConfig {
-                    shard_id,
-                    n_shards: cfg.n_shards,
-                    n_dies: cfg.n_dies,
-                    queue_depth: cfg.queue_depth,
-                    base_seed: cfg.base_seed,
-                }))
-            })
-            .collect();
-        let supervisors = shards
-            .iter()
-            .map(|shared| {
-                let shared = Arc::clone(shared);
-                let sup_cfg = cfg;
-                thread::Builder::new()
-                    .name(format!("{SHARD_THREAD_PREFIX}{}", shared.cfg.shard_id))
-                    .spawn(move || supervise(&shared, &sup_cfg))
-                    .expect("spawn shard supervisor")
-            })
-            .collect();
         Fleet {
             cfg,
-            shards,
-            supervisors,
+            shards: (0..cfg.n_shards).map(|id| Shard::new(id, cfg)).collect(),
             front_metrics: Mutex::new(SvcMetrics::new()),
             started: Instant::now(),
         }
@@ -155,10 +117,10 @@ impl Fleet {
         &self.cfg
     }
 
-    /// Routes one die-addressed request: served here if its shard is idle,
-    /// otherwise admission control, bounded queue, deadline-bounded reply
-    /// wait. Always answers — with the result or a typed rejection, never a
-    /// hang and never silence.
+    /// Routes one die-addressed request to its shard and serves it on the
+    /// calling thread: at once if the shard is free, otherwise after a
+    /// bounded, deadline-bounded wait. Always answers — with the result or
+    /// a typed rejection, never a hang and never silence.
     #[must_use]
     pub fn submit(&self, req: Request) -> Response {
         let (die, priority, deadline_ms) = match &req {
@@ -207,99 +169,11 @@ impl Fleet {
                 );
             }
         }
-        let shard = &self.shards[(die % self.cfg.n_shards) as usize];
-        let state = recover(shard.status.lock()).state;
-        if state == ShardState::Dead {
-            shard.count(|m| m.rej_shard_down);
-            return Response::rejected(
-                Rejection::ShardDown,
-                format!("shard {} is dead", shard.cfg.shard_id),
-            );
-        }
-
-        let admitted = Instant::now();
-        let deadline = admitted + Duration::from_millis(deadline_ms);
-        let mut q = recover(shard.queue.lock());
-        // A request already past its deadline queues, so the worker drops it
-        // and counts it exactly as before.
-        if state == ShardState::Up && deadline_ms > 0 {
-            if let Some((serving, flags)) = shard.try_inline(&mut q, &req) {
-                drop(q);
-                {
-                    let mut m = recover(shard.metrics.lock());
-                    let (requests, inline) = (m.requests, m.served_inline);
-                    m.reg.inc(requests);
-                    m.reg.inc(inline);
-                }
-                return serving.with_ctx(|ctx| serve(shard, ctx, &req, flags, admitted));
-            }
-        }
-
-        let (tx, rx) = mpsc::channel();
-        let job = crate::shard::Job {
-            req,
-            priority,
-            deadline,
-            enqueued: admitted,
-            reply: tx,
-        };
-        {
-            if q.jobs.len() >= shard.cfg.queue_depth {
-                // Shed the lowest-priority queued *read* if it ranks below
-                // the newcomer; otherwise the newcomer is the one shed.
-                let victim = q
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, j)| matches!(j.req, Request::Read { .. }))
-                    .min_by_key(|(_, j)| j.priority)
-                    .map(|(i, j)| (i, j.priority));
-                match victim {
-                    Some((i, vp)) if vp < priority => {
-                        let shed = q.jobs.remove(i).expect("victim index valid under lock");
-                        let _ = shed.reply.send(Response::rejected(
-                            Rejection::Overloaded,
-                            "shed for higher-priority work",
-                        ));
-                        shard.count(|m| m.rej_overloaded);
-                        q.jobs.push_back(job);
-                    }
-                    _ => {
-                        drop(q);
-                        shard.count(|m| m.rej_overloaded);
-                        return Response::rejected(
-                            Rejection::Overloaded,
-                            format!("shard {} queue full", shard.cfg.shard_id),
-                        );
-                    }
-                }
-            } else {
-                q.jobs.push_back(job);
-            }
-            let depth = q.jobs.len();
-            drop(q);
-            let mut m = recover(shard.metrics.lock());
-            let req_id = m.requests;
-            m.reg.inc(req_id);
-            let peak = m.queue_peak;
-            m.reg.set_max(peak, depth as f64);
-        }
-        shard.cv.notify_one();
-
-        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(resp) => resp,
-            Err(_) => {
-                shard.count(|m| m.rej_timeout);
-                Response::rejected(
-                    Rejection::Timeout,
-                    format!("deadline of {deadline_ms} ms exceeded"),
-                )
-            }
-        }
+        self.shards[(die % self.cfg.n_shards) as usize].submit(&req, priority, deadline_ms)
     }
 
-    /// Fleet-wide health. Never goes through a shard queue — it is served
-    /// from shared state so it works while every shard is dead.
+    /// Fleet-wide health. Never waits on a shard — it is served from
+    /// shared state so it works while every shard is dead or stalled.
     #[must_use]
     pub fn health(&self) -> HealthWire {
         let mut merged = SvcMetrics::new();
@@ -309,14 +183,7 @@ impl Fleet {
             .iter()
             .map(|s| {
                 merged.reg.merge(&recover(s.metrics.lock()).reg);
-                let st = recover(s.status.lock());
-                ShardHealthWire {
-                    id: s.cfg.shard_id,
-                    state: st.state.name().to_string(),
-                    restarts: st.restarts,
-                    queue_len: recover(s.queue.lock()).jobs.len() as u64,
-                    dies: s.cfg.owned_dies(),
-                }
+                s.health()
             })
             .collect();
         let counters = merged
@@ -330,89 +197,18 @@ impl Fleet {
             shards,
             counters,
             uptime_ms: self.started.elapsed().as_millis() as u64,
-            // Every worker wake serves one job: no coalescing.
+            // Every serve handles one request: no coalescing.
             coalesce_max: 1,
             wire_version: u64::from(crate::wire::WIRE_V2),
         }
     }
 
-    /// Graceful shutdown: stop admitting, wake the workers, join the
-    /// supervisors. Queued jobs at shutdown are answered `shard_down`.
-    pub fn shutdown(self) {
+    /// Graceful shutdown: stop admitting. Waiting requests and every later
+    /// one are answered `shard_down`; a request being served finishes.
+    pub fn shutdown(&self) {
         for s in &self.shards {
-            s.shutdown.store(true, Ordering::SeqCst);
-            s.cv.notify_all();
+            s.shut_down();
         }
-        for sup in self.supervisors {
-            let _ = sup.join();
-        }
-        for s in &self.shards {
-            drain_with_rejection(s, "fleet shutting down");
-        }
-    }
-}
-
-fn drain_with_rejection(shard: &ShardShared, detail: &str) {
-    let drained: Vec<_> = recover(shard.queue.lock()).jobs.drain(..).collect();
-    for job in drained {
-        shard.count(|m| m.rej_shard_down);
-        let _ = job
-            .reply
-            .send(Response::rejected(Rejection::ShardDown, detail));
-    }
-}
-
-/// The supervisor body: run the worker, and on an escaped panic back off
-/// and restart it until the restart budget runs out. The panic has already
-/// discarded the shard's context on its way out, so the restarted worker
-/// rebuilds every die it touches from the seeds.
-fn supervise(shared: &Arc<ShardShared>, cfg: &FleetConfig) {
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| worker_loop(shared)));
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match run {
-            Ok(()) => return, // clean exit only happens on shutdown
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                let restarts = {
-                    let mut st = recover(shared.status.lock());
-                    st.restarts += 1;
-                    st.last_panic = Some(message);
-                    st.state = if st.restarts > cfg.max_restarts {
-                        ShardState::Dead
-                    } else {
-                        ShardState::Restarting
-                    };
-                    shared.count(|m| m.restarts);
-                    st.restarts
-                };
-                if restarts > cfg.max_restarts {
-                    drain_with_rejection(shared, "restart budget exhausted");
-                    return;
-                }
-                let backoff = cfg
-                    .backoff_base
-                    .saturating_mul(1u32 << (restarts - 1).min(16) as u32)
-                    .min(cfg.backoff_cap);
-                thread::sleep(backoff);
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                recover(shared.status.lock()).state = ShardState::Up;
-            }
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 

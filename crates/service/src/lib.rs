@@ -4,11 +4,12 @@
 //! SOCC 2012 design the rest of the workspace models) over a hardened TCP
 //! protocol, with the failure model a production telemetry plane needs:
 //!
-//! * **Supervision** — dies are striped across worker threads, each run
-//!   under `catch_unwind` by a supervisor that restarts it with bounded
-//!   exponential backoff; a shard that exhausts its restart budget goes
-//!   `Dead` and is drained with typed rejections while the rest of the
-//!   fleet keeps serving ([`fleet`]).
+//! * **Supervision** — dies are striped across shards, and the thread that
+//!   submits a request serves it inside `catch_unwind`. A panic that
+//!   escapes a request is answered typed and restarts its shard after a
+//!   bounded exponential backoff; a shard that exhausts its restart budget
+//!   goes `Dead` and answers typed rejections while the rest of the fleet
+//!   keeps serving ([`fleet`], [`shard`]).
 //! * **Admission control** — bounded per-shard queues, per-request
 //!   deadlines, typed `timeout`/`overloaded`/`shard_down` rejections, and
 //!   priority-aware shedding (lowest-priority reads go first). A request

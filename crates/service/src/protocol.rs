@@ -12,7 +12,7 @@
 //! [`MAX_PAD`], [`MAX_BATCH`]), checked in one place after either codec
 //! decoded; violations surface as typed [`ProtoError`]s that the server
 //! answers with a [`Rejection::BadRequest`] — malformed input is a *client*
-//! failure and must never take a worker down (see the fuzz suites in
+//! failure and must never take a shard down (see the fuzz suites in
 //! `tests/protocol.rs` and `tests/wire.rs`).
 
 use crate::json;
@@ -95,7 +95,7 @@ pub enum Request {
         /// Response padding size, bytes (`0..=MAX_PAD`).
         pad: u64,
     },
-    /// Chaos hook: perturb one die or its shard worker.
+    /// Chaos hook: perturb one die or its shard.
     Inject {
         /// Target die index.
         die: u64,
@@ -117,10 +117,12 @@ pub enum InjectKind {
     /// The die's next conversion panics *inside* the per-request isolation
     /// boundary — answered with a typed rejection, shard stays up.
     PanicConversion,
-    /// The shard's worker thread panics *outside* the per-request boundary
-    /// — exercises supervision: backoff restart or, past the budget, Dead.
+    /// The die's next request panics *outside* the per-conversion
+    /// boundary — exercises supervision: backoff restart or, past the
+    /// budget, Dead.
     PanicWorker,
-    /// The worker stalls this many ms before serving the next request.
+    /// The die's shard serves nothing for this many ms, counted from when
+    /// the inject is served.
     StallMs(u64),
 }
 
@@ -181,7 +183,7 @@ pub struct HealthWire {
     pub counters: Vec<(String, u64)>,
     /// Milliseconds since the fleet started.
     pub uptime_ms: u64,
-    /// Queued reads one worker wake serves: always 1 (no coalescing);
+    /// Requests one serve handles: always 1 (no coalescing);
     /// kept for wire compatibility. Pre-v2 daemons omit it (decoded as 0).
     pub coalesce_max: u64,
     /// Highest wire-protocol version this daemon negotiates (`2` = the

@@ -128,9 +128,7 @@ impl Server {
     /// then shuts the fleet down gracefully.
     pub fn join(self) {
         let _ = self.accept.join();
-        if let Ok(fleet) = Arc::try_unwrap(self.fleet) {
-            fleet.shutdown();
-        }
+        self.fleet.shutdown();
     }
 }
 

@@ -1,22 +1,32 @@
-//! One shard of the fleet: a bounded job queue, the worker that drains it,
-//! and the context that owns a stripe of dies.
+//! One shard of the fleet: the context that owns a stripe of dies, the
+//! bounded queue of requests waiting for it, and the supervision boundary
+//! every request is served inside.
 //!
 //! The context keeps a lazily-built, calibrated [`PtSensor`] per owned die
 //! (prototype clone + `die_rng(base_seed, die)` — the same deterministic
 //! per-die seeding the Monte-Carlo driver uses, so a die reads the same
-//! values no matter which fleet boot serves it). It lives in the shard's
-//! shared state: whoever holds the queue's `busy` bit — the worker after a
-//! pop, or a connection thread serving an idle shard inline — owns it.
+//! values no matter which fleet boot serves it). There is no worker thread:
+//! the thread that submits a request serves it, holding the shard's `busy`
+//! bit while it does. A request that finds the shard busy, stalled,
+//! restarting or already waited on joins the queue as a waiter record and
+//! blocks on the shard's condvar until it reaches the head of a free shard,
+//! its deadline passes, it is shed, or the shard goes down.
+//!
 //! Every conversion runs inside `catch_unwind`: a panicking die answers
 //! with a typed [`Rejection::WorkerPanicked`](crate::protocol::Rejection)
 //! and has its slot rebuilt, while the shard keeps serving its other dies.
-//! Chaos flags
-//! (degrade/stall/panic) live in the *shared* state, outside the worker,
-//! precisely so they survive a worker restart — a degraded die must stay
-//! degraded across a crash, or the chaos campaign could never observe
-//! "recovered but still degraded" serving.
+//! A panic that escapes a request is caught one level up, around the whole
+//! serve: it discards the context, answers the request `worker_panicked`,
+//! and puts the shard in `Restarting` for a backoff, or `Dead` once the
+//! restart budget is spent. Chaos flags (degrade/panic) live beside the
+//! context, not in it, precisely so they survive a restart — a degraded die
+//! must stay degraded across a crash, or the chaos campaign could never
+//! observe "recovered but still degraded" serving.
 
-use crate::protocol::{BatchItem, InjectKind, Quality, Rejection, Request, Response};
+use crate::fleet::FleetConfig;
+use crate::protocol::{
+    BatchItem, InjectKind, Quality, Rejection, Request, Response, ShardHealthWire,
+};
 use ptsim_core::pipeline::{read_group, run_conversion_with};
 use ptsim_core::{HealthStatus, PtSensor, Scratch, SensorInputs, SensorSpec};
 use ptsim_device::process::Technology;
@@ -26,18 +36,30 @@ use ptsim_mc::driver::die_rng;
 use ptsim_mc::model::{DieSampler, VariationModel};
 use ptsim_obs::{CounterId, GaugeId, HistogramId, Registry};
 use ptsim_rng::Pcg64;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Recovers the guarded value whether or not the mutex is poisoned. Shard
-/// state must stay reachable after a worker panic — that is the whole
-/// point of the supervision tree — so poisoning is never fatal here.
+/// state must stay reachable after a panic escapes a request — that is the
+/// whole point of the supervision boundary — so poisoning is never fatal
+/// here.
 pub(crate) fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// Set while this thread holds a shard's `busy` bit and serves.
+    static HOLDING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is serving a shard. Its panics are caught,
+/// counted and answered typed, so the quiet panic hook keeps them off
+/// stderr.
+pub(crate) fn holding_a_shard() -> bool {
+    HOLDING.get()
 }
 
 /// Service metric ids over one [`Registry`]. Every holder (each shard, and
@@ -47,9 +69,9 @@ pub(crate) fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
 pub struct SvcMetrics {
     /// The backing registry.
     pub reg: Registry,
-    /// Requests admitted, queued or served inline.
+    /// Requests admitted, served at once or after waiting.
     pub requests: CounterId,
-    /// Requests served on the submitting thread because the shard was idle.
+    /// Requests served at once: their shard was free and nobody waited.
     pub served_inline: CounterId,
     /// Requests answered with a reading/outcome.
     pub served: CounterId,
@@ -63,16 +85,18 @@ pub struct SvcMetrics {
     pub rej_shard_down: CounterId,
     /// Typed `bad_request` rejections (malformed frames, bound violations).
     pub rej_bad_request: CounterId,
-    /// Typed `worker_panicked` rejections (isolated conversion panics).
+    /// Typed `worker_panicked` rejections (a conversion panic, or a panic
+    /// that escaped its request).
     pub rej_worker_panicked: CounterId,
     /// Typed `conversion_failed` rejections (sensor-level errors).
     pub rej_conversion_failed: CounterId,
-    /// Jobs dropped at dequeue because their deadline had already passed
-    /// (the client was independently answered with `timeout`).
+    /// Requests dropped unserved because their deadline passed first
+    /// (each is also answered `timeout`).
     pub deadline_drops: CounterId,
-    /// Worker-thread panics that escaped a request (supervisor-visible).
+    /// Panics that escaped a request's serve (the supervision boundary).
     pub worker_panics: CounterId,
-    /// Worker restarts performed by the supervisor.
+    /// Restarts those panics caused, one each; the panic that exhausts
+    /// the budget counts too.
     pub restarts: CounterId,
     /// Accepted connections.
     pub conns: CounterId,
@@ -155,16 +179,17 @@ impl Default for SvcMetrics {
     }
 }
 
-/// Supervision state of a shard worker.
+/// Supervision state of a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardState {
-    /// The worker is serving.
+    /// The shard is serving.
     Up,
-    /// The worker crashed and the supervisor is backing off before a
-    /// restart; queued work waits.
+    /// A panic escaped a request; requests wait out the restart backoff.
+    /// The first submit or health probe after it runs out flips the shard
+    /// back to `Up`.
     Restarting,
-    /// The restart budget is exhausted; the supervisor drains the queue
-    /// with typed `shard_down` rejections.
+    /// The restart budget is exhausted; every request to the shard is
+    /// answered `shard_down`.
     Dead,
 }
 
@@ -180,172 +205,357 @@ impl ShardState {
     }
 }
 
-/// Mutable supervision record of one shard.
-#[derive(Debug, Clone)]
-pub struct ShardStatus {
-    /// Current state.
-    pub state: ShardState,
-    /// Restarts so far.
-    pub restarts: u64,
-    /// Message of the most recent escaped panic, if any.
-    pub last_panic: Option<String>,
-}
-
-/// Chaos flags of one die. Kept outside the worker so they survive
+/// Chaos flags of one die. Kept outside the context so they survive
 /// restarts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DieFlags {
+#[derive(Clone, Copy, Default)]
+struct DieFlags {
     /// Serve degraded temperature-only readings (dead PSRO bank).
-    pub degraded: bool,
+    degraded: bool,
     /// Panic inside the next conversion (one-shot).
-    pub panic_conversion: bool,
-    /// Panic *outside* the per-request boundary on the next job (one-shot)
-    /// — exercises the supervisor.
-    pub panic_worker: bool,
-    /// Stall this many ms before serving the next job (one-shot).
-    pub stall_ms: u64,
+    panic_conversion: bool,
+    /// Panic *outside* the per-conversion boundary on the next request
+    /// (one-shot) — exercises the supervision boundary.
+    panic_worker: bool,
 }
 
-impl DieFlags {
-    /// Whether a one-shot flag is armed. Such a die is served by the
-    /// worker only: its stall and panics belong on the supervised thread.
-    fn one_shot_armed(self) -> bool {
-        self.panic_conversion || self.panic_worker || self.stall_ms > 0
-    }
-}
-
-/// One queued request with its reply channel and deadline.
-#[derive(Debug)]
-pub struct Job {
-    /// The request (only die-addressed ops are queued).
-    pub req: Request,
+/// A request waiting for its shard: what shedding needs, and a ticket its
+/// submitting thread finds it by.
+struct Waiter {
+    ticket: u64,
     /// Shedding priority (higher survives overload longer).
-    pub priority: u8,
-    /// Absolute deadline; the fleet stops waiting at this instant and the
-    /// worker discards the job if it is only dequeued afterwards.
-    pub deadline: Instant,
-    /// When the job was admitted (for the latency histogram).
-    pub enqueued: Instant,
-    /// Where the answer goes. A send failure means the client stopped
-    /// waiting; it is never an error.
-    pub reply: mpsc::Sender<Response>,
+    priority: u8,
+    /// Only plain reads are shed to admit higher-priority work.
+    read: bool,
 }
 
-/// Static configuration of one shard.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardConfig {
-    /// This shard's index.
-    pub shard_id: u64,
-    /// Total shards in the fleet (die `d` belongs to shard
-    /// `d % n_shards`).
-    pub n_shards: u64,
-    /// Total dies in the fleet.
-    pub n_dies: u64,
-    /// Bounded queue depth; admission control sheds beyond it.
-    pub queue_depth: usize,
-    /// Base seed of the fleet's deterministic per-die streams.
-    pub base_seed: u64,
-}
-
-impl ShardConfig {
-    /// Dies this shard owns.
-    #[must_use]
-    pub fn owned_dies(&self) -> u64 {
-        if self.n_dies == 0 {
-            return 0;
-        }
-        let full = self.n_dies / self.n_shards;
-        let extra = u64::from(self.n_dies % self.n_shards > self.shard_id);
-        full + extra
-    }
-
-    fn local_index(&self, die: u64) -> usize {
-        (die / self.n_shards) as usize
-    }
-}
-
-/// A shard's queued jobs and the bit that says who owns its context.
-#[derive(Debug)]
-pub struct ShardQueue {
-    /// Admitted jobs, in admission order.
-    pub jobs: VecDeque<Job>,
-    /// Set while one thread — the worker, or a connection thread serving
-    /// inline — holds the shard's [`WorkerCtx`]. Only the holder serves,
-    /// so each die is served in admission order.
-    pub busy: bool,
-}
-
-/// State shared between a shard's worker, its supervisor, and the fleet
-/// front-end.
-#[derive(Debug)]
-pub struct ShardShared {
-    /// Static configuration.
-    pub cfg: ShardConfig,
-    /// The bounded job queue.
-    pub queue: Mutex<ShardQueue>,
-    /// Signals the worker when work arrives or shutdown begins.
-    pub cv: Condvar,
-    /// Supervision record.
-    pub status: Mutex<ShardStatus>,
-    /// Per-owned-die chaos flags, indexed by local die index.
-    pub flags: Mutex<Vec<DieFlags>>,
-    /// This shard's metric registry (merged fleet-wide for `/health`).
-    pub metrics: Mutex<SvcMetrics>,
+/// Who may serve a shard now, and who waits for it. One mutex guards it
+/// all, and the shard's condvar signals its changes.
+struct ShardQueue {
+    /// Waiting requests in admission order, never more than `queue_depth`.
+    waiters: VecDeque<Waiter>,
+    next_ticket: u64,
+    /// Set while one thread holds the shard's context and serves. Only the
+    /// holder serves, so each die is served in admission order.
+    busy: bool,
+    state: ShardState,
+    /// Escaped panics so far.
+    restarts: u64,
+    /// When a `Restarting` shard may serve again.
+    restart_at: Instant,
+    /// An injected stall holds serving back until this instant.
+    stalled_until: Instant,
     /// Set once at fleet shutdown.
-    pub shutdown: AtomicBool,
+    shutdown: bool,
+}
+
+impl ShardQueue {
+    /// Ends a restart backoff that has run out.
+    fn reopen(&mut self, now: Instant) {
+        if self.state == ShardState::Restarting && now >= self.restart_at {
+            self.state = ShardState::Up;
+        }
+    }
+
+    /// When a stall or a restart backoff stops gating the shard, if one
+    /// gates it at `now`.
+    fn gated_until(&self, now: Instant) -> Option<Instant> {
+        let until = if self.state == ShardState::Restarting {
+            self.restart_at.max(self.stalled_until)
+        } else {
+            self.stalled_until
+        };
+        (until > now).then_some(until)
+    }
+
+    /// Whether a request may take the shard at `now`.
+    fn free(&self, now: Instant) -> bool {
+        !self.busy && self.state == ShardState::Up && self.gated_until(now).is_none()
+    }
+
+    /// Why no request may be served any more, if none may.
+    fn closed(&self) -> Option<Refusal> {
+        if self.shutdown {
+            Some(Refusal::Down("fleet shutting down"))
+        } else if self.state == ShardState::Dead {
+            Some(Refusal::Down("restart budget exhausted"))
+        } else {
+            None
+        }
+    }
+}
+
+/// Why a request was answered without being served.
+enum Refusal {
+    Down(&'static str),
+    Overloaded(&'static str),
+    Timeout,
+}
+
+/// One shard: its stripe of dies, their serving context, and the queue of
+/// requests waiting for it.
+pub(crate) struct Shard {
+    id: u64,
+    cfg: FleetConfig,
+    /// Dies this shard owns (die `d` belongs to shard `d % n_shards`).
+    owned: usize,
+    queue: Mutex<ShardQueue>,
+    /// Wakes waiters when the shard frees up, sheds, or goes down.
+    cv: Condvar,
+    /// Per-owned-die chaos flags, indexed by local die index.
+    flags: Mutex<Vec<DieFlags>>,
+    /// This shard's metric registry (merged fleet-wide for `/health`).
+    pub(crate) metrics: Mutex<SvcMetrics>,
     /// The dies' serving state; built on first use, discarded by a panic
     /// that escapes a request. Locked only by the `busy` holder.
-    ctx: Mutex<Option<WorkerCtx>>,
+    ctx: Mutex<Option<ShardCtx>>,
 }
 
-impl ShardShared {
-    /// Fresh shared state for one shard.
-    #[must_use]
-    pub fn new(cfg: ShardConfig) -> Self {
-        let owned = cfg.owned_dies() as usize;
-        ShardShared {
+impl Shard {
+    /// Fresh state for shard `id` of a fleet configured by `cfg`.
+    pub(crate) fn new(id: u64, cfg: FleetConfig) -> Self {
+        let owned = if cfg.n_dies == 0 {
+            0
+        } else {
+            cfg.n_dies / cfg.n_shards + u64::from(cfg.n_dies % cfg.n_shards > id)
+        } as usize;
+        let now = Instant::now();
+        Shard {
+            id,
             cfg,
+            owned,
             queue: Mutex::new(ShardQueue {
-                jobs: VecDeque::with_capacity(cfg.queue_depth),
+                waiters: VecDeque::with_capacity(cfg.queue_depth),
+                next_ticket: 0,
                 busy: false,
-            }),
-            cv: Condvar::new(),
-            status: Mutex::new(ShardStatus {
                 state: ShardState::Up,
                 restarts: 0,
-                last_panic: None,
+                restart_at: now,
+                stalled_until: now,
+                shutdown: false,
             }),
+            cv: Condvar::new(),
             flags: Mutex::new(vec![DieFlags::default(); owned]),
             metrics: Mutex::new(SvcMetrics::new()),
-            shutdown: AtomicBool::new(false),
             ctx: Mutex::new(None),
         }
     }
 
-    /// Takes the context for a request, on the submitting thread, when the
-    /// shard is idle: nothing queued, nobody holding the context, and no
-    /// one-shot chaos armed on the request's die. `q` is this shard's
-    /// locked queue. Returns the context's guard and the die's flags.
-    pub(crate) fn try_inline(
-        &self,
-        q: &mut ShardQueue,
-        req: &Request,
-    ) -> Option<(Serving<'_>, DieFlags)> {
-        if q.busy || !q.jobs.is_empty() || matches!(req, Request::Inject { .. }) {
-            return None;
-        }
-        // Only the `busy` holder writes flags, and nobody holds it now.
-        let flags = self.flags_of(req, |f| *f);
-        if flags.one_shot_armed() {
-            return None;
-        }
-        q.busy = true;
-        Some((Serving { shared: self }, flags))
+    fn local_index(&self, die: u64) -> usize {
+        (die / self.cfg.n_shards) as usize
     }
 
-    /// Applies `f` to the flags of the die `req` takes its chaos from
-    /// (`default` for a request that carries no die).
-    fn flags_of(&self, req: &Request, f: impl FnOnce(&mut DieFlags) -> DieFlags) -> DieFlags {
+    /// Serves `req` on the calling thread, at once if the shard is free
+    /// and nobody waits for it, otherwise as a waiter once its turn comes.
+    /// Always answers: with the result, or a typed rejection at the
+    /// deadline, on a shed, or when the shard is down.
+    pub(crate) fn submit(&self, req: &Request, priority: u8, deadline_ms: u64) -> Response {
+        let admitted = Instant::now();
+        let deadline = admitted + Duration::from_millis(deadline_ms);
+        let mut q = recover(self.queue.lock());
+        q.reopen(admitted);
+        let refused = q
+            .closed()
+            .or((admitted >= deadline).then_some(Refusal::Timeout));
+        if let Some(why) = refused {
+            drop(q);
+            return self.refuse(why, deadline_ms);
+        }
+        if q.waiters.is_empty() && q.free(admitted) {
+            q.busy = true;
+            drop(q);
+            let mut m = recover(self.metrics.lock());
+            let (requests, inline) = (m.requests, m.served_inline);
+            m.reg.inc(requests);
+            m.reg.inc(inline);
+        } else {
+            let ticket = match self.enqueue(&mut q, priority, matches!(req, Request::Read { .. })) {
+                Ok(ticket) => ticket,
+                Err(why) => {
+                    drop(q);
+                    return self.refuse(why, deadline_ms);
+                }
+            };
+            let depth = q.waiters.len();
+            drop(q);
+            {
+                let mut m = recover(self.metrics.lock());
+                let (requests, peak) = (m.requests, m.queue_peak);
+                m.reg.inc(requests);
+                m.reg.set_max(peak, depth as f64);
+            }
+            if let Err(why) = self.wait_turn(ticket, deadline) {
+                return self.refuse(why, deadline_ms);
+            }
+        }
+        self.serve_held(req, admitted)
+    }
+
+    /// Admits a waiter to the bounded queue. A full queue sheds its
+    /// lowest-priority waiting read if that ranks below the newcomer;
+    /// otherwise the newcomer is refused.
+    fn enqueue(&self, q: &mut ShardQueue, priority: u8, read: bool) -> Result<u64, Refusal> {
+        if q.waiters.len() >= self.cfg.queue_depth {
+            let victim = q
+                .waiters
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.read)
+                .min_by_key(|(_, w)| w.priority)
+                .map(|(i, w)| (i, w.priority));
+            match victim {
+                // The shed waiter finds its record gone when it wakes.
+                Some((i, vp)) if vp < priority => {
+                    q.waiters.remove(i);
+                    self.cv.notify_all();
+                }
+                _ => return Err(Refusal::Overloaded("queue full")),
+            }
+        }
+        let ticket = q.next_ticket;
+        q.next_ticket += 1;
+        q.waiters.push_back(Waiter {
+            ticket,
+            priority,
+            read,
+        });
+        Ok(ticket)
+    }
+
+    /// Blocks until waiter `ticket` heads the queue of a free shard, and
+    /// takes the shard for it; or until it must be answered unserved.
+    fn wait_turn(&self, ticket: u64, deadline: Instant) -> Result<(), Refusal> {
+        let mut q = recover(self.queue.lock());
+        loop {
+            let now = Instant::now();
+            q.reopen(now);
+            let Some(pos) = q.waiters.iter().position(|w| w.ticket == ticket) else {
+                return Err(Refusal::Overloaded("shed for higher-priority work"));
+            };
+            let refused = q.closed().or((now >= deadline).then_some(Refusal::Timeout));
+            if let Some(why) = refused {
+                q.waiters.remove(pos);
+                if pos == 0 {
+                    // The next waiter may be able to go now.
+                    self.cv.notify_all();
+                }
+                return Err(why);
+            }
+            if pos == 0 && q.free(now) {
+                q.waiters.pop_front();
+                q.busy = true;
+                return Ok(());
+            }
+            let wake = q.gated_until(now).map_or(deadline, |t| t.min(deadline));
+            q = recover(self.cv.wait_timeout(q, wake - now)).0;
+        }
+    }
+
+    /// Counts and builds the answer to a request that was not served.
+    fn refuse(&self, why: Refusal, deadline_ms: u64) -> Response {
+        let mut m = recover(self.metrics.lock());
+        let (rejection, detail) = match why {
+            Refusal::Down(detail) => {
+                let id = m.rej_shard_down;
+                m.reg.inc(id);
+                (Rejection::ShardDown, format!("shard {}: {detail}", self.id))
+            }
+            Refusal::Overloaded(detail) => {
+                let id = m.rej_overloaded;
+                m.reg.inc(id);
+                (
+                    Rejection::Overloaded,
+                    format!("shard {}: {detail}", self.id),
+                )
+            }
+            Refusal::Timeout => {
+                let (timeout, drops) = (m.rej_timeout, m.deadline_drops);
+                m.reg.inc(timeout);
+                m.reg.inc(drops);
+                (
+                    Rejection::Timeout,
+                    format!("deadline of {deadline_ms} ms exceeded"),
+                )
+            }
+        };
+        Response::rejected(rejection, detail)
+    }
+
+    /// Serves `req` while holding the shard, then releases it. This is the
+    /// supervision boundary: a panic that escapes the request discards the
+    /// context, answers the request `worker_panicked`, and restarts the
+    /// shard after a backoff, or kills it once the budget is spent.
+    fn serve_held(&self, req: &Request, admitted: Instant) -> Response {
+        HOLDING.set(true);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let flags = self.take_flags(req);
+            assert!(
+                !flags.panic_worker,
+                "injected worker panic (shard {})",
+                self.id
+            );
+            let mut ctx = recover(self.ctx.lock());
+            let ctx = ctx.get_or_insert_with(|| ShardCtx::new(self.owned));
+            serve(self, ctx, req, flags, admitted)
+        }));
+        HOLDING.set(false);
+        match outcome {
+            Ok(response) => {
+                let mut q = recover(self.queue.lock());
+                q.busy = false;
+                let wake = !q.waiters.is_empty();
+                drop(q);
+                if wake {
+                    self.cv.notify_all();
+                }
+                response
+            }
+            Err(payload) => self.crashed(&panic_message(payload.as_ref())),
+        }
+    }
+
+    /// Records a panic that escaped a request and releases the shard into
+    /// `Restarting` (or `Dead`). The next holder rebuilds every die it
+    /// touches from the deterministic seeds.
+    fn crashed(&self, message: &str) -> Response {
+        *recover(self.ctx.lock()) = None;
+        let now = Instant::now();
+        let mut q = recover(self.queue.lock());
+        q.restarts += 1;
+        q.state = if q.restarts > self.cfg.max_restarts {
+            ShardState::Dead
+        } else {
+            let backoff = self
+                .cfg
+                .backoff_base
+                .saturating_mul(1u32 << (q.restarts - 1).min(16) as u32)
+                .min(self.cfg.backoff_cap);
+            q.restart_at = now + backoff;
+            ShardState::Restarting
+        };
+        q.busy = false;
+        let state = q.state;
+        drop(q);
+        self.cv.notify_all();
+        {
+            let mut m = recover(self.metrics.lock());
+            let ids = [m.worker_panics, m.restarts, m.rej_worker_panicked];
+            for id in ids {
+                m.reg.inc(id);
+            }
+        }
+        Response::rejected(
+            Rejection::WorkerPanicked,
+            format!(
+                "shard {} panicked serving this request ({message}); now {}",
+                self.id,
+                state.name()
+            ),
+        )
+    }
+
+    /// Takes the chaos flags of the die `req` is served for, clearing the
+    /// one-shot ones (`default` for a request that carries no die).
+    fn take_flags(&self, req: &Request) -> DieFlags {
         let die = match *req {
             Request::Read { die, .. }
             | Request::Calibrate { die, .. }
@@ -357,18 +567,53 @@ impl ShardShared {
             // Health/Shutdown are answered by the fleet front-end.
             _ => return DieFlags::default(),
         };
-        f(&mut recover(self.flags.lock())[self.cfg.local_index(die)])
+        let mut all = recover(self.flags.lock());
+        let f = &mut all[self.local_index(die)];
+        let taken = *f;
+        f.panic_conversion = false;
+        f.panic_worker = false;
+        taken
+    }
+
+    /// This shard's `/health` entry. Ends a restart backoff that has run
+    /// out, so a restarted shard reads `up` without waiting for a request.
+    pub(crate) fn health(&self) -> ShardHealthWire {
+        let mut q = recover(self.queue.lock());
+        q.reopen(Instant::now());
+        ShardHealthWire {
+            id: self.id,
+            state: q.state.name().to_string(),
+            restarts: q.restarts,
+            queue_len: q.waiters.len() as u64,
+            dies: self.owned as u64,
+        }
+    }
+
+    /// Stops serving: waiters and later requests answer `shard_down`.
+    pub(crate) fn shut_down(&self) {
+        recover(self.queue.lock()).shutdown = true;
+        self.cv.notify_all();
     }
 
     /// Increments the counter `pick` selects in this shard's registry.
-    pub(crate) fn count(&self, pick: impl Fn(&SvcMetrics) -> CounterId) {
+    fn count(&self, pick: impl Fn(&SvcMetrics) -> CounterId) {
         let mut m = recover(self.metrics.lock());
         let id = pick(&m);
         m.reg.inc(id);
     }
 }
 
-/// One die's live serving state inside a worker.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// One die's live serving state.
 struct DieSlot {
     sensor: PtSensor,
     die: DieSample,
@@ -376,41 +621,10 @@ struct DieSlot {
     calib_quality: Quality,
 }
 
-/// Ownership of a shard's [`WorkerCtx`], taken by setting the queue's
-/// `busy` bit. Dropping it clears the bit, and wakes the worker if jobs
-/// arrived meanwhile. A panic unwinding through it first discards the
-/// context, so the next holder rebuilds every touched die from its seed.
-pub(crate) struct Serving<'a> {
-    shared: &'a ShardShared,
-}
-
-impl Serving<'_> {
-    /// Runs `f` on the shard's context, building it on first use.
-    pub(crate) fn with_ctx<T>(&self, f: impl FnOnce(&mut WorkerCtx) -> T) -> T {
-        let mut ctx = recover(self.shared.ctx.lock());
-        f(ctx.get_or_insert_with(|| WorkerCtx::new(&self.shared.cfg)))
-    }
-}
-
-impl Drop for Serving<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            *recover(self.shared.ctx.lock()) = None;
-        }
-        let mut q = recover(self.shared.queue.lock());
-        q.busy = false;
-        let wake = !q.jobs.is_empty();
-        drop(q);
-        if wake {
-            self.shared.cv.notify_one();
-        }
-    }
-}
-
 /// A shard's serving context: every owned die's state and one conversion
 /// workspace. Construction is deliberately lazy per die: a 4096-die fleet
 /// boots in milliseconds and pays each die's calibration on first touch.
-pub struct WorkerCtx {
+struct ShardCtx {
     prototype: PtSensor,
     sampler: DieSampler,
     boot_temp: Celsius,
@@ -419,34 +633,25 @@ pub struct WorkerCtx {
     scratch: Scratch,
 }
 
-impl std::fmt::Debug for WorkerCtx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerCtx")
-            .field("built_slots", &self.slots.iter().flatten().count())
-            .finish_non_exhaustive()
-    }
-}
-
-impl WorkerCtx {
-    /// Builds the worker's prototype sensor and die sampler.
+impl ShardCtx {
+    /// Builds the prototype sensor and die sampler for `owned` dies.
     ///
     /// # Panics
     ///
     /// Panics if the default 65 nm sensor cannot be constructed — a build
-    /// configuration error the supervisor surfaces as a dead shard, not a
-    /// recoverable request failure.
-    #[must_use]
-    pub fn new(cfg: &ShardConfig) -> Self {
+    /// configuration error the supervision boundary surfaces as a dead
+    /// shard, not a recoverable request failure.
+    fn new(owned: usize) -> Self {
         let spec = SensorSpec::default_65nm();
         let boot_temp = spec.calib_temp;
         let prototype = PtSensor::new(Technology::n65(), spec)
             .expect("default 65nm sensor spec must construct");
         let model = VariationModel::new(&Technology::n65());
-        WorkerCtx {
+        ShardCtx {
             prototype,
             sampler: model.sampler(),
             boot_temp,
-            slots: (0..cfg.owned_dies()).map(|_| None).collect(),
+            slots: (0..owned).map(|_| None).collect(),
             scratch: Scratch::new(),
         }
     }
@@ -455,13 +660,13 @@ impl WorkerCtx {
     /// re-applies a persistent degrade flag after a rebuild.
     fn slot(
         &mut self,
-        cfg: &ShardConfig,
+        shard: &Shard,
         die: u64,
         degraded: bool,
     ) -> Result<&mut DieSlot, ptsim_core::SensorError> {
-        let idx = cfg.local_index(die);
+        let idx = shard.local_index(die);
         if self.slots[idx].is_none() {
-            let mut rng = die_rng(cfg.base_seed, die);
+            let mut rng = die_rng(shard.cfg.base_seed, die);
             let sample = self.sampler.sample_die_with_id(&mut rng, die);
             let mut sensor = self.prototype.clone();
             let boot = SensorInputs::new(&sample, DieSite::CENTER, self.boot_temp);
@@ -499,68 +704,12 @@ fn quality_of(status: HealthStatus) -> Quality {
     }
 }
 
-/// The worker body: pops one job per wake, in admission order, and serves
-/// it, until shutdown. It pops only while no connection thread is serving
-/// the shard inline. The supervisor wraps each invocation in
-/// `catch_unwind`; a panic that escapes discards the shared context (see
-/// `Serving`), and the next incarnation or inline server rebuilds every
-/// touched die from the deterministic seeds.
-pub fn worker_loop(shared: &ShardShared) {
-    loop {
-        let (job, serving) = {
-            let mut q = recover(shared.queue.lock());
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if !q.busy {
-                    if let Some(j) = q.jobs.pop_front() {
-                        q.busy = true;
-                        break (j, Serving { shared });
-                    }
-                }
-                let (guard, _) = recover(shared.cv.wait_timeout(q, Duration::from_millis(25)));
-                q = guard;
-            }
-        };
-        let flags = shared.flags_of(&job.req, |f| {
-            let taken = *f;
-            // One-shot flags arm exactly one job.
-            f.panic_conversion = false;
-            f.panic_worker = false;
-            f.stall_ms = 0;
-            taken
-        });
-        if flags.stall_ms > 0 {
-            std::thread::sleep(Duration::from_millis(flags.stall_ms));
-        }
-        if flags.panic_worker {
-            shared.count(|m| m.worker_panics);
-            panic!("injected worker panic (shard {})", shared.cfg.shard_id);
-        }
-        if Instant::now() >= job.deadline {
-            // The fleet already answered the client with a typed timeout;
-            // record the late discard so "rejected vs silently dropped"
-            // stays auditable.
-            shared.count(|m| m.deadline_drops);
-            continue;
-        }
-        let response = serving.with_ctx(|ctx| serve(shared, ctx, &job.req, flags, job.enqueued));
-        // Release before replying, so the client's next request can find
-        // the shard idle.
-        drop(serving);
-        // A failed send means the client already gave up (typed timeout);
-        // never an error here.
-        let _ = job.reply.send(response);
-    }
-}
-
-/// Serves one admitted request with the die's `flags` (already taken; a
-/// stall or worker panic has already run) on the shard's context, on
-/// whichever thread holds it. Conversion panics are isolated per request.
-pub(crate) fn serve(
-    shared: &ShardShared,
-    worker: &mut WorkerCtx,
+/// Serves one request with the die's `flags` (already taken) on the
+/// shard's context, on the thread that holds it. Conversion panics are
+/// isolated per request.
+fn serve(
+    shard: &Shard,
+    ctx: &mut ShardCtx,
     req: &Request,
     flags: DieFlags,
     enqueued: Instant,
@@ -568,15 +717,15 @@ pub(crate) fn serve(
     match *req {
         Request::Read { die, temp_c, .. } => {
             let degraded = flags.degraded;
-            match worker.slot(&shared.cfg, die, degraded) {
+            match ctx.slot(shard, die, degraded) {
                 Err(e) => {
-                    shared.count(|m| m.rej_conversion_failed);
+                    shard.count(|m| m.rej_conversion_failed);
                     Response::rejected(Rejection::ConversionFailed, e.to_string())
                 }
                 Ok(_) => {
-                    let idx = shared.cfg.local_index(die);
-                    let slot = worker.slots[idx].as_mut().expect("slot built above");
-                    let scratch = &mut worker.scratch;
+                    let idx = shard.local_index(die);
+                    let slot = ctx.slots[idx].as_mut().expect("slot built above");
+                    let scratch = &mut ctx.scratch;
                     let inputs = SensorInputs::new(&slot.die, DieSite::CENTER, Celsius(temp_c));
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         assert!(
@@ -590,22 +739,22 @@ pub(crate) fn serve(
                             // The slot and the workspace may be mid-update;
                             // rebuild the die from its deterministic seed on
                             // next touch.
-                            worker.slots[idx] = None;
-                            worker.scratch = Scratch::new();
-                            shared.count(|m| m.rej_worker_panicked);
+                            ctx.slots[idx] = None;
+                            ctx.scratch = Scratch::new();
+                            shard.count(|m| m.rej_worker_panicked);
                             Response::rejected(
                                 Rejection::WorkerPanicked,
                                 format!("conversion on die {die} panicked; die state rebuilt"),
                             )
                         }
                         Ok(Err(e)) => {
-                            shared.count(|m| m.rej_conversion_failed);
+                            shard.count(|m| m.rej_conversion_failed);
                             Response::rejected(Rejection::ConversionFailed, e.to_string())
                         }
                         Ok(Ok(reading)) => {
                             let quality = quality_of(reading.health.status());
                             {
-                                let mut m = recover(shared.metrics.lock());
+                                let mut m = recover(shard.metrics.lock());
                                 let served = m.served;
                                 m.reg.inc(served);
                                 if quality == Quality::Degraded {
@@ -633,50 +782,54 @@ pub(crate) fn serve(
             count,
             temp_c,
             ..
-        } => serve_batch(shared, worker, die0, count, temp_c, flags, enqueued),
+        } => serve_batch(shard, ctx, die0, count, temp_c, flags, enqueued),
         Request::Calibrate { die, .. } => {
             // Recalibration rebuilds the slot from scratch (fresh sample of
             // the same deterministic die, fresh calibration).
-            worker.slots[shared.cfg.local_index(die)] = None;
-            match worker.slot(&shared.cfg, die, flags.degraded) {
+            ctx.slots[shard.local_index(die)] = None;
+            match ctx.slot(shard, die, flags.degraded) {
                 Err(e) => {
-                    shared.count(|m| m.rej_conversion_failed);
+                    shard.count(|m| m.rej_conversion_failed);
                     Response::rejected(Rejection::ConversionFailed, e.to_string())
                 }
                 Ok(slot) => {
                     let q = slot.calib_quality;
-                    shared.count(|m| m.served);
+                    shard.count(|m| m.served);
                     Response::Calibrated { die, quality: q }
                 }
             }
         }
         Request::Inject { die, kind } => {
-            let idx = shared.cfg.local_index(die);
-            let mut all = recover(shared.flags.lock());
+            let idx = shard.local_index(die);
+            let mut all = recover(shard.flags.lock());
             let f = &mut all[idx];
             match kind {
                 InjectKind::DegradeDie => {
                     f.degraded = true;
-                    if let Some(slot) = &mut worker.slots[idx] {
+                    if let Some(slot) = &mut ctx.slots[idx] {
                         slot.sensor.inject_faults(degrade_plan());
                     }
                 }
                 InjectKind::HealDie => {
                     f.degraded = false;
-                    if let Some(slot) = &mut worker.slots[idx] {
+                    if let Some(slot) = &mut ctx.slots[idx] {
                         slot.sensor.clear_faults();
                     }
                 }
                 InjectKind::PanicConversion => f.panic_conversion = true,
                 InjectKind::PanicWorker => f.panic_worker = true,
-                InjectKind::StallMs(ms) => f.stall_ms = ms,
+                // A stall holds the whole shard back from now on.
+                InjectKind::StallMs(ms) => {
+                    recover(shard.queue.lock()).stalled_until =
+                        Instant::now() + Duration::from_millis(ms);
+                }
             }
             drop(all);
-            shared.count(|m| m.served);
+            shard.count(|m| m.served);
             Response::Injected { die }
         }
         Request::Ping { pad } => {
-            shared.count(|m| m.served);
+            shard.count(|m| m.served);
             Response::Pong {
                 pad: "x".repeat(pad as usize),
             }
@@ -691,8 +844,8 @@ pub(crate) fn serve(
 /// lowest-indexed dies ≥ `die0` owned by `die0`'s shard (stride =
 /// `n_shards`, so their local indices are consecutive). `None` when the
 /// request is empty or runs off the fleet — the fleet validates this
-/// before queueing, but a worker never trusts a job it did not admit.
-fn stripe(cfg: &ShardConfig, die0: u64, count: u64) -> Option<Vec<u64>> {
+/// before admitting it, and the shard re-checks what it serves.
+fn stripe(cfg: &FleetConfig, die0: u64, count: u64) -> Option<Vec<u64>> {
     if count == 0 {
         return None;
     }
@@ -720,32 +873,31 @@ fn stripe(cfg: &ShardConfig, die0: u64, count: u64) -> Option<Vec<u64>> {
 /// slots from the deterministic seeds, exactly like the single-read path
 /// rebuilds its one slot.
 fn serve_batch(
-    shared: &ShardShared,
-    worker: &mut WorkerCtx,
+    shard: &Shard,
+    ctx: &mut ShardCtx,
     die0: u64,
     count: u64,
     temp_c: f64,
     flags: DieFlags,
     enqueued: Instant,
 ) -> Response {
-    let cfg = &shared.cfg;
-    let Some(dies) = stripe(cfg, die0, count) else {
-        shared.count(|m| m.rej_bad_request);
+    let Some(dies) = stripe(&shard.cfg, die0, count) else {
+        shard.count(|m| m.rej_bad_request);
         return Response::rejected(
             Rejection::BadRequest,
             format!("batch of {count} dies striding from die {die0} leaves this shard"),
         );
     };
-    // Persistent degrade flags are honored per die; the one-shot chaos
-    // flags (stall, panics) were taken from the anchor die by the caller
-    // and cover the batch as a whole.
+    // Persistent degrade flags are honored per die; the one-shot panic
+    // flags were taken from the anchor die by the caller and cover the
+    // batch as a whole.
     let degraded: Vec<bool> = {
-        let all = recover(shared.flags.lock());
+        let all = recover(shard.flags.lock());
         dies.iter()
-            .map(|&d| all[cfg.local_index(d)].degraded)
+            .map(|&d| all[shard.local_index(d)].degraded)
             .collect()
     };
-    let base_local = cfg.local_index(die0);
+    let base_local = shard.local_index(die0);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         assert!(
             !flags.panic_conversion,
@@ -753,14 +905,14 @@ fn serve_batch(
         );
         let mut build_errs: Vec<Option<String>> = vec![None; dies.len()];
         for (j, &die) in dies.iter().enumerate() {
-            if let Err(e) = worker.slot(cfg, die, degraded[j]) {
+            if let Err(e) = ctx.slot(shard, die, degraded[j]) {
                 build_errs[j] = Some(e.to_string());
             }
         }
         let mut sensors: Vec<&PtSensor> = Vec::with_capacity(dies.len());
         let mut inputs: Vec<SensorInputs<'_>> = Vec::with_capacity(dies.len());
         let mut rngs: Vec<&mut Pcg64> = Vec::with_capacity(dies.len());
-        for (j, slot) in worker.slots[base_local..base_local + dies.len()]
+        for (j, slot) in ctx.slots[base_local..base_local + dies.len()]
             .iter_mut()
             .enumerate()
         {
@@ -805,17 +957,17 @@ fn serve_batch(
         Err(_) => {
             // The panic may have left any touched slot mid-update: rebuild
             // the whole stripe from the deterministic seeds on next touch.
-            for slot in &mut worker.slots[base_local..base_local + dies.len()] {
+            for slot in &mut ctx.slots[base_local..base_local + dies.len()] {
                 *slot = None;
             }
-            shared.count(|m| m.rej_worker_panicked);
+            shard.count(|m| m.rej_worker_panicked);
             Response::rejected(
                 Rejection::WorkerPanicked,
                 format!("batch drain anchored at die {die0} panicked; stripe state rebuilt"),
             )
         }
         Ok(items) => {
-            let mut m = recover(shared.metrics.lock());
+            let mut m = recover(shard.metrics.lock());
             for item in &items {
                 match item {
                     BatchItem::Reading { quality, .. } => {
@@ -844,23 +996,24 @@ fn serve_batch(
 mod tests {
     use super::*;
 
-    fn cfg(shard_id: u64) -> ShardConfig {
-        ShardConfig {
-            shard_id,
-            n_shards: 4,
-            n_dies: 10,
-            queue_depth: 8,
-            base_seed: 7,
-        }
+    fn shard(id: u64) -> Shard {
+        Shard::new(
+            id,
+            FleetConfig {
+                n_dies: 10,
+                n_shards: 4,
+                ..FleetConfig::default()
+            },
+        )
     }
 
     #[test]
     fn die_striping_covers_the_fleet_exactly_once() {
-        let owned: u64 = (0..4).map(|s| cfg(s).owned_dies()).sum();
+        let owned: usize = (0..4).map(|s| shard(s).owned).sum();
         assert_eq!(owned, 10);
         // Local indices are dense per shard.
-        assert_eq!(cfg(2).local_index(2), 0);
-        assert_eq!(cfg(2).local_index(6), 1);
+        assert_eq!(shard(2).local_index(2), 0);
+        assert_eq!(shard(2).local_index(6), 1);
     }
 
     #[test]

@@ -476,11 +476,10 @@ fn await_counter(fleet: &Fleet, name: &str, at_least: u64) {
 }
 
 #[test]
-fn a_read_behind_a_busy_worker_queues_in_admission_order() {
-    // Read A of die 2 queues, since the die has a stall armed, and the
-    // worker holds the shard's context through the stall. Read B of the
-    // same die, submitted once A is admitted, must queue behind A rather
-    // than be served inline ahead of it: both equal the die's seed replay
+fn a_read_behind_a_waiting_read_keeps_admission_order() {
+    // Read A of die 2 waits, since a stall holds its shard back. Read B of
+    // the same die, submitted once A is admitted, must wait behind A
+    // rather than be served ahead of it: both equal the die's seed replay
     // in the order A, B.
     let cfg = test_fleet_cfg();
     let fleet = std::sync::Arc::new(Fleet::start(cfg));
@@ -509,7 +508,7 @@ fn a_read_behind_a_busy_worker_queues_in_admission_order() {
     assert_eq!(
         counter(&fleet, "svc.served_inline"),
         inline_before,
-        "both reads must have queued for the worker"
+        "both reads must have waited"
     );
     let expected = seed_replay(&cfg, die, &[40.0, 90.0]);
     assert_eq!(reading_bits(die, &a), expected[0], "read A");
@@ -520,12 +519,10 @@ fn a_read_behind_a_busy_worker_queues_in_admission_order() {
 }
 
 #[test]
-fn dies_with_worker_chaos_armed_are_served_by_the_worker() {
+fn chaos_trips_on_the_submitting_thread_answer_typed_and_recover() {
     let fleet = std::sync::Arc::new(Fleet::start(test_fleet_cfg()));
-    // Dies 1 and 3 share shard 1; warm die 1 so its shard is idle and
-    // ready to serve inline.
+    // Dies 1 and 3 share shard 1; warm die 1 so its context is built.
     assert!(matches!(fleet.submit(read(1)), Response::Reading { .. }));
-    let inline_before = counter(&fleet, "svc.served_inline");
     let submit_on_thread = |die: u64, deadline_ms: u64| {
         let fleet = std::sync::Arc::clone(&fleet);
         thread::spawn(move || {
@@ -539,38 +536,53 @@ fn dies_with_worker_chaos_armed_are_served_by_the_worker() {
         .join()
         .expect("the submitting thread survives")
     };
-    let is_timeout = |r: &Response| {
-        matches!(
-            r,
-            Response::Rejected {
-                rejection: Rejection::Timeout,
-                ..
-            }
-        )
-    };
 
+    // The request that trips an escaped panic is answered at once, typed,
+    // and the shard starts its restart.
     let _ = fleet.submit(Request::Inject {
         die: 1,
         kind: InjectKind::PanicWorker,
     });
     let tripped = submit_on_thread(1, 300);
-    assert!(is_timeout(&tripped), "got {tripped:?}");
-    await_counter(&fleet, "svc.restarts", 1);
+    assert!(
+        matches!(
+            tripped,
+            Response::Rejected {
+                rejection: Rejection::WorkerPanicked,
+                ..
+            }
+        ),
+        "got {tripped:?}"
+    );
+    assert_eq!(counter(&fleet, "svc.worker_panics"), 1);
+    assert_eq!(counter(&fleet, "svc.restarts"), 1);
 
+    // A stall holds the shard back past a short deadline.
     let _ = fleet.submit(Request::Inject {
         die: 3,
         kind: InjectKind::StallMs(500),
     });
+    let inline_before = counter(&fleet, "svc.served_inline");
     let stalled = submit_on_thread(3, 100);
-    assert!(is_timeout(&stalled), "got {stalled:?}");
+    assert!(
+        matches!(
+            stalled,
+            Response::Rejected {
+                rejection: Rejection::Timeout,
+                ..
+            }
+        ),
+        "got {stalled:?}"
+    );
     assert_eq!(counter(&fleet, "svc.served_inline"), inline_before);
 
-    // Once the stall has run out, the restarted shard serves inline again.
+    // Once the stall has run out, the restarted shard serves at once again.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !matches!(fleet.submit(read(3)), Response::Reading { .. }) {
         assert!(Instant::now() < deadline, "shard 1 never recovered");
         thread::sleep(Duration::from_millis(20));
     }
+    let inline_before = counter(&fleet, "svc.served_inline");
     assert!(matches!(fleet.submit(read(3)), Response::Reading { .. }));
     assert_eq!(counter(&fleet, "svc.served_inline"), inline_before + 1);
     std::sync::Arc::try_unwrap(fleet)
@@ -665,7 +677,7 @@ fn batch_read_panic_is_isolated_and_stripe_rebuilds() {
 }
 
 #[test]
-fn worker_panic_is_isolated_and_typed() {
+fn conversion_panic_is_isolated_and_typed() {
     let fleet = Fleet::start(test_fleet_cfg());
     assert!(matches!(
         fleet.submit(Request::Inject {
@@ -693,7 +705,7 @@ fn worker_panic_is_isolated_and_typed() {
 }
 
 #[test]
-fn supervisor_restarts_crashed_worker_with_backoff() {
+fn escaped_panic_restarts_the_shard_with_backoff() {
     let fleet = Fleet::start(test_fleet_cfg());
     let before = fleet.submit(read(1));
     let Response::Reading { temp_c, .. } = before else {
@@ -707,8 +719,9 @@ fn supervisor_restarts_crashed_worker_with_backoff() {
         }),
         Response::Injected { .. }
     ));
-    // The job that trips the worker panic never gets an answer from the
-    // dead worker: the fleet answers with a typed timeout.
+    // The request that trips the escaped panic is answered typed, at once,
+    // by the boundary that caught it.
+    let started = Instant::now();
     let tripped = fleet.submit(Request::Read {
         die: 1,
         temp_c: 75.0,
@@ -719,27 +732,31 @@ fn supervisor_restarts_crashed_worker_with_backoff() {
         matches!(
             tripped,
             Response::Rejected {
-                rejection: Rejection::Timeout,
+                rejection: Rejection::WorkerPanicked,
                 ..
             }
         ),
         "got {tripped:?}"
     );
+    assert!(
+        started.elapsed() < Duration::from_millis(300),
+        "the trip must not cost the deadline"
+    );
 
-    // Within the backoff budget the supervisor restarts the worker and the
-    // rebuilt die serves bit-identical values.
+    // After the backoff the shard serves again, and the rebuilt die serves
+    // bit-identical values.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         match fleet.submit(read(1)) {
             Response::Reading { temp_c: t, .. } => {
                 assert_eq!(
                     t, temp_c,
-                    "restarted worker must rebuild identical die state"
+                    "a restarted shard must rebuild identical die state"
                 );
                 break;
             }
             _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-            other => panic!("worker never recovered: {other:?}"),
+            other => panic!("shard never recovered: {other:?}"),
         }
     }
     let health = fleet.health();
@@ -754,7 +771,7 @@ fn exhausted_restart_budget_kills_shard_but_not_fleet() {
         max_restarts: 2,
         ..test_fleet_cfg()
     });
-    // Dies 1,3,5,7 live on shard 1; crash its worker past the budget.
+    // Dies 1,3,5,7 live on shard 1; crash it past the budget.
     for _ in 0..=2 {
         let _ = fleet.submit(Request::Inject {
             die: 1,
@@ -794,7 +811,7 @@ fn exhausted_restart_budget_kills_shard_but_not_fleet() {
 }
 
 #[test]
-fn stalled_worker_costs_the_deadline_not_a_hang() {
+fn stalled_shard_costs_the_deadline_not_a_hang() {
     let fleet = Fleet::start(test_fleet_cfg());
     let _ = fleet.submit(Request::Inject {
         die: 0,
@@ -827,8 +844,8 @@ fn stalled_worker_costs_the_deadline_not_a_hang() {
 
 #[test]
 fn overload_sheds_lowest_priority_reads_first() {
-    // One shard, depth 4, and a worker stalled long enough to hold the
-    // queue still while we probe admission control.
+    // One shard, depth 4, and a stall long enough to hold the queue still
+    // while we probe admission control.
     let fleet = Fleet::start(FleetConfig {
         n_dies: 4,
         n_shards: 1,
@@ -853,15 +870,15 @@ fn overload_sheds_lowest_priority_reads_first() {
         })
     };
 
-    // The stall victim occupies the worker; then fill the queue with
-    // low-priority reads.
+    // The occupier waits at the head of the queue; then fill the queue
+    // with low-priority reads.
     let occupier = submit_async(0, 3);
     std::thread::sleep(Duration::from_millis(100));
     let low: Vec<_> = (0..4).map(|i| submit_async(i % 4, 0)).collect();
     std::thread::sleep(Duration::from_millis(100));
 
-    // A high-priority read arrives at the full queue: one low-priority job
-    // must be shed (typed overloaded) to admit it.
+    // A high-priority read arrives at the full queue: one low-priority
+    // read must be shed (typed overloaded) to admit it.
     let high = submit_async(1, 3);
     let high_resp = high.join().unwrap();
     assert!(
@@ -917,4 +934,143 @@ fn degraded_die_serves_temperature_with_quality_flag_over_tcp() {
     assert!((temp_c - 75.0).abs() < 5.0, "degraded temp off: {temp_c}");
     server.stop();
     server.join();
+}
+
+#[test]
+fn a_restarted_shard_reads_up_in_health_once_its_backoff_has_run_out() {
+    let backoff = Duration::from_millis(300);
+    let (server, addr) = {
+        let fleet = Fleet::start(FleetConfig {
+            backoff_base: backoff,
+            backoff_cap: backoff,
+            ..test_fleet_cfg()
+        });
+        let server = Server::bind(fleet, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        (server, addr)
+    };
+    let mut client = Client::connect(&addr).unwrap();
+    let health = |client: &mut Client| match client.call(&Request::Health).unwrap() {
+        Response::Health(h) => h,
+        other => panic!("expected health, got {other:?}"),
+    };
+    let _ = client
+        .call(&Request::Inject {
+            die: 1,
+            kind: InjectKind::PanicWorker,
+        })
+        .unwrap();
+    let tripped_at = Instant::now();
+    let tripped = client.call(&read(1)).unwrap();
+    assert!(
+        matches!(
+            tripped,
+            Response::Rejected {
+                rejection: Rejection::WorkerPanicked,
+                ..
+            }
+        ),
+        "got {tripped:?}"
+    );
+    let during = health(&mut client);
+    if tripped_at.elapsed() < backoff {
+        assert_eq!(during.shards[1].state, "restarting", "{during:?}");
+    }
+
+    // No request reaches the shard in between: only the health probe can
+    // end the backoff.
+    thread::sleep(backoff.saturating_sub(tripped_at.elapsed()) + Duration::from_millis(50));
+    let after = health(&mut client);
+    assert!(
+        after.shards.iter().all(|s| s.state == "up"),
+        "a shard past its backoff must read up: {after:?}"
+    );
+    assert_eq!(after.shards[1].restarts, 1);
+    let requests = |h: &ptsim_service::HealthWire| {
+        h.counters
+            .iter()
+            .find(|(n, _)| n == "svc.requests")
+            .map_or(0, |&(_, v)| v)
+    };
+    assert_eq!(requests(&after), requests(&during));
+    server.stop();
+    server.join();
+}
+
+#[test]
+fn a_read_with_a_zero_deadline_times_out_and_counts_a_drop() {
+    let fleet = Fleet::start(test_fleet_cfg());
+    let r = fleet.submit(Request::Read {
+        die: 2,
+        temp_c: 75.0,
+        priority: 1,
+        deadline_ms: 0,
+    });
+    assert!(
+        matches!(
+            r,
+            Response::Rejected {
+                rejection: Rejection::Timeout,
+                ..
+            }
+        ),
+        "got {r:?}"
+    );
+    assert_eq!(counter(&fleet, "svc.deadline_drops"), 1);
+    assert_eq!(counter(&fleet, "svc.rejected.timeout"), 1);
+    // The die's stream never moved: its first served read is its first
+    // seed-replay read.
+    let served = fleet.submit(read(2));
+    assert_eq!(
+        reading_bits(2, &served),
+        seed_replay(&test_fleet_cfg(), 2, &[75.0])[0]
+    );
+    fleet.shutdown();
+}
+
+#[test]
+fn shutdown_answers_a_waiting_request_shard_down() {
+    let fleet = std::sync::Arc::new(Fleet::start(test_fleet_cfg()));
+    let _ = fleet.submit(Request::Inject {
+        die: 0,
+        kind: InjectKind::StallMs(5_000),
+    });
+    let admitted_before = counter(&fleet, "svc.requests");
+    let waiter = {
+        let fleet = std::sync::Arc::clone(&fleet);
+        thread::spawn(move || {
+            fleet.submit(Request::Read {
+                die: 0,
+                temp_c: 75.0,
+                priority: 1,
+                deadline_ms: 10_000,
+            })
+        })
+    };
+    await_counter(&fleet, "svc.requests", admitted_before + 1);
+    let started = Instant::now();
+    fleet.shutdown();
+    let r = waiter.join().unwrap();
+    assert!(
+        matches!(
+            r,
+            Response::Rejected {
+                rejection: Rejection::ShardDown,
+                ..
+            }
+        ),
+        "got {r:?}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "the waiter must be answered at shutdown, not at the stall's end"
+    );
+    // Later requests are refused the same way.
+    assert!(matches!(
+        fleet.submit(read(1)),
+        Response::Rejected {
+            rejection: Rejection::ShardDown,
+            ..
+        }
+    ));
 }

@@ -6,14 +6,17 @@
 //! warm `serve_conn`/`Client::call` pair; the die-addressed requests and
 //! readings it carries are string-free by design so nothing on the hot
 //! path needs an owned buffer beyond the two reused ones. A warm
-//! `Fleet::submit` read served inline on an idle shard — admission, the
-//! conversion in the shard's reused workspace, the metrics — allocates
-//! nothing either.
+//! `Fleet::submit` read allocates nothing either: served at once on a free
+//! shard (admission, the conversion in the shard's reused workspace, the
+//! metrics), or after waiting out a stall in the shard's queue, whose
+//! waiter records live in storage sized at `queue_depth`.
 //!
 //! Integration tests are separate binaries, so installing a counting
 //! `#[global_allocator]` here observes every allocation the codec makes
-//! without affecting any other test. The counter sees every thread, so the
-//! tests in this binary take turns through [`SERIAL`].
+//! without affecting any other test. The counter is per thread, as in the
+//! core gate: everything measured here runs on the calling thread (a fleet
+//! starts no thread; the submitting thread serves), and the harness's own
+//! bookkeeping for a test finishing in parallel cannot leak into a window.
 
 use ptsim_service::protocol::{
     begin_frame, finish_frame, read_frame_into, InjectKind, Quality, Request, Response, MAX_FRAME,
@@ -21,18 +24,31 @@ use ptsim_service::protocol::{
 use ptsim_service::wire::{decode_request, decode_response, encode_request, encode_response};
 use ptsim_service::{Fleet, FleetConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
-/// Forwards to the system allocator, counting every allocation.
+/// Forwards to the system allocator, counting every allocation made by the
+/// calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -41,17 +57,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Held by each test while it runs, so no test allocates inside another's
-/// measured window.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// One full wire round trip through the reused buffers: what the client
 /// writes, the server reads and decodes; what the server writes, the
@@ -72,7 +84,6 @@ fn round_trip(wbuf: &mut Vec<u8>, rbuf: &mut Vec<u8>, req: &Request, rsp: &Respo
 
 #[test]
 fn warm_connection_path_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let req = Request::Read {
         die: 42,
         temp_c: 61.5,
@@ -94,11 +105,11 @@ fn warm_connection_path_is_allocation_free() {
     // once per connection — the cost `connect()` pays, not `call()`.
     round_trip(&mut wbuf, &mut rbuf, &req, &rsp);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..64 {
         round_trip(&mut wbuf, &mut rbuf, &req, &rsp);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -108,7 +119,6 @@ fn warm_connection_path_is_allocation_free() {
 
 #[test]
 fn warm_inline_fleet_read_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let fleet = Fleet::start(FleetConfig {
         n_dies: 4,
         n_shards: 1,
@@ -128,32 +138,52 @@ fn warm_inline_fleet_read_is_allocation_free() {
             .map_or(0, |&(_, v)| v)
     };
     // Warm-up: the first read builds the shard's context, calibrates the
-    // die and sizes the conversion workspace. An inject always queues, so
-    // its answer shows the worker thread is up: starting a thread allocates.
+    // die and sizes the conversion workspace.
     for _ in 0..2 {
         assert!(matches!(
             fleet.submit(req.clone()),
             Response::Reading { .. }
         ));
     }
-    let heal = Request::Inject {
-        die: 0,
-        kind: InjectKind::HealDie,
-    };
-    assert!(matches!(fleet.submit(heal), Response::Injected { die: 0 }));
     let inline_before = inline(&fleet);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..64 {
         let served = matches!(fleet.submit(req.clone()), Response::Reading { .. });
         assert!(served);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(inline(&fleet) - inline_before, 64, "every read was inline");
     assert_eq!(
         after - before,
         0,
         "warm inline fleet reads must not allocate"
+    );
+
+    // A stall makes the next read wait in the shard's queue before it is
+    // served; the inject, the wait and the serve allocate nothing.
+    let stall = Duration::from_millis(20);
+    let before = allocations();
+    let injected = fleet.submit(Request::Inject {
+        die: 2,
+        kind: InjectKind::StallMs(stall.as_millis() as u64),
+    });
+    let started = Instant::now();
+    let served = matches!(fleet.submit(req.clone()), Response::Reading { .. });
+    let waited = started.elapsed();
+    let after = allocations();
+    assert!(matches!(injected, Response::Injected { die: 2 }));
+    assert!(served);
+    assert!(waited >= stall / 2, "the read must wait out the stall");
+    assert_eq!(
+        inline(&fleet) - inline_before,
+        64 + 1,
+        "the inject was served at once, the read waited"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "a warm read that waits out a stall must not allocate"
     );
     fleet.shutdown();
 }

@@ -136,10 +136,23 @@ again = call(s, json.dumps({"op": "read", "die": 5, "temp_c": 72.0}).encode())
 assert again["ok"] and abs(again["temp_c"] - 72.0) < 2.0, again
 b2.close()
 
+# A stall over the live socket: a short-deadline read of the stalled shard
+# answers timeout, a long-deadline read waits the stall out and is served,
+# and every shard reads up afterwards.
+st = call(s, json.dumps({"op": "inject", "die": 2, "fault": "stall", "ms": 300}).encode())
+assert st["ok"] and st["op"] == "inject", st
+late = call(s, json.dumps({"op": "read", "die": 2, "temp_c": 60.0, "deadline_ms": 50}).encode())
+assert not late["ok"] and late["error"] == "timeout", late
+waited = call(s, json.dumps({"op": "read", "die": 2, "temp_c": 60.0, "deadline_ms": 5000}).encode())
+assert waited["ok"] and abs(waited["temp_c"] - 60.0) < 2.0, waited
+h = call(s, json.dumps({"op": "health"}).encode())
+assert h["ok"] and {sh["state"] for sh in h["shards"]} == {"up"}, h
+assert h["counters"]["svc.deadline_drops"] >= 1, h
+
 bye = call(s, json.dumps({"op": "shutdown"}).encode())
 assert bye["ok"] and bye["op"] == "shutdown", bye
 print("service smoke: read/calibrate/batch/health/v2-binary/malformed/"
-      "typed-rejection/shutdown OK")
+      "typed-rejection/stall/shutdown OK")
 EOF
 wait "$FLEETD_PID"
 

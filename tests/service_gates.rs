@@ -3,7 +3,7 @@
 //! Boots the real daemon over loopback TCP and asserts the service's
 //! failure contract end to end: full baseline availability, every request
 //! answered (served or typed rejection — nothing dropped silently), zero
-//! silent corruption, supervised worker recovery within budget, typed
+//! silent corruption, supervised shard recovery within budget, typed
 //! `shard_down` from a shard driven past its restart budget while the
 //! rest of the fleet keeps serving, degraded dies serving flagged
 //! temperature-only readings, and a malformed-frame storm answered with
