@@ -12,7 +12,7 @@ use ptsim_circuit::energy::EnergyLedger;
 use ptsim_core::error::SensorError;
 use ptsim_core::sensor::{Reading, SensorInputs};
 use ptsim_device::units::{Celsius, Hertz, Joule};
-use ptsim_mc::gaussian::normal;
+use ptsim_rng::gaussian::normal;
 use ptsim_rng::Pcg64;
 use ptsim_rng::RngCore;
 

@@ -33,7 +33,6 @@
 
 pub mod die;
 pub mod driver;
-pub mod gaussian;
 pub mod model;
 pub mod spatial;
 pub mod stats;

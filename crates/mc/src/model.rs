@@ -2,10 +2,10 @@
 //! of [`DieSample`]s.
 
 use crate::die::DieSample;
-use crate::gaussian::{normal, truncated_normal};
 use crate::spatial::{FieldMask, SpatialConfig, SpatialStencil};
 use ptsim_device::process::{ProcessCorner, Technology};
 use ptsim_device::units::Volt;
+use ptsim_rng::gaussian::{normal, truncated_normal};
 use ptsim_rng::{Rng, SplitMix64};
 
 /// Statistical model of process variation for one technology.
@@ -396,10 +396,10 @@ mod tests {
         let mut replay = Pcg64::seed_from_u64(42);
         let k = m.d2d_truncation;
         for _ in 0..3 {
-            let _ = crate::gaussian::truncated_normal(&mut replay, 0.0, 1.0, k);
+            let _ = ptsim_rng::gaussian::truncated_normal(&mut replay, 0.0, 1.0, k);
         }
         for _ in 0..2 {
-            let _ = crate::gaussian::normal(&mut replay, 0.0, m.sigma_mu_d2d);
+            let _ = ptsim_rng::gaussian::normal(&mut replay, 0.0, m.sigma_mu_d2d);
         }
         assert_eq!(rng.next(), replay.next());
         // And the two polarities drew independent (distinct) fields.

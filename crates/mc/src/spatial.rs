@@ -7,7 +7,7 @@
 //! across the die (the correlated layer), plus independent per-cell noise,
 //! mixed so the total variance equals `sigma²`.
 
-use crate::gaussian::standard_normal;
+use ptsim_rng::gaussian::standard_normal;
 use ptsim_rng::{Rng, SplitMix64};
 
 /// Configuration of a within-die variation field.

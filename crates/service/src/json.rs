@@ -1,100 +1,22 @@
 //! Minimal hand-rolled JSON — the v1 wire format of the fleet protocol.
 //!
-//! Zero-dependency by design (the workspace allows only `std`): a
-//! recursive-descent parser with explicit depth and size bounds, and the
-//! JSON codec of the message schema in [`crate::protocol`] — a reader over
-//! the parsed object and a writer that emits compact text straight into
+//! Zero-dependency by design (the workspace allows only `std`): the JSON
+//! codec of the message schema in [`crate::protocol`]. Decoding makes one
+//! validating pass (recursive descent with explicit depth and size bounds,
+//! RFC 8259 numbers) that notes where each member of the object sits; a
+//! field then parses its value straight from the frame bytes, so only
+//! strings the message keeps are copied. Encoding writes compact text into
 //! the frame buffer, escaping control characters and rendering non-finite
-//! numbers as `null` (JSON has no NaN/∞). Objects are ordered
-//! `(key, value)` vectors — lookups are linear, which is exactly right for
-//! frames with a handful of fields.
+//! numbers as `null` (JSON has no NaN/∞).
 
 use crate::protocol::{Coded, Decode, Encode, Header, Message, ProtoError};
 use std::fmt;
 use std::io::Write;
 
-/// Maximum nesting depth [`parse`] accepts. Protocol frames are flat
+/// Maximum nesting depth a payload may have. Protocol frames are flat
 /// (depth ≤ 3); the bound exists so a hostile frame of `[[[[…` cannot
-/// overflow the parser's stack.
+/// overflow the validating pass's stack.
 pub const MAX_DEPTH: usize = 16;
-
-/// One JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (always carried as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object as ordered key/value pairs.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Member `key` of an object (`None` for other variants or a missing
-    /// key).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The number as a non-negative integer, if it is one exactly
-    /// (rejects fractions, negatives, and magnitudes beyond 2⁵³ where
-    /// `f64` stops being exact).
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        let x = self.as_f64()?;
-        if x.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&x) {
-            Some(x as u64)
-        } else {
-            None
-        }
-    }
-
-    /// The string, if this is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean, if this is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
 
 /// Why a byte sequence failed to parse as JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,30 +56,27 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one complete JSON value from `bytes`.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] locating the first malformed byte; never
-/// panics, whatever the input (see the fuzz suite in
+/// Checks that `bytes` hold one JSON value and returns a reader of it, or
+/// locates the first malformed byte. Never panics (see the fuzz suite in
 /// `tests/protocol.rs`).
-pub fn parse(bytes: &[u8]) -> Result<Value, JsonError> {
+fn validate(bytes: &[u8]) -> Result<Reader<'_>, JsonError> {
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();
-    let v = p.value(0)?;
+    let r = p.reader()?;
     p.skip_ws();
     if p.pos != bytes.len() {
         return Err(JsonError::TrailingData { offset: p.pos });
     }
-    Ok(v)
+    Ok(r)
 }
 
+/// The validating pass: a recursive-descent scan that allocates nothing.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, context: &'static str) -> JsonError {
         JsonError::Unexpected {
             offset: self.pos,
@@ -175,154 +94,142 @@ impl Parser<'_> {
         }
     }
 
-    fn eat(&mut self, b: u8, context: &'static str) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    fn eat(&mut self, s: &[u8], context: &'static str) -> Result<(), JsonError> {
+        if self.bytes[self.pos..].starts_with(s) {
+            self.pos += s.len();
             Ok(())
         } else {
             Err(self.err(context))
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str, context: &'static str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(())
-        } else {
-            Err(self.err(context))
+    /// The value at `pos` as a reader: an object's members are indexed on
+    /// the way.
+    fn reader(&mut self) -> Result<Reader<'a>, JsonError> {
+        let (start, mut members, mut len) = (self.pos, [(Val(b""), Val(b"")); MEMBERS], 0);
+        match self.peek() {
+            Some(b'{') => self.items(0, &mut |member| {
+                if let Some(slot) = members.get_mut(len) {
+                    *slot = member;
+                }
+                len += 1;
+            })?,
+            _ => self.value(0)?,
         }
+        let obj = Val(&self.bytes[start..self.pos]);
+        Ok(Reader { obj, members, len })
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<(), JsonError> {
         if depth > MAX_DEPTH {
             return Err(JsonError::TooDeep);
         }
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self
-                .eat_keyword("true", "keyword")
-                .map(|()| Value::Bool(true)),
-            Some(b'f') => self
-                .eat_keyword("false", "keyword")
-                .map(|()| Value::Bool(false)),
-            Some(b'n') => self.eat_keyword("null", "keyword").map(|()| Value::Null),
+            Some(b'{' | b'[') => self.items(depth, &mut |_| {}),
+            Some(b'"') => self.string(&mut |_| {}),
+            Some(b't') => self.eat(b"true", "keyword"),
+            Some(b'f') => self.eat(b"false", "keyword"),
+            Some(b'n') => self.eat(b"null", "keyword"),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("value")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.eat(b'{', "object open")?;
-        let mut pairs = Vec::new();
+    /// An object or an array, from its opening byte: hands `found` each
+    /// member or element, in order.
+    fn items(&mut self, depth: usize, found: &mut impl FnMut(Member<'a>)) -> Result<(), JsonError> {
+        let keyed = self.peek() == Some(b'{');
+        let close = if keyed { b'}' } else { b']' };
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Value::Obj(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "object colon")?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(self.err("object separator")),
+            let mut key = Val(b"");
+            if keyed {
+                let start = self.pos;
+                self.string(&mut |_| {})?;
+                key = Val(&self.bytes[start..self.pos]);
+                self.skip_ws();
+                self.eat(b":", "object colon")?;
+                self.skip_ws();
             }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.eat(b'[', "array open")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let start = self.pos;
+            self.value(depth + 1)?;
+            found((key, Val(&self.bytes[start..self.pos])));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(());
                 }
+                _ if keyed => return Err(self.err("object separator")),
                 _ => return Err(self.err("array separator")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"', "string open")?;
-        let mut out = String::new();
+    /// A string, from its opening quote to just past its closing one.
+    /// Hands `out` its text in order: each run of plain text, then each
+    /// escaped character, decoded.
+    fn string(&mut self, out: &mut impl FnMut(&str)) -> Result<(), JsonError> {
+        self.eat(b"\"", "string open")?;
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out(std::str::from_utf8(&rest[..run]).map_err(|_| JsonError::InvalidUtf8)?);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("escape"))?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                // High surrogate: require the low half.
-                                self.eat(b'\\', "surrogate pair")?;
-                                self.eat(b'u', "surrogate pair")?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("low surrogate"));
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(c).ok_or_else(|| self.err("surrogate pair"))?
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| self.err("codepoint"))?
-                            };
-                            out.push(ch);
-                        }
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => self.unicode()?,
                         _ => return Err(self.err("escape")),
-                    }
+                    };
+                    out(c.encode_utf8(&mut [0; 4]));
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control char in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences are
-                    // validated in one go).
-                    let start = self.pos;
-                    let len = utf8_len(self.bytes[start]);
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err(JsonError::InvalidUtf8);
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| JsonError::InvalidUtf8)?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("control char in string")),
             }
+        }
+    }
+
+    /// The character of a `\u` escape whose `\u` was just consumed.
+    fn unicode(&mut self) -> Result<char, JsonError> {
+        let cp = self.hex4()?;
+        if (0xD800..0xDC00).contains(&cp) {
+            // High surrogate: require the low half.
+            self.eat(b"\\", "surrogate pair")?;
+            self.eat(b"u", "surrogate pair")?;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.err("low surrogate"));
+            }
+            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            char::from_u32(c).ok_or_else(|| self.err("surrogate pair"))
+        } else {
+            char::from_u32(cp).ok_or_else(|| self.err("codepoint"))
         }
     }
 
@@ -339,42 +246,105 @@ impl Parser<'_> {
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    /// A number: every byte that may belong to one, which must then spell
+    /// a finite RFC 8259 number. `f64::from_str` checks most of that
+    /// grammar, but also takes `01`, `1.` and `-.5`.
+    fn number(&mut self) -> Result<(), JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+        self.pos += 1;
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::InvalidUtf8)?;
-        let x: f64 = text.parse().map_err(|_| JsonError::Unexpected {
-            offset: start,
-            context: "number",
-        })?;
-        if x.is_finite() {
-            Ok(Value::Num(x))
-        } else {
-            // "1e999" parses to +inf — reject rather than smuggle
-            // non-finite values past the field bounds.
-            Err(JsonError::Unexpected {
-                offset: start,
-                context: "non-finite number",
-            })
+        let text = &self.bytes[start..self.pos];
+        let int = text.strip_prefix(b"-").unwrap_or(text);
+        let strict = matches!(
+            int,
+            [b'1'..=b'9', ..] | [b'0'] | [b'0', b'.' | b'e' | b'E', ..]
+        ) && (text.split(|&b| b == b'.').skip(1))
+            .all(|f| f.first().is_some_and(u8::is_ascii_digit));
+        // Digits around at most one `.` are finite below 300 bytes, no
+        // parse needed; "1e999" parses to +inf — reject rather than
+        // smuggle non-finite values past the field bounds.
+        let mut odd = int.iter().filter(|b| !b.is_ascii_digit());
+        if strict
+            && text.len() <= 300
+            && matches!((odd.next(), odd.next()), (None | Some(b'.'), None))
+        {
+            return Ok(());
         }
+        let context = match Val(text).as_f64() {
+            Some(x) if strict && x.is_finite() => return Ok(()),
+            Some(_) if strict => "non-finite number",
+            _ => "number",
+        };
+        Err(JsonError::Unexpected {
+            offset: start,
+            context,
+        })
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+// ---- reading a validated payload: everything below runs only on bytes
+// `validate` accepted, so running the validating pass again cannot fail.
+
+/// One value of a validated payload, exactly its bytes.
+#[derive(Clone, Copy)]
+struct Val<'a>(&'a [u8]);
+
+/// An object member as (key, value); an array element has an empty key.
+type Member<'a> = (Val<'a>, Val<'a>);
+
+impl<'a> Val<'a> {
+    /// This value, if it opens with `open` (`{` an object, `[` an array).
+    fn opens(self, open: u8) -> Option<Self> {
+        (self.0.first() == Some(&open)).then_some(self)
+    }
+
+    /// Hands `found` each member of this object or element of this array
+    /// (see [`Parser::items`]).
+    fn each(self, found: &mut impl FnMut(Member<'a>)) {
+        let bytes = self.0;
+        let _ = Parser { bytes, pos: 0 }.items(0, found);
+    }
+
+    /// The number, if this is one (no other JSON value parses as `f64`).
+    fn as_f64(self) -> Option<f64> {
+        std::str::from_utf8(self.0).ok()?.parse().ok()
+    }
+
+    /// The number as a non-negative integer, if it is one exactly
+    /// (rejects fractions, negatives, and magnitudes beyond 2⁵³ where
+    /// `f64` stops being exact).
+    fn as_u64(self) -> Option<u64> {
+        let x = self.as_f64()?;
+        (x.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&x)).then_some(x as u64)
+    }
+
+    /// The boolean, if this is one.
+    fn as_bool(self) -> Option<bool> {
+        matches!(self.0, b"true" | b"false").then(|| self.0 == b"true")
+    }
+
+    /// Whether this is a string that, unescaped, is `s`. Allocates nothing.
+    fn is(self, s: &str) -> bool {
+        let raw = self.opens(b'"').and_then(|v| v.0.get(1..v.0.len() - 1));
+        if let Some(raw) = raw.filter(|raw| !raw.contains(&b'\\')) {
+            return raw == s.as_bytes();
+        }
+        let (bytes, mut rest) = (self.0, Some(s));
+        let _ =
+            Parser { bytes, pos: 0 }.string(&mut |t| rest = rest.and_then(|r| r.strip_prefix(t)));
+        rest == Some("")
+    }
+
+    /// This string, unescaped (see [`Parser::string`]), in one allocation.
+    fn unescape(self) -> String {
+        let (bytes, mut out) = (self.0, String::with_capacity(self.0.len()));
+        let _ = Parser { bytes, pos: 0 }.string(&mut |piece| out.push_str(piece));
+        out
     }
 }
 
@@ -484,21 +454,36 @@ impl Encode for Writer<'_> {
     }
 }
 
-/// Reads a message's fields from one parsed JSON object.
+/// How many members of an object a [`Reader`] indexes in its one pass; a
+/// larger object is searched member by member.
+const MEMBERS: usize = 16;
+
+/// Reads a message's fields from one object of a validated payload.
 struct Reader<'a> {
-    obj: &'a Value,
+    obj: Val<'a>,
+    /// The object's first members, found in one pass, so a lookup only
+    /// compares keys.
+    members: [Member<'a>; MEMBERS],
+    /// How many members the object has.
+    len: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn field<T>(
-        &self,
-        key: &'static str,
-        get: impl FnOnce(&'a Value) -> Option<T>,
-    ) -> Result<T, ProtoError> {
+    /// Member `key`: its first occurrence, compared after unescaping.
+    fn get(&self, key: &str) -> Option<Val<'a>> {
+        if let Some(members) = self.members.get(..self.len) {
+            return members.iter().find(|(k, _)| k.is(key)).map(|m| m.1);
+        }
+        let mut first = None;
         self.obj
-            .get(key)
-            .and_then(get)
-            .ok_or(ProtoError::BadField(key))
+            .each(&mut |(k, v)| first = first.or(k.is(key).then_some(v)));
+        first
+    }
+
+    /// Member `key`, read by `get`: [`ProtoError::BadField`] when it is
+    /// absent or `get` refuses it.
+    fn field<T>(&self, key: &'static str, get: fn(Val<'a>) -> Option<T>) -> Result<T, ProtoError> {
+        self.get(key).and_then(get).ok_or(ProtoError::BadField(key))
     }
 }
 
@@ -506,24 +491,24 @@ impl Decode for Reader<'_> {
     fn open(&mut self, headers: &[Header]) -> Result<usize, ProtoError> {
         let ok = headers[0]
             .ok
-            .map(|_| self.field("ok", Value::as_bool))
+            .map(|_| self.field("ok", Val::as_bool))
             .transpose()?;
-        let op = self.obj.get("op").and_then(Value::as_str);
+        let op = self.get("op").and_then(|v| v.opens(b'"'));
         headers
             .iter()
-            .position(|h| h.ok == ok && (h.op.is_none() || h.op == op))
+            .position(|h| h.ok == ok && h.op.is_none_or(|want| op.is_some_and(|op| op.is(want))))
             .ok_or_else(|| match op {
-                Some(op) => ProtoError::UnknownOp(op.to_string()),
+                Some(op) => ProtoError::UnknownOp(op.unescape()),
                 None => ProtoError::BadField("op"),
             })
     }
 
     fn has(&self, key: &str) -> bool {
-        self.obj.get(key).is_some()
+        self.get(key).is_some()
     }
 
     fn uint(&mut self, key: &'static str) -> Result<u64, ProtoError> {
-        self.field(key, Value::as_u64)
+        self.field(key, Val::as_u64)
     }
 
     /// A JSON number can exceed what the v2 byte holds; that is a bound
@@ -537,38 +522,47 @@ impl Decode for Reader<'_> {
     }
 
     fn float(&mut self, key: &'static str) -> Result<f64, ProtoError> {
-        self.field(key, Value::as_f64)
+        self.field(key, Val::as_f64)
     }
 
     fn text(&mut self, key: &'static str) -> Result<String, ProtoError> {
-        self.field(key, |v| v.as_str().map(str::to_string))
+        self.field(key, |v| v.opens(b'"').map(Val::unescape))
     }
 
     fn code<T: Coded>(&mut self, key: &'static str) -> Result<T, ProtoError> {
-        let name = self.field(key, Value::as_str)?;
+        let name = self.field(key, |v| v.opens(b'"'))?;
         T::CODES
             .iter()
-            .find(|e| e.1 == name)
+            .find(|e| name.is(e.1))
             .map(|e| e.0)
             .ok_or(ProtoError::BadField(key))
     }
 
+    /// Sized by a first pass over the array, so the vector allocates once;
+    /// the second indexes each item's members as it validates them.
     fn list<T: Message>(&mut self, key: &'static str) -> Result<Vec<T>, ProtoError> {
-        self.field(key, Value::as_arr)?
-            .iter()
-            .map(|obj| T::get(&mut Reader { obj }))
-            .collect()
+        let items = self.field(key, |v| v.opens(b'['))?;
+        let mut len = 0;
+        items.each(&mut |_| len += 1);
+        let (mut out, bytes) = (Vec::with_capacity(len), items.0);
+        let mut p = Parser { bytes, pos: 1 };
+        for _ in 0..len {
+            p.skip_ws();
+            out.push(T::get(&mut p.reader()?)?);
+            p.skip_ws();
+            p.pos += 1; // past the `,` or the closing `]`
+        }
+        Ok(out)
     }
 
     fn map(&mut self, key: &'static str) -> Result<Vec<(String, u64)>, ProtoError> {
-        let Some(Value::Obj(pairs)) = self.obj.get(key) else {
-            return Err(ProtoError::BadField(key));
-        };
-        pairs
-            .iter()
-            .map(|(name, v)| Some((name.clone(), v.as_u64()?)))
-            .collect::<Option<_>>()
-            .ok_or(ProtoError::BadField(key))
+        let mut out = Some(Vec::new());
+        self.field(key, |v| v.opens(b'{'))?
+            .each(&mut |(name, v)| match (&mut out, v.as_u64()) {
+                (Some(pairs), Some(x)) => pairs.push((name.unescape(), x)),
+                _ => out = None,
+            });
+        out.ok_or(ProtoError::BadField(key))
     }
 }
 
@@ -585,26 +579,54 @@ pub(crate) fn to_string<T: Message>(msg: &T) -> String {
     String::from_utf8(out).expect("the JSON writer emits UTF-8")
 }
 
-/// Parses one JSON payload and decodes a message from it.
+/// Validates one JSON payload and decodes a message from it.
 pub(crate) fn decode<T: Message>(payload: &[u8]) -> Result<T, ProtoError> {
-    T::get(&mut Reader {
-        obj: &parse(payload)?,
-    })
+    T::get(&mut validate(payload)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The string value of a one-string payload, unescaped.
+    fn text(bytes: &[u8]) -> String {
+        validate(bytes).unwrap().obj.unescape()
+    }
+
     #[test]
     fn parses_flat_object() {
-        let v = parse(br#"{"op":"read","die":5,"temp_c":-12.5,"deep":null,"ok":true}"#).unwrap();
-        assert_eq!(v.get("op").unwrap().as_str(), Some("read"));
-        assert_eq!(v.get("die").unwrap().as_u64(), Some(5));
-        assert_eq!(v.get("temp_c").unwrap().as_f64(), Some(-12.5));
-        assert_eq!(v.get("deep"), Some(&Value::Null));
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("missing"), None);
+        let v = validate(br#"{"op":"read","die":5,"temp_c":-12.5,"deep":null,"ok":true}"#).unwrap();
+        assert!(v.get("op").unwrap().is("read"));
+        assert_eq!(v.get("die").and_then(Val::as_u64), Some(5));
+        assert_eq!(v.get("temp_c").and_then(Val::as_f64), Some(-12.5));
+        assert_eq!(v.get("deep").map(|d| d.0), Some(&b"null"[..]));
+        assert_eq!(v.get("ok").and_then(Val::as_bool), Some(true));
+        assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn keys_match_after_unescaping_and_the_first_duplicate_wins() {
+        let v = validate(br#"{ "die" : 1 , "die":2, "n":{"die":3} }"#).unwrap();
+        assert_eq!(v.len, 3);
+        assert_eq!(v.get("die").and_then(Val::as_u64), Some(1));
+        let escaped = validate(br#"{"\u0064ie":7,"die":8}"#).unwrap();
+        assert_eq!(escaped.get("die").and_then(Val::as_u64), Some(7));
+    }
+
+    #[test]
+    fn objects_wider_than_the_index_are_searched_past_it() {
+        let pad: String = (0..2 * MEMBERS)
+            .map(|i| format!(r#""x{i}":{i},"#))
+            .collect();
+        let text = format!(r#"{{{pad}"op":"read","die":7,"temp_c":25,"die":8}}"#);
+        let v = validate(text.as_bytes()).unwrap();
+        assert_eq!(v.len, 2 * MEMBERS + 4);
+        assert_eq!(v.get("die").and_then(Val::as_u64), Some(7));
+        assert_eq!(v.get("x3").and_then(Val::as_u64), Some(3));
+        assert!(matches!(
+            crate::Request::from_json_bytes(text.as_bytes()),
+            Ok(crate::Request::Read { die: 7, .. })
+        ));
     }
 
     #[test]
@@ -612,7 +634,8 @@ mod tests {
         let s = "a\"b\\c\nd\u{1}é漢\t\r";
         let mut out = Vec::new();
         write_str(&mut out, s);
-        assert_eq!(parse(&out).unwrap(), Value::Str(s.into()));
+        assert_eq!(text(&out), s);
+        assert!(validate(&out).unwrap().obj.is(s));
     }
 
     #[test]
@@ -631,30 +654,42 @@ mod tests {
             b"",
             b"\xff\xfe",
             b"{\"a\":1}extra",
+            // RFC 8259 numbers, which `f64::from_str` is laxer than.
+            b"01",
+            b"-01",
+            b"00",
+            b"1.",
+            b"1.e5",
+            b"-.5",
+            b"1e",
+            b"{\"die\":03}",
         ] {
-            assert!(parse(bad).is_err(), "accepted {:?}", bad);
+            assert!(validate(bad).is_err(), "accepted {:?}", bad);
+        }
+        for good in [&b"-0"[..], b"0", b"-0.5e-3", b"10E+2", b"[0,1.25]"] {
+            assert!(validate(good).is_ok(), "refused {:?}", good);
         }
     }
 
     #[test]
     fn depth_bound_is_enforced() {
         let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
-        assert_eq!(parse(deep.as_bytes()), Err(JsonError::TooDeep));
+        assert_eq!(validate(deep.as_bytes()).err(), Some(JsonError::TooDeep));
         let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
-        assert!(parse(ok.as_bytes()).is_ok());
+        assert!(validate(ok.as_bytes()).is_ok());
     }
 
     #[test]
     fn as_u64_rejects_inexact_integers() {
-        assert_eq!(Value::Num(5.5).as_u64(), None);
-        assert_eq!(Value::Num(-1.0).as_u64(), None);
-        assert_eq!(Value::Num(1e300).as_u64(), None);
-        assert_eq!(Value::Num(42.0).as_u64(), Some(42));
+        assert_eq!(Val(b"5.5").as_u64(), None);
+        assert_eq!(Val(b"-1").as_u64(), None);
+        assert_eq!(Val(b"1e300").as_u64(), None);
+        assert_eq!(Val(b"42").as_u64(), Some(42));
+        assert_eq!(Val(b"4.2e1").as_u64(), Some(42));
     }
 
     #[test]
     fn surrogate_pairs_decode() {
-        let v = parse(br#""\ud83d\ude00""#).unwrap();
-        assert_eq!(v.as_str(), Some("😀"));
+        assert_eq!(text(br#""\ud83d\ude00""#), "😀");
     }
 }

@@ -27,8 +27,9 @@
 //!   `"degraded"` quality flag ([`shard`]).
 //!
 //! Zero dependencies beyond the workspace: `std::net` sockets, an
-//! in-tree bounded JSON parser ([`json`]), and the in-tree
-//! [`ptsim_obs`] metrics that back the fleet-wide `/health` summary.
+//! in-tree bounded JSON codec that decodes fields straight from the frame
+//! bytes ([`json`]), and the in-tree [`ptsim_obs`] metrics that back the
+//! fleet-wide `/health` summary.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

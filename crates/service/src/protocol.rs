@@ -166,7 +166,7 @@ pub struct ShardHealthWire {
     pub id: u64,
     /// `"up"`, `"restarting"`, or `"dead"`.
     pub state: String,
-    /// Worker restarts so far.
+    /// Restarts of this shard so far (one per panic that escaped a serve).
     pub restarts: u64,
     /// Requests currently queued.
     pub queue_len: u64,

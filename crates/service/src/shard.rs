@@ -94,10 +94,9 @@ pub struct SvcMetrics {
     /// (each is also answered `timeout`).
     pub deadline_drops: CounterId,
     /// Panics that escaped a request's serve (the supervision boundary).
+    /// Each restarts its shard; `/health` carries every shard's restart
+    /// count.
     pub worker_panics: CounterId,
-    /// Restarts those panics caused, one each; the panic that exhausts
-    /// the budget counts too.
-    pub restarts: CounterId,
     /// Accepted connections.
     pub conns: CounterId,
     /// Frames refused as malformed/truncated.
@@ -135,7 +134,6 @@ impl SvcMetrics {
         let rej_conversion_failed = reg.counter("svc.rejected.conversion_failed");
         let deadline_drops = reg.counter("svc.deadline_drops");
         let worker_panics = reg.counter("svc.worker_panics");
-        let restarts = reg.counter("svc.restarts");
         let conns = reg.counter("svc.connections");
         let bad_frames = reg.counter("svc.bad_frames");
         let oversize_frames = reg.counter("svc.oversize_frames");
@@ -159,7 +157,6 @@ impl SvcMetrics {
             rej_conversion_failed,
             deadline_drops,
             worker_panics,
-            restarts,
             conns,
             bad_frames,
             oversize_frames,
@@ -538,7 +535,7 @@ impl Shard {
         self.cv.notify_all();
         {
             let mut m = recover(self.metrics.lock());
-            let ids = [m.worker_panics, m.restarts, m.rej_worker_panicked];
+            let ids = [m.worker_panics, m.rej_worker_panicked];
             for id in ids {
                 m.reg.inc(id);
             }

@@ -1,13 +1,12 @@
 //! Golden wire corpus: one message of every request and response variant,
-//! pinned to its exact v2 bytes and its JSON (v1) payload.
+//! pinned to its exact v2 bytes and its exact JSON (v1) payload.
 //!
 //! Round-trip tests pass for any self-consistent format, so they cannot
-//! notice the encoding itself drifting. This suite can: the v2 bytes must
-//! match byte for byte, and the JSON must match as a parsed value (object
-//! key order ignored, numbers compared as `f64`). Both pinned forms must
-//! also decode back to the message they were taken from.
+//! notice the encoding itself drifting. This suite can: both forms must
+//! match byte for byte, and both must decode back to the message they were
+//! taken from. A JSON text the writer would not produce (batch items with
+//! their members in another order) must decode to the same message too.
 
-use ptsim_service::json::{self, Value};
 use ptsim_service::protocol::{
     BatchItem, HealthWire, InjectKind, Quality, Rejection, Request, Response, ShardHealthWire,
 };
@@ -19,24 +18,6 @@ fn unhex(s: &str) -> Vec<u8> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit"))
         .collect()
-}
-
-/// Parses `text` and sorts every object's keys, so two payloads compare
-/// equal exactly when they carry the same values.
-fn canonical(text: &str) -> Value {
-    fn sort(v: Value) -> Value {
-        match v {
-            Value::Obj(pairs) => {
-                let mut pairs: Vec<(String, Value)> =
-                    pairs.into_iter().map(|(k, v)| (k, sort(v))).collect();
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                Value::Obj(pairs)
-            }
-            Value::Arr(items) => Value::Arr(items.into_iter().map(sort).collect()),
-            other => other,
-        }
-    }
-    sort(json::parse(text.as_bytes()).unwrap_or_else(|e| panic!("{text}: {e}")))
 }
 
 fn requests() -> Vec<(Request, &'static str, &'static str)> {
@@ -135,8 +116,8 @@ fn responses() -> Vec<(Response, &'static str, &'static str)> {
             ),
             concat!(
                 r#"{"ok":true,"op":"batch_read","items":["#,
-                r#"{"die":1,"ok":true,"temp_c":25.5,"d_vtn_mv":0.125,"d_vtp_mv":-0.5,"energy_pj":100,"quality":"nominal"},"#,
-                r#"{"die":5,"ok":false,"error":"conversion_failed","detail":"psro bank dead"}]}"#,
+                r#"{"ok":true,"die":1,"temp_c":25.5,"d_vtn_mv":0.125,"d_vtp_mv":-0.5,"energy_pj":100,"quality":"nominal"},"#,
+                r#"{"ok":false,"die":5,"error":"conversion_failed","detail":"psro bank dead"}]}"#,
             ),
         ),
         (
@@ -225,11 +206,7 @@ fn requests_match_the_golden_v2_bytes() {
 #[test]
 fn requests_match_the_golden_json() {
     for (req, _, text) in requests() {
-        assert_eq!(
-            canonical(&req.to_json()),
-            canonical(text),
-            "JSON of {req:?}"
-        );
+        assert_eq!(req.to_json(), text, "JSON of {req:?}");
         assert_eq!(Request::from_json_bytes(text.as_bytes()).unwrap(), req);
     }
 }
@@ -247,11 +224,22 @@ fn responses_match_the_golden_v2_bytes() {
 #[test]
 fn responses_match_the_golden_json() {
     for (rsp, _, text) in responses() {
-        assert_eq!(
-            canonical(&rsp.to_json()),
-            canonical(text),
-            "JSON of {rsp:?}"
-        );
+        assert_eq!(rsp.to_json(), text, "JSON of {rsp:?}");
         assert_eq!(Response::from_json_bytes(text.as_bytes()).unwrap(), rsp);
     }
+}
+
+#[test]
+fn reordered_members_decode_to_the_golden_messages() {
+    // The batch text as first pinned: each item's `die` before its `ok`.
+    let batch = concat!(
+        r#"{"ok":true,"op":"batch_read","items":["#,
+        r#"{"die":1,"ok":true,"temp_c":25.5,"d_vtn_mv":0.125,"d_vtp_mv":-0.5,"energy_pj":100,"quality":"nominal"},"#,
+        r#"{"die":5,"ok":false,"error":"conversion_failed","detail":"psro bank dead"}]}"#,
+    );
+    let (golden, _, _) = &responses()[1];
+    assert_eq!(
+        Response::from_json_bytes(batch.as_bytes()).unwrap(),
+        *golden
+    );
 }

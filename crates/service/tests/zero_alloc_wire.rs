@@ -9,7 +9,10 @@
 //! `Fleet::submit` read allocates nothing either: served at once on a free
 //! shard (admission, the conversion in the shard's reused workspace, the
 //! metrics), or after waiting out a stall in the shard's queue, whose
-//! waiter records live in storage sized at `queue_depth`.
+//! waiter records live in storage sized at `queue_depth`. JSON (v1)
+//! decoding reads fields straight from the payload bytes: a read request
+//! or a reading response allocates nothing, and a batch response only its
+//! items vector.
 //!
 //! Integration tests are separate binaries, so installing a counting
 //! `#[global_allocator]` here observes every allocation the codec makes
@@ -19,7 +22,8 @@
 //! bookkeeping for a test finishing in parallel cannot leak into a window.
 
 use ptsim_service::protocol::{
-    begin_frame, finish_frame, read_frame_into, InjectKind, Quality, Request, Response, MAX_FRAME,
+    begin_frame, finish_frame, read_frame_into, BatchItem, InjectKind, Quality, Request, Response,
+    MAX_FRAME,
 };
 use ptsim_service::wire::{decode_request, decode_response, encode_request, encode_response};
 use ptsim_service::{Fleet, FleetConfig};
@@ -114,6 +118,66 @@ fn warm_connection_path_is_allocation_free() {
         after - before,
         0,
         "warm framed round trips must not allocate"
+    );
+}
+
+/// Warm runs per measurement in `warm_allocations`.
+const RUNS: u64 = 64;
+
+/// Allocations the calling thread makes in [`RUNS`] runs of `f`, after one
+/// warm-up run.
+fn warm_allocations(mut f: impl FnMut()) -> u64 {
+    f();
+    let before = allocations();
+    for _ in 0..RUNS {
+        f();
+    }
+    allocations() - before
+}
+
+#[test]
+fn json_decode_allocates_only_what_the_message_keeps() {
+    let req = Request::Read {
+        die: 42,
+        temp_c: 61.5,
+        priority: 1,
+        deadline_ms: 30_000,
+    };
+    let reading = |die| BatchItem::Reading {
+        die,
+        temp_c: 61.47,
+        d_vtn_mv: 11.8,
+        d_vtp_mv: -7.9,
+        energy_pj: 184.2,
+        quality: Quality::Nominal,
+    };
+    let rsp = Response::Reading {
+        die: 42,
+        temp_c: 61.47,
+        d_vtn_mv: 11.8,
+        d_vtp_mv: -7.9,
+        energy_pj: 184.2,
+        quality: Quality::Recovered,
+    };
+    let batch = Response::Batch {
+        items: (0..16).map(reading).collect(),
+    };
+    let (req_text, rsp_text, batch_text) = (req.to_json(), rsp.to_json(), batch.to_json());
+
+    let decode_req = || assert_eq!(Request::from_json_bytes(req_text.as_bytes()).unwrap(), req);
+    assert_eq!(warm_allocations(decode_req), 0, "a read request");
+    let decode_rsp = || assert_eq!(Response::from_json_bytes(rsp_text.as_bytes()).unwrap(), rsp);
+    assert_eq!(warm_allocations(decode_rsp), 0, "a reading response");
+    let decode_batch = || {
+        assert_eq!(
+            Response::from_json_bytes(batch_text.as_bytes()).unwrap(),
+            batch
+        );
+    };
+    assert_eq!(
+        warm_allocations(decode_batch),
+        RUNS,
+        "a 16-item batch response: its items vector, once per decode"
     );
 }
 

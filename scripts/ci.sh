@@ -53,7 +53,14 @@ print(f"metrics snapshot: {len(snap['counters'])} counters, "
       f"{len(snap['gauges'])} gauges, {len(snap['histograms'])} histograms, schema OK")
 EOF
 
-echo "==> experiment runner smoke (run_all T1 energy total, unknown ID rejected)"
+echo "==> experiment runner (run_all golden, T1 energy total, unknown ID rejected)"
+# results/run_all.txt is every table and figure at default sizes; the run is
+# deterministic, so any byte that moves is a changed result. A change that
+# means to move one commits the regenerated file:
+#   cargo run -q --release --offline -p ptsim-bench --bin run_all > results/run_all.txt
+cargo run -q --release --offline -p ptsim-bench --bin run_all > target/run_all.txt
+cmp target/run_all.txt results/run_all.txt \
+    || { diff results/run_all.txt target/run_all.txt | head -40; exit 1; }
 cargo run -q --release --offline -p ptsim-bench --bin run_all T1 > target/run_all_t1.txt
 grep -q "^total: 367.5[0-9]* pJ" target/run_all_t1.txt \
     || { echo "run_all T1: 367.5 pJ total missing"; cat target/run_all_t1.txt; exit 1; }
@@ -119,6 +126,15 @@ bad = call(s, b"definitely not json")
 assert not bad["ok"] and bad["error"] == "bad_request", bad
 oob = call(s, json.dumps({"op": "read", "die": 3, "temp_c": 9999}).encode())
 assert not oob["ok"] and oob["error"] == "bad_request", oob
+# Hand-written frames: members in any order, whitespace and an escaped key
+# are served; a number with a leading zero is not JSON; the first of two
+# `op` members wins.
+spaced = call(s, b'{ "temp_c" : 80.0 ,\n  "\\u0064ie" : 3 , "op" : "read" }')
+assert spaced["ok"] and spaced["op"] == "read" and spaced["die"] == 3, spaced
+zero = call(s, b'{"op":"read","die":03,"temp_c":80.0}')
+assert not zero["ok"] and zero["error"] == "bad_request", zero
+twice = call(s, b'{"op":"read","op":"shutdown","die":3,"temp_c":80.0}')
+assert twice["ok"] and twice["op"] == "read", twice
 
 # A v2 binary client against the same daemon: hello negotiation, then one
 # fixed-width little-endian read while the JSON connection stays v1.
@@ -151,8 +167,8 @@ assert h["counters"]["svc.deadline_drops"] >= 1, h
 
 bye = call(s, json.dumps({"op": "shutdown"}).encode())
 assert bye["ok"] and bye["op"] == "shutdown", bye
-print("service smoke: read/calibrate/batch/health/v2-binary/malformed/"
-      "typed-rejection/stall/shutdown OK")
+print("service smoke: read/calibrate/batch/health/raw-json/v2-binary/"
+      "malformed/typed-rejection/stall/shutdown OK")
 EOF
 wait "$FLEETD_PID"
 
