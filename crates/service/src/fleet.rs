@@ -17,6 +17,11 @@
 //! from the deterministic seeds, so a restart changes availability but
 //! never the values a die reports. Past `max_restarts` the shard goes
 //! `Dead` and answers `shard_down`; the rest of the fleet keeps serving.
+//!
+//! Every answer is counted once, from the `Response` itself: a shard
+//! tallies what it answers under its queue lock, and the fleet tallies the
+//! `bad_request` refusals it gives before any shard in its front-end
+//! registry. [`Fleet::health`] merges those counters for `/health`.
 
 use crate::protocol::{HealthWire, Rejection, Request, Response, DEFAULT_DEADLINE_MS};
 use crate::shard::{holding_a_shard, recover, Shard, SvcMetrics};
@@ -78,9 +83,10 @@ impl Default for FleetConfig {
 pub struct Fleet {
     cfg: FleetConfig,
     shards: Vec<Shard>,
-    /// Connection-level metrics (frames, reaps, bad requests) merged into
-    /// `/health` alongside the per-shard registries.
-    pub front_metrics: Mutex<SvcMetrics>,
+    /// Front-end counters merged into `/health` alongside the per-shard
+    /// registries: connection hygiene, and the `bad_request` answers the
+    /// fleet and the server give without reaching a shard.
+    pub(crate) front_metrics: Mutex<SvcMetrics>,
     started: Instant,
 }
 
@@ -141,15 +147,10 @@ impl Fleet {
             Request::Inject { die, .. } => (*die, u8::MAX, DEFAULT_DEADLINE_MS),
             Request::Ping { .. } => (0, u8::MAX, DEFAULT_DEADLINE_MS),
             Request::Health => return Response::Health(self.health()),
-            Request::Shutdown => {
-                return Response::rejected(Rejection::BadRequest, "shutdown is a server-level op")
-            }
+            Request::Shutdown => return self.refuse("shutdown is a server-level op".into()),
         };
         if die >= self.cfg.n_dies && !matches!(req, Request::Ping { .. }) {
-            return Response::rejected(
-                Rejection::BadRequest,
-                format!("die {die} outside fleet of {}", self.cfg.n_dies),
-            );
+            return self.refuse(format!("die {die} outside fleet of {}", self.cfg.n_dies));
         }
         if let Request::BatchRead { die0, count, .. } = &req {
             // The stripe `die0, die0+S, …` must stay inside the fleet; the
@@ -160,34 +161,29 @@ impl Fleet {
                 .and_then(|c| c.checked_mul(self.cfg.n_shards))
                 .and_then(|offset| die0.checked_add(offset));
             if last.is_none_or(|last| last >= self.cfg.n_dies) {
-                return Response::rejected(
-                    Rejection::BadRequest,
-                    format!(
-                        "batch of {count} dies striding from die {die0} leaves the fleet of {}",
-                        self.cfg.n_dies
-                    ),
-                );
+                return self.refuse(format!(
+                    "batch of {count} dies striding from die {die0} leaves the fleet of {}",
+                    self.cfg.n_dies
+                ));
             }
         }
         self.shards[(die % self.cfg.n_shards) as usize].submit(&req, priority, deadline_ms)
+    }
+
+    /// Answers and counts a request the fleet refuses before any shard.
+    fn refuse(&self, detail: String) -> Response {
+        let response = Response::rejected(Rejection::BadRequest, detail);
+        recover(self.front_metrics.lock()).tally(&response);
+        response
     }
 
     /// Fleet-wide health. Never waits on a shard — it is served from
     /// shared state so it works while every shard is dead or stalled.
     #[must_use]
     pub fn health(&self) -> HealthWire {
-        let mut merged = SvcMetrics::new();
-        merged.reg.merge(&recover(self.front_metrics.lock()).reg);
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| {
-                merged.reg.merge(&recover(s.metrics.lock()).reg);
-                s.health()
-            })
-            .collect();
+        let mut merged = recover(self.front_metrics.lock()).reg.clone();
+        let shards = self.shards.iter().map(|s| s.health(&mut merged)).collect();
         let counters = merged
-            .reg
             .snapshot()
             .counters
             .iter()

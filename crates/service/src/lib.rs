@@ -28,8 +28,9 @@
 //!
 //! Zero dependencies beyond the workspace: `std::net` sockets, an
 //! in-tree bounded JSON codec that decodes fields straight from the frame
-//! bytes ([`json`]), and the in-tree [`ptsim_obs`] metrics that back the
-//! fleet-wide `/health` summary.
+//! bytes ([`json`]), and the in-tree [`ptsim_obs`] counters that back the
+//! fleet-wide `/health` summary, each answer counted once from its
+//! `Response`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -49,5 +50,4 @@ pub use protocol::{
     Response, MAX_BATCH, MAX_FRAME,
 };
 pub use server::{Server, ServerConfig};
-pub use shard::{ShardState, SvcMetrics};
 pub use wire::{WIRE_MAGIC, WIRE_V1, WIRE_V2};

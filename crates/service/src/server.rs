@@ -16,7 +16,7 @@ use crate::protocol::{
     begin_frame, finish_frame, is_poll_timeout, read_frame_into, read_owed, FrameError, Rejection,
     Request, Response, MAX_FRAME,
 };
-use crate::shard::recover;
+use crate::shard::{recover, SvcMetrics};
 use crate::wire::{self, WIRE_MAGIC, WIRE_V1, WIRE_V2};
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -243,10 +243,16 @@ fn serve_conn(
     let mut last_frame = Instant::now();
     let mut rbuf: Vec<u8> = Vec::new();
     let mut wbuf: Vec<u8> = Vec::new();
-    let count = |pick: fn(&crate::shard::SvcMetrics) -> ptsim_obs::CounterId| {
+    let count = |pick: fn(&SvcMetrics) -> ptsim_obs::CounterId| {
+        recover(fleet.front_metrics.lock()).inc(pick);
+    };
+    // Answers and counts a frame the server refuses itself.
+    let refuse = |detail: String| {
+        let resp = Response::rejected(Rejection::BadRequest, detail);
         let mut m = recover(fleet.front_metrics.lock());
-        let id = pick(&m);
-        m.reg.inc(id);
+        m.inc(|m| m.bad_frames);
+        m.tally(&resp);
+        resp
     };
     count(|m| m.conns);
 
@@ -279,11 +285,9 @@ fn serve_conn(
                 // The stream is desynchronized after a refused prefix:
                 // answer once, then close.
                 count(|m| m.oversize_frames);
-                count(|m| m.bad_frames);
-                let resp = Response::rejected(
-                    Rejection::BadRequest,
-                    format!("frame of {advertised} bytes exceeds the {max}-byte bound"),
-                );
+                let resp = refuse(format!(
+                    "frame of {advertised} bytes exceeds the {max}-byte bound"
+                ));
                 let _ = send_response(&mut stream, &mut wbuf, &resp, v2_reply);
                 return;
             }
@@ -308,9 +312,8 @@ fn serve_conn(
         };
         let response = match parsed {
             Err(e) => {
-                count(|m| m.bad_frames);
                 strikes += 1;
-                Response::rejected(Rejection::BadRequest, e.to_string())
+                refuse(e.to_string())
             }
             Ok(Request::Shutdown) => {
                 let _ = send_response(&mut stream, &mut wbuf, &Response::ShuttingDown, v2_reply);
@@ -320,13 +323,6 @@ fn serve_conn(
             }
             Ok(req) => fleet.submit(req),
         };
-        if let Response::Rejected {
-            rejection: Rejection::BadRequest,
-            ..
-        } = &response
-        {
-            count(|m| m.rej_bad_request);
-        }
         match send_response(&mut stream, &mut wbuf, &response, v2_reply) {
             Ok(()) => {}
             Err(e) if is_poll_timeout(&e) => {

@@ -12,16 +12,24 @@
 //! blocks on the shard's condvar until it reaches the head of a free shard,
 //! its deadline passes, it is shed, or the shard goes down.
 //!
+//! A shard has two mutexes. `ctx` guards the serving context and is taken
+//! only by the `busy` holder. `queue` guards everything the shard
+//! coordinates: `busy`, the waiters, the supervision state, the dies'
+//! chaos flags and the shard's counters. Taking the shard counts the
+//! admission and takes the die's one-shot flags; releasing it counts the
+//! answer (`SvcMetrics::tally`), each in the critical section that sets
+//! or clears `busy`. The lock order is `ctx → queue`.
+//!
 //! Every conversion runs inside `catch_unwind`: a panicking die answers
 //! with a typed [`Rejection::WorkerPanicked`](crate::protocol::Rejection)
 //! and has its slot rebuilt, while the shard keeps serving its other dies.
 //! A panic that escapes a request is caught one level up, around the whole
 //! serve: it discards the context, answers the request `worker_panicked`,
 //! and puts the shard in `Restarting` for a backoff, or `Dead` once the
-//! restart budget is spent. Chaos flags (degrade/panic) live beside the
-//! context, not in it, precisely so they survive a restart — a degraded die
-//! must stay degraded across a crash, or the chaos campaign could never
-//! observe "recovered but still degraded" serving.
+//! restart budget is spent. Chaos flags (degrade/panic) live in the queue
+//! state, not in the context, precisely so they survive a restart — a
+//! degraded die must stay degraded across a crash, or the chaos campaign
+//! could never observe "recovered but still degraded" serving.
 
 use crate::fleet::FleetConfig;
 use crate::protocol::{
@@ -34,12 +42,12 @@ use ptsim_device::units::Celsius;
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_mc::driver::die_rng;
 use ptsim_mc::model::{DieSampler, VariationModel};
-use ptsim_obs::{CounterId, GaugeId, HistogramId, Registry};
+use ptsim_obs::{CounterId, Registry};
 use ptsim_rng::Pcg64;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Recovers the guarded value whether or not the mutex is poisoned. Shard
@@ -62,123 +70,130 @@ pub(crate) fn holding_a_shard() -> bool {
     HOLDING.get()
 }
 
-/// Service metric ids over one [`Registry`]. Every holder (each shard, and
-/// the fleet's connection-level registry) registers the same names, so
-/// [`Registry::merge`] aggregates them for `/health`.
+/// `svc.rejected.*` counter names, indexed by [`Rejection`] in declaration
+/// order.
+const REJECTED: [&str; 6] = [
+    "svc.rejected.timeout",
+    "svc.rejected.overloaded",
+    "svc.rejected.shard_down",
+    "svc.rejected.bad_request",
+    "svc.rejected.worker_panicked",
+    "svc.rejected.conversion_failed",
+];
+
+/// Service counter ids over one [`Registry`]. Every holder (each shard, and
+/// the fleet's connection-level registry) registers the same names in the
+/// same order, so [`Registry::merge`] aggregates them for `/health`.
 #[derive(Debug)]
-pub struct SvcMetrics {
+pub(crate) struct SvcMetrics {
     /// The backing registry.
-    pub reg: Registry,
+    pub(crate) reg: Registry,
     /// Requests admitted, served at once or after waiting.
-    pub requests: CounterId,
+    requests: CounterId,
     /// Requests served at once: their shard was free and nobody waited.
-    pub served_inline: CounterId,
-    /// Requests answered with a reading/outcome.
-    pub served: CounterId,
+    served_inline: CounterId,
+    /// Answers carrying a reading or an outcome (one per batch item).
+    served: CounterId,
     /// Served readings carrying `quality == "degraded"`.
-    pub degraded_served: CounterId,
-    /// Typed `timeout` rejections.
-    pub rej_timeout: CounterId,
-    /// Typed `overloaded` rejections (admission-control sheds).
-    pub rej_overloaded: CounterId,
-    /// Typed `shard_down` rejections.
-    pub rej_shard_down: CounterId,
-    /// Typed `bad_request` rejections (malformed frames, bound violations).
-    pub rej_bad_request: CounterId,
-    /// Typed `worker_panicked` rejections (a conversion panic, or a panic
-    /// that escaped its request).
-    pub rej_worker_panicked: CounterId,
-    /// Typed `conversion_failed` rejections (sensor-level errors).
-    pub rej_conversion_failed: CounterId,
-    /// Requests dropped unserved because their deadline passed first
-    /// (each is also answered `timeout`).
-    pub deadline_drops: CounterId,
+    degraded_served: CounterId,
+    /// Typed rejections, indexed by [`Rejection`] as in [`REJECTED`].
+    rejected: [CounterId; 6],
+    /// Requests answered `timeout`: their deadline passed unserved.
+    deadline_drops: CounterId,
     /// Panics that escaped a request's serve (the supervision boundary).
     /// Each restarts its shard; `/health` carries every shard's restart
     /// count.
-    pub worker_panics: CounterId,
+    worker_panics: CounterId,
     /// Accepted connections.
-    pub conns: CounterId,
+    pub(crate) conns: CounterId,
     /// Frames refused as malformed/truncated.
-    pub bad_frames: CounterId,
+    pub(crate) bad_frames: CounterId,
     /// Frames refused for an oversize length prefix.
-    pub oversize_frames: CounterId,
+    pub(crate) oversize_frames: CounterId,
     /// Connections dropped because the client read too slowly.
-    pub slow_client_drops: CounterId,
+    pub(crate) slow_client_drops: CounterId,
     /// Connections reaped for idleness.
-    pub idle_reaps: CounterId,
+    pub(crate) idle_reaps: CounterId,
     /// Connections that negotiated the v2 binary protocol.
-    pub wire_v2_conns: CounterId,
+    pub(crate) wire_v2_conns: CounterId,
     /// Frames served over the v2 binary protocol.
-    pub wire_v2_frames: CounterId,
-    /// High-water mark of any shard queue.
-    pub queue_peak: GaugeId,
-    /// Queue-to-reply latency of served requests, µs.
-    pub latency_us: HistogramId,
+    pub(crate) wire_v2_frames: CounterId,
 }
 
 impl SvcMetrics {
-    /// Registers the full service metric set on a fresh registry.
-    #[must_use]
-    pub fn new() -> Self {
+    /// Registers the full service counter set on a fresh registry, in
+    /// `/health` order (fields are evaluated in the order written).
+    pub(crate) fn new() -> Self {
         let mut reg = Registry::new();
-        let requests = reg.counter("svc.requests");
-        let served_inline = reg.counter("svc.served_inline");
-        let served = reg.counter("svc.served");
-        let degraded_served = reg.counter("svc.degraded_served");
-        let rej_timeout = reg.counter("svc.rejected.timeout");
-        let rej_overloaded = reg.counter("svc.rejected.overloaded");
-        let rej_shard_down = reg.counter("svc.rejected.shard_down");
-        let rej_bad_request = reg.counter("svc.rejected.bad_request");
-        let rej_worker_panicked = reg.counter("svc.rejected.worker_panicked");
-        let rej_conversion_failed = reg.counter("svc.rejected.conversion_failed");
-        let deadline_drops = reg.counter("svc.deadline_drops");
-        let worker_panics = reg.counter("svc.worker_panics");
-        let conns = reg.counter("svc.connections");
-        let bad_frames = reg.counter("svc.bad_frames");
-        let oversize_frames = reg.counter("svc.oversize_frames");
-        let slow_client_drops = reg.counter("svc.slow_client_drops");
-        let idle_reaps = reg.counter("svc.idle_reaps");
-        let wire_v2_conns = reg.counter("svc.wire_v2_conns");
-        let wire_v2_frames = reg.counter("svc.wire_v2_frames");
-        let queue_peak = reg.gauge("svc.queue_peak");
-        let latency_us = reg.histogram("svc.latency_us", 0.0, 1.0e6, 48);
         SvcMetrics {
+            requests: reg.counter("svc.requests"),
+            served_inline: reg.counter("svc.served_inline"),
+            served: reg.counter("svc.served"),
+            degraded_served: reg.counter("svc.degraded_served"),
+            rejected: REJECTED.map(|name| reg.counter(name)),
+            deadline_drops: reg.counter("svc.deadline_drops"),
+            worker_panics: reg.counter("svc.worker_panics"),
+            conns: reg.counter("svc.connections"),
+            bad_frames: reg.counter("svc.bad_frames"),
+            oversize_frames: reg.counter("svc.oversize_frames"),
+            slow_client_drops: reg.counter("svc.slow_client_drops"),
+            idle_reaps: reg.counter("svc.idle_reaps"),
+            wire_v2_conns: reg.counter("svc.wire_v2_conns"),
+            wire_v2_frames: reg.counter("svc.wire_v2_frames"),
             reg,
-            requests,
-            served_inline,
-            served,
-            degraded_served,
-            rej_timeout,
-            rej_overloaded,
-            rej_shard_down,
-            rej_bad_request,
-            rej_worker_panicked,
-            rej_conversion_failed,
-            deadline_drops,
-            worker_panics,
-            conns,
-            bad_frames,
-            oversize_frames,
-            slow_client_drops,
-            idle_reaps,
-            wire_v2_conns,
-            wire_v2_frames,
-            queue_peak,
-            latency_us,
         }
     }
-}
 
-impl Default for SvcMetrics {
-    fn default() -> Self {
-        Self::new()
+    /// Increments the counter `pick` selects.
+    pub(crate) fn inc(&mut self, pick: fn(&Self) -> CounterId) {
+        let id = pick(self);
+        self.reg.inc(id);
+    }
+
+    /// Counts one answer: `served` per reading or outcome (per item of a
+    /// batch), `degraded_served` per degraded reading, and the
+    /// `svc.rejected.*` counter of each refusal, with `deadline_drops`
+    /// beside a timeout. Nothing else moves those counters.
+    pub(crate) fn tally(&mut self, resp: &Response) {
+        let mut count = |outcome: Result<Option<Quality>, Rejection>| {
+            let id = match outcome {
+                Ok(quality) => {
+                    if quality == Some(Quality::Degraded) {
+                        self.reg.inc(self.degraded_served);
+                    }
+                    self.served
+                }
+                Err(rejection) => {
+                    if rejection == Rejection::Timeout {
+                        self.reg.inc(self.deadline_drops);
+                    }
+                    self.rejected[rejection as usize]
+                }
+            };
+            self.reg.inc(id);
+        };
+        match resp {
+            Response::Reading { quality, .. } => count(Ok(Some(*quality))),
+            Response::Calibrated { .. } | Response::Injected { .. } | Response::Pong { .. } => {
+                count(Ok(None));
+            }
+            Response::Batch { items } => {
+                for item in items {
+                    count(match *item {
+                        BatchItem::Reading { quality, .. } => Ok(Some(quality)),
+                        BatchItem::Rejected { rejection, .. } => Err(rejection),
+                    });
+                }
+            }
+            Response::Rejected { rejection, .. } => count(Err(*rejection)),
+            Response::Health(_) | Response::ShuttingDown => {}
+        }
     }
 }
 
 /// Supervision state of a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardState {
+pub(crate) enum ShardState {
     /// The shard is serving.
     Up,
     /// A panic escaped a request; requests wait out the restart backoff.
@@ -192,8 +207,7 @@ pub enum ShardState {
 
 impl ShardState {
     /// Wire name (`"up"` / `"restarting"` / `"dead"`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             ShardState::Up => "up",
             ShardState::Restarting => "restarting",
@@ -202,8 +216,8 @@ impl ShardState {
     }
 }
 
-/// Chaos flags of one die. Kept outside the context so they survive
-/// restarts.
+/// Chaos flags of one die. Kept in the queue state, not the context, so
+/// they survive restarts.
 #[derive(Clone, Copy, Default)]
 struct DieFlags {
     /// Serve degraded temperature-only readings (dead PSRO bank).
@@ -225,8 +239,9 @@ struct Waiter {
     read: bool,
 }
 
-/// Who may serve a shard now, and who waits for it. One mutex guards it
-/// all, and the shard's condvar signals its changes.
+/// A shard's coordination state: who may serve it now, who waits for it,
+/// its dies' chaos flags and its counters. One mutex guards it all, and
+/// the shard's condvar signals its changes.
 struct ShardQueue {
     /// Waiting requests in admission order, never more than `queue_depth`.
     waiters: VecDeque<Waiter>,
@@ -243,6 +258,10 @@ struct ShardQueue {
     stalled_until: Instant,
     /// Set once at fleet shutdown.
     shutdown: bool,
+    /// Per-owned-die chaos flags, indexed by local die index.
+    flags: Vec<DieFlags>,
+    /// This shard's counters (merged fleet-wide for `/health`).
+    metrics: SvcMetrics,
 }
 
 impl ShardQueue {
@@ -298,12 +317,10 @@ pub(crate) struct Shard {
     queue: Mutex<ShardQueue>,
     /// Wakes waiters when the shard frees up, sheds, or goes down.
     cv: Condvar,
-    /// Per-owned-die chaos flags, indexed by local die index.
-    flags: Mutex<Vec<DieFlags>>,
-    /// This shard's metric registry (merged fleet-wide for `/health`).
-    pub(crate) metrics: Mutex<SvcMetrics>,
     /// The dies' serving state; built on first use, discarded by a panic
-    /// that escapes a request. Locked only by the `busy` holder.
+    /// that escapes a request. Locked only by the `busy` holder, which may
+    /// take `queue` while holding it; nothing takes it while holding
+    /// `queue`.
     ctx: Mutex<Option<ShardCtx>>,
 }
 
@@ -329,10 +346,10 @@ impl Shard {
                 restart_at: now,
                 stalled_until: now,
                 shutdown: false,
+                flags: vec![DieFlags::default(); owned],
+                metrics: SvcMetrics::new(),
             }),
             cv: Condvar::new(),
-            flags: Mutex::new(vec![DieFlags::default(); owned]),
-            metrics: Mutex::new(SvcMetrics::new()),
             ctx: Mutex::new(None),
         }
     }
@@ -354,37 +371,26 @@ impl Shard {
             .closed()
             .or((admitted >= deadline).then_some(Refusal::Timeout));
         if let Some(why) = refused {
-            drop(q);
-            return self.refuse(why, deadline_ms);
+            return self.refuse(&mut q, why, deadline_ms);
         }
         if q.waiters.is_empty() && q.free(admitted) {
-            q.busy = true;
-            drop(q);
-            let mut m = recover(self.metrics.lock());
-            let (requests, inline) = (m.requests, m.served_inline);
-            m.reg.inc(requests);
-            m.reg.inc(inline);
+            q.metrics.inc(|m| m.requests);
+            q.metrics.inc(|m| m.served_inline);
         } else {
             let ticket = match self.enqueue(&mut q, priority, matches!(req, Request::Read { .. })) {
                 Ok(ticket) => ticket,
-                Err(why) => {
-                    drop(q);
-                    return self.refuse(why, deadline_ms);
-                }
+                Err(why) => return self.refuse(&mut q, why, deadline_ms),
             };
-            let depth = q.waiters.len();
-            drop(q);
-            {
-                let mut m = recover(self.metrics.lock());
-                let (requests, peak) = (m.requests, m.queue_peak);
-                m.reg.inc(requests);
-                m.reg.set_max(peak, depth as f64);
-            }
-            if let Err(why) = self.wait_turn(ticket, deadline) {
-                return self.refuse(why, deadline_ms);
+            q.metrics.inc(|m| m.requests);
+            let turn;
+            (q, turn) = self.wait_turn(q, ticket, deadline);
+            if let Err(why) = turn {
+                return self.refuse(&mut q, why, deadline_ms);
             }
         }
-        self.serve_held(req, admitted)
+        let flags = self.take(&mut q, req);
+        drop(q);
+        self.serve_held(req, flags)
     }
 
     /// Admits a waiter to the bounded queue. A full queue sheds its
@@ -419,14 +425,19 @@ impl Shard {
     }
 
     /// Blocks until waiter `ticket` heads the queue of a free shard, and
-    /// takes the shard for it; or until it must be answered unserved.
-    fn wait_turn(&self, ticket: u64, deadline: Instant) -> Result<(), Refusal> {
-        let mut q = recover(self.queue.lock());
+    /// dequeues it; or until it must be answered unserved. Returns the
+    /// queue lock either way.
+    fn wait_turn<'a>(
+        &self,
+        mut q: MutexGuard<'a, ShardQueue>,
+        ticket: u64,
+        deadline: Instant,
+    ) -> (MutexGuard<'a, ShardQueue>, Result<(), Refusal>) {
         loop {
             let now = Instant::now();
             q.reopen(now);
             let Some(pos) = q.waiters.iter().position(|w| w.ticket == ticket) else {
-                return Err(Refusal::Overloaded("shed for higher-priority work"));
+                return (q, Err(Refusal::Overloaded("shed for higher-priority work")));
             };
             let refused = q.closed().or((now >= deadline).then_some(Refusal::Timeout));
             if let Some(why) = refused {
@@ -435,56 +446,66 @@ impl Shard {
                     // The next waiter may be able to go now.
                     self.cv.notify_all();
                 }
-                return Err(why);
+                return (q, Err(why));
             }
             if pos == 0 && q.free(now) {
                 q.waiters.pop_front();
-                q.busy = true;
-                return Ok(());
+                return (q, Ok(()));
             }
             let wake = q.gated_until(now).map_or(deadline, |t| t.min(deadline));
             q = recover(self.cv.wait_timeout(q, wake - now)).0;
         }
     }
 
-    /// Counts and builds the answer to a request that was not served.
-    fn refuse(&self, why: Refusal, deadline_ms: u64) -> Response {
-        let mut m = recover(self.metrics.lock());
+    /// Builds and counts the answer to a request that was not served.
+    fn refuse(&self, q: &mut ShardQueue, why: Refusal, deadline_ms: u64) -> Response {
         let (rejection, detail) = match why {
-            Refusal::Down(detail) => {
-                let id = m.rej_shard_down;
-                m.reg.inc(id);
-                (Rejection::ShardDown, format!("shard {}: {detail}", self.id))
-            }
-            Refusal::Overloaded(detail) => {
-                let id = m.rej_overloaded;
-                m.reg.inc(id);
-                (
-                    Rejection::Overloaded,
-                    format!("shard {}: {detail}", self.id),
-                )
-            }
-            Refusal::Timeout => {
-                let (timeout, drops) = (m.rej_timeout, m.deadline_drops);
-                m.reg.inc(timeout);
-                m.reg.inc(drops);
-                (
-                    Rejection::Timeout,
-                    format!("deadline of {deadline_ms} ms exceeded"),
-                )
-            }
+            Refusal::Down(detail) => (Rejection::ShardDown, format!("shard {}: {detail}", self.id)),
+            Refusal::Overloaded(detail) => (
+                Rejection::Overloaded,
+                format!("shard {}: {detail}", self.id),
+            ),
+            Refusal::Timeout => (
+                Rejection::Timeout,
+                format!("deadline of {deadline_ms} ms exceeded"),
+            ),
         };
-        Response::rejected(rejection, detail)
+        let response = Response::rejected(rejection, detail);
+        q.metrics.tally(&response);
+        response
     }
 
-    /// Serves `req` while holding the shard, then releases it. This is the
-    /// supervision boundary: a panic that escapes the request discards the
-    /// context, answers the request `worker_panicked`, and restarts the
-    /// shard after a backoff, or kills it once the budget is spent.
-    fn serve_held(&self, req: &Request, admitted: Instant) -> Response {
+    /// Takes the shard for `req`: sets `busy` and takes the chaos flags of
+    /// the die `req` is served for, clearing the one-shot ones (`default`
+    /// for a request that carries no die).
+    fn take(&self, q: &mut ShardQueue, req: &Request) -> DieFlags {
+        q.busy = true;
+        let die = match *req {
+            Request::Read { die, .. }
+            | Request::Calibrate { die, .. }
+            | Request::Inject { die, .. } => die,
+            // A batch takes its one-shot chaos flags from its anchor die.
+            Request::BatchRead { die0, .. } => die0,
+            // Ping carries no die, so it neither takes nor consumes any
+            // die's flags (a zero-die shard owns none to index);
+            // Health/Shutdown are answered by the fleet front-end.
+            _ => return DieFlags::default(),
+        };
+        let f = &mut q.flags[self.local_index(die)];
+        let taken = *f;
+        f.panic_conversion = false;
+        f.panic_worker = false;
+        taken
+    }
+
+    /// Serves `req` with its die's `flags` while holding the shard, then
+    /// releases it and counts the answer. This is the supervision
+    /// boundary: a panic that escapes the request discards the context,
+    /// answers the request `worker_panicked`, and restarts the shard after
+    /// a backoff, or kills it once the budget is spent.
+    fn serve_held(&self, req: &Request, flags: DieFlags) -> Response {
         HOLDING.set(true);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let flags = self.take_flags(req);
             assert!(
                 !flags.panic_worker,
                 "injected worker panic (shard {})",
@@ -492,25 +513,25 @@ impl Shard {
             );
             let mut ctx = recover(self.ctx.lock());
             let ctx = ctx.get_or_insert_with(|| ShardCtx::new(self.owned));
-            serve(self, ctx, req, flags, admitted)
+            serve(self, ctx, req, flags)
         }));
         HOLDING.set(false);
-        match outcome {
-            Ok(response) => {
-                let mut q = recover(self.queue.lock());
-                q.busy = false;
-                let wake = !q.waiters.is_empty();
-                drop(q);
-                if wake {
-                    self.cv.notify_all();
-                }
-                response
-            }
-            Err(payload) => self.crashed(&panic_message(payload.as_ref())),
+        let response = match outcome {
+            Ok(response) => response,
+            Err(payload) => return self.crashed(&panic_message(payload.as_ref())),
+        };
+        let mut q = recover(self.queue.lock());
+        q.busy = false;
+        q.metrics.tally(&response);
+        let wake = !q.waiters.is_empty();
+        drop(q);
+        if wake {
+            self.cv.notify_all();
         }
+        response
     }
 
-    /// Records a panic that escaped a request and releases the shard into
+    /// Records a panic that escapes a request and releases the shard into
     /// `Restarting` (or `Dead`). The next holder rebuilds every die it
     /// touches from the deterministic seeds.
     fn crashed(&self, message: &str) -> Response {
@@ -530,53 +551,28 @@ impl Shard {
             ShardState::Restarting
         };
         q.busy = false;
-        let state = q.state;
-        drop(q);
-        self.cv.notify_all();
-        {
-            let mut m = recover(self.metrics.lock());
-            let ids = [m.worker_panics, m.rej_worker_panicked];
-            for id in ids {
-                m.reg.inc(id);
-            }
-        }
-        Response::rejected(
+        let response = Response::rejected(
             Rejection::WorkerPanicked,
             format!(
                 "shard {} panicked serving this request ({message}); now {}",
                 self.id,
-                state.name()
+                q.state.name()
             ),
-        )
+        );
+        q.metrics.tally(&response);
+        q.metrics.inc(|m| m.worker_panics);
+        drop(q);
+        self.cv.notify_all();
+        response
     }
 
-    /// Takes the chaos flags of the die `req` is served for, clearing the
-    /// one-shot ones (`default` for a request that carries no die).
-    fn take_flags(&self, req: &Request) -> DieFlags {
-        let die = match *req {
-            Request::Read { die, .. }
-            | Request::Calibrate { die, .. }
-            | Request::Inject { die, .. } => die,
-            // A batch takes its one-shot chaos flags from its anchor die.
-            Request::BatchRead { die0, .. } => die0,
-            // Ping carries no die, so it neither takes nor consumes any
-            // die's flags (a zero-die shard owns none to index);
-            // Health/Shutdown are answered by the fleet front-end.
-            _ => return DieFlags::default(),
-        };
-        let mut all = recover(self.flags.lock());
-        let f = &mut all[self.local_index(die)];
-        let taken = *f;
-        f.panic_conversion = false;
-        f.panic_worker = false;
-        taken
-    }
-
-    /// This shard's `/health` entry. Ends a restart backoff that has run
-    /// out, so a restarted shard reads `up` without waiting for a request.
-    pub(crate) fn health(&self) -> ShardHealthWire {
+    /// This shard's `/health` entry; merges its counters into `counters`.
+    /// Ends a restart backoff that has run out, so a restarted shard reads
+    /// `up` without waiting for a request.
+    pub(crate) fn health(&self, counters: &mut Registry) -> ShardHealthWire {
         let mut q = recover(self.queue.lock());
         q.reopen(Instant::now());
+        counters.merge(&q.metrics.reg);
         ShardHealthWire {
             id: self.id,
             state: q.state.name().to_string(),
@@ -590,13 +586,6 @@ impl Shard {
     pub(crate) fn shut_down(&self) {
         recover(self.queue.lock()).shutdown = true;
         self.cv.notify_all();
-    }
-
-    /// Increments the counter `pick` selects in this shard's registry.
-    fn count(&self, pick: impl Fn(&SvcMetrics) -> CounterId) {
-        let mut m = recover(self.metrics.lock());
-        let id = pick(&m);
-        m.reg.inc(id);
     }
 }
 
@@ -703,22 +692,13 @@ fn quality_of(status: HealthStatus) -> Quality {
 
 /// Serves one request with the die's `flags` (already taken) on the
 /// shard's context, on the thread that holds it. Conversion panics are
-/// isolated per request.
-fn serve(
-    shard: &Shard,
-    ctx: &mut ShardCtx,
-    req: &Request,
-    flags: DieFlags,
-    enqueued: Instant,
-) -> Response {
+/// isolated per request. The caller counts the answer.
+fn serve(shard: &Shard, ctx: &mut ShardCtx, req: &Request, flags: DieFlags) -> Response {
     match *req {
         Request::Read { die, temp_c, .. } => {
             let degraded = flags.degraded;
             match ctx.slot(shard, die, degraded) {
-                Err(e) => {
-                    shard.count(|m| m.rej_conversion_failed);
-                    Response::rejected(Rejection::ConversionFailed, e.to_string())
-                }
+                Err(e) => Response::rejected(Rejection::ConversionFailed, e.to_string()),
                 Ok(_) => {
                     let idx = shard.local_index(die);
                     let slot = ctx.slots[idx].as_mut().expect("slot built above");
@@ -738,38 +718,22 @@ fn serve(
                             // next touch.
                             ctx.slots[idx] = None;
                             ctx.scratch = Scratch::new();
-                            shard.count(|m| m.rej_worker_panicked);
                             Response::rejected(
                                 Rejection::WorkerPanicked,
                                 format!("conversion on die {die} panicked; die state rebuilt"),
                             )
                         }
                         Ok(Err(e)) => {
-                            shard.count(|m| m.rej_conversion_failed);
                             Response::rejected(Rejection::ConversionFailed, e.to_string())
                         }
-                        Ok(Ok(reading)) => {
-                            let quality = quality_of(reading.health.status());
-                            {
-                                let mut m = recover(shard.metrics.lock());
-                                let served = m.served;
-                                m.reg.inc(served);
-                                if quality == Quality::Degraded {
-                                    let id = m.degraded_served;
-                                    m.reg.inc(id);
-                                }
-                                let lat = m.latency_us;
-                                m.reg.observe(lat, enqueued.elapsed().as_secs_f64() * 1e6);
-                            }
-                            Response::Reading {
-                                die,
-                                temp_c: reading.temperature.0,
-                                d_vtn_mv: reading.d_vtn.millivolts(),
-                                d_vtp_mv: reading.d_vtp.millivolts(),
-                                energy_pj: reading.energy.total().picojoules(),
-                                quality,
-                            }
-                        }
+                        Ok(Ok(reading)) => Response::Reading {
+                            die,
+                            temp_c: reading.temperature.0,
+                            d_vtn_mv: reading.d_vtn.millivolts(),
+                            d_vtp_mv: reading.d_vtp.millivolts(),
+                            energy_pj: reading.energy.total().picojoules(),
+                            quality: quality_of(reading.health.status()),
+                        },
                     }
                 }
             }
@@ -779,27 +743,23 @@ fn serve(
             count,
             temp_c,
             ..
-        } => serve_batch(shard, ctx, die0, count, temp_c, flags, enqueued),
+        } => serve_batch(shard, ctx, die0, count, temp_c, flags),
         Request::Calibrate { die, .. } => {
             // Recalibration rebuilds the slot from scratch (fresh sample of
             // the same deterministic die, fresh calibration).
             ctx.slots[shard.local_index(die)] = None;
             match ctx.slot(shard, die, flags.degraded) {
-                Err(e) => {
-                    shard.count(|m| m.rej_conversion_failed);
-                    Response::rejected(Rejection::ConversionFailed, e.to_string())
-                }
-                Ok(slot) => {
-                    let q = slot.calib_quality;
-                    shard.count(|m| m.served);
-                    Response::Calibrated { die, quality: q }
-                }
+                Err(e) => Response::rejected(Rejection::ConversionFailed, e.to_string()),
+                Ok(slot) => Response::Calibrated {
+                    die,
+                    quality: slot.calib_quality,
+                },
             }
         }
         Request::Inject { die, kind } => {
             let idx = shard.local_index(die);
-            let mut all = recover(shard.flags.lock());
-            let f = &mut all[idx];
+            let mut q = recover(shard.queue.lock());
+            let f = &mut q.flags[idx];
             match kind {
                 InjectKind::DegradeDie => {
                     f.degraded = true;
@@ -817,20 +777,14 @@ fn serve(
                 InjectKind::PanicWorker => f.panic_worker = true,
                 // A stall holds the whole shard back from now on.
                 InjectKind::StallMs(ms) => {
-                    recover(shard.queue.lock()).stalled_until =
-                        Instant::now() + Duration::from_millis(ms);
+                    q.stalled_until = Instant::now() + Duration::from_millis(ms);
                 }
             }
-            drop(all);
-            shard.count(|m| m.served);
             Response::Injected { die }
         }
-        Request::Ping { pad } => {
-            shard.count(|m| m.served);
-            Response::Pong {
-                pad: "x".repeat(pad as usize),
-            }
-        }
+        Request::Ping { pad } => Response::Pong {
+            pad: "x".repeat(pad as usize),
+        },
         Request::Health | Request::Shutdown => {
             Response::rejected(Rejection::BadRequest, "not a shard-addressed op")
         }
@@ -876,10 +830,8 @@ fn serve_batch(
     count: u64,
     temp_c: f64,
     flags: DieFlags,
-    enqueued: Instant,
 ) -> Response {
     let Some(dies) = stripe(&shard.cfg, die0, count) else {
-        shard.count(|m| m.rej_bad_request);
         return Response::rejected(
             Rejection::BadRequest,
             format!("batch of {count} dies striding from die {die0} leaves this shard"),
@@ -889,9 +841,9 @@ fn serve_batch(
     // flags were taken from the anchor die by the caller and cover the
     // batch as a whole.
     let degraded: Vec<bool> = {
-        let all = recover(shard.flags.lock());
+        let q = recover(shard.queue.lock());
         dies.iter()
-            .map(|&d| all[shard.local_index(d)].degraded)
+            .map(|&d| q.flags[shard.local_index(d)].degraded)
             .collect()
     };
     let base_local = shard.local_index(die0);
@@ -957,35 +909,12 @@ fn serve_batch(
             for slot in &mut ctx.slots[base_local..base_local + dies.len()] {
                 *slot = None;
             }
-            shard.count(|m| m.rej_worker_panicked);
             Response::rejected(
                 Rejection::WorkerPanicked,
                 format!("batch drain anchored at die {die0} panicked; stripe state rebuilt"),
             )
         }
-        Ok(items) => {
-            let mut m = recover(shard.metrics.lock());
-            for item in &items {
-                match item {
-                    BatchItem::Reading { quality, .. } => {
-                        let id = m.served;
-                        m.reg.inc(id);
-                        if *quality == Quality::Degraded {
-                            let id = m.degraded_served;
-                            m.reg.inc(id);
-                        }
-                    }
-                    BatchItem::Rejected { .. } => {
-                        let id = m.rej_conversion_failed;
-                        m.reg.inc(id);
-                    }
-                }
-            }
-            let lat = m.latency_us;
-            m.reg.observe(lat, enqueued.elapsed().as_secs_f64() * 1e6);
-            drop(m);
-            Response::Batch { items }
-        }
+        Ok(items) => Response::Batch { items },
     }
 }
 
@@ -1020,5 +949,16 @@ mod tests {
         a.reg.inc(a.served);
         a.reg.merge(&b.reg);
         assert_eq!(a.reg.counter_value("svc.served"), Some(1));
+    }
+
+    #[test]
+    fn each_rejection_counts_under_its_wire_name() {
+        use crate::protocol::Coded;
+        for &(rejection, name, _) in Rejection::CODES {
+            let mut m = SvcMetrics::new();
+            m.tally(&Response::rejected(rejection, ""));
+            let counter = format!("svc.rejected.{name}");
+            assert_eq!(m.reg.counter_value(&counter), Some(1), "{counter}");
+        }
     }
 }

@@ -1073,3 +1073,333 @@ fn shutdown_answers_a_waiting_request_shard_down() {
         }
     ));
 }
+
+/// Every `/health` counter, in the order `/health` lists them.
+const SVC_COUNTERS: [&str; 19] = [
+    "svc.requests",
+    "svc.served_inline",
+    "svc.served",
+    "svc.degraded_served",
+    "svc.rejected.timeout",
+    "svc.rejected.overloaded",
+    "svc.rejected.shard_down",
+    "svc.rejected.bad_request",
+    "svc.rejected.worker_panicked",
+    "svc.rejected.conversion_failed",
+    "svc.deadline_drops",
+    "svc.worker_panics",
+    "svc.connections",
+    "svc.bad_frames",
+    "svc.oversize_frames",
+    "svc.slow_client_drops",
+    "svc.idle_reaps",
+    "svc.wire_v2_conns",
+    "svc.wire_v2_frames",
+];
+
+/// Every `/health` counter's value, in `SVC_COUNTERS` order (asserted).
+fn counters(fleet: &Fleet) -> Vec<u64> {
+    let h = fleet.health();
+    let names: Vec<&str> = h.counters.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, SVC_COUNTERS, "/health counter names and order");
+    h.counters.iter().map(|&(_, v)| v).collect()
+}
+
+fn inject(fleet: &Fleet, die: u64, kind: InjectKind) {
+    let r = fleet.submit(Request::Inject { die, kind });
+    assert!(matches!(r, Response::Injected { .. }), "got {r:?}");
+}
+
+/// Starts a read of `die` on its own thread and returns once the shard
+/// has admitted it as a waiter.
+fn park_a_waiter(fleet: &std::sync::Arc<Fleet>, die: u64) -> thread::JoinHandle<Response> {
+    let admitted = counter(fleet, "svc.requests");
+    let waiter = {
+        let fleet = std::sync::Arc::clone(fleet);
+        thread::spawn(move || {
+            fleet.submit(Request::Read {
+                die,
+                temp_c: 75.0,
+                priority: 1,
+                deadline_ms: 30_000,
+            })
+        })
+    };
+    await_counter(fleet, "svc.requests", admitted + 1);
+    waiter
+}
+
+fn rejected_with(r: &Response, want: Rejection) -> bool {
+    matches!(r, Response::Rejected { rejection, .. } if *rejection == want)
+}
+
+fn read_with(r: &Response, want: Quality) -> bool {
+    matches!(r, Response::Reading { quality, .. } if *quality == want)
+}
+
+/// What one request served at once moves.
+const SERVED_AT_ONCE: &[(&str, u64)] = &[
+    ("svc.requests", 1),
+    ("svc.served_inline", 1),
+    ("svc.served", 1),
+];
+
+/// One answer kind: what to arrange first, the request that is answered,
+/// what its answer must be, and every counter it moves (all others stay).
+struct TallyCase {
+    name: &'static str,
+    setup: fn(&std::sync::Arc<Fleet>) -> Option<thread::JoinHandle<Response>>,
+    act: fn(&Fleet) -> Response,
+    answer: fn(&Response) -> bool,
+    moves: &'static [(&'static str, u64)],
+}
+
+#[test]
+fn every_answer_kind_moves_exactly_its_counters() {
+    let cases = [
+        TallyCase {
+            name: "nominal read",
+            setup: |_| None,
+            act: |f| f.submit(read(2)),
+            answer: |r| read_with(r, Quality::Nominal),
+            moves: SERVED_AT_ONCE,
+        },
+        TallyCase {
+            name: "degraded read",
+            setup: |f| {
+                inject(f, 3, InjectKind::DegradeDie);
+                None
+            },
+            act: |f| f.submit(read(3)),
+            answer: |r| read_with(r, Quality::Degraded),
+            moves: &[
+                ("svc.requests", 1),
+                ("svc.served_inline", 1),
+                ("svc.served", 1),
+                ("svc.degraded_served", 1),
+            ],
+        },
+        TallyCase {
+            name: "3-die batch with one degraded die",
+            setup: |f| {
+                inject(f, 3, InjectKind::DegradeDie);
+                None
+            },
+            act: |f| f.submit(batch(1, 3)),
+            answer: |r| matches!(r, Response::Batch { items } if items.len() == 3),
+            moves: &[
+                ("svc.requests", 1),
+                ("svc.served_inline", 1),
+                ("svc.served", 3),
+                ("svc.degraded_served", 1),
+            ],
+        },
+        TallyCase {
+            name: "calibrate",
+            setup: |_| None,
+            act: |f| {
+                f.submit(Request::Calibrate {
+                    die: 2,
+                    deadline_ms: 5_000,
+                })
+            },
+            answer: |r| matches!(r, Response::Calibrated { die: 2, .. }),
+            moves: SERVED_AT_ONCE,
+        },
+        TallyCase {
+            name: "inject",
+            setup: |_| None,
+            act: |f| {
+                f.submit(Request::Inject {
+                    die: 4,
+                    kind: InjectKind::DegradeDie,
+                })
+            },
+            answer: |r| matches!(r, Response::Injected { die: 4 }),
+            moves: SERVED_AT_ONCE,
+        },
+        TallyCase {
+            name: "ping",
+            setup: |_| None,
+            act: |f| f.submit(Request::Ping { pad: 2 }),
+            answer: |r| matches!(r, Response::Pong { .. }),
+            moves: SERVED_AT_ONCE,
+        },
+        TallyCase {
+            name: "timeout behind a stall",
+            setup: |f| {
+                inject(f, 0, InjectKind::StallMs(5_000));
+                None
+            },
+            act: |f| {
+                f.submit(Request::Read {
+                    die: 0,
+                    temp_c: 75.0,
+                    priority: 1,
+                    deadline_ms: 50,
+                })
+            },
+            answer: |r| rejected_with(r, Rejection::Timeout),
+            moves: &[
+                ("svc.requests", 1),
+                ("svc.rejected.timeout", 1),
+                ("svc.deadline_drops", 1),
+            ],
+        },
+        TallyCase {
+            name: "overloaded shed",
+            setup: |f| {
+                inject(f, 0, InjectKind::StallMs(5_000));
+                Some(park_a_waiter(f, 0))
+            },
+            act: |f| f.submit(read(0)),
+            answer: |r| rejected_with(r, Rejection::Overloaded),
+            moves: &[("svc.rejected.overloaded", 1)],
+        },
+        TallyCase {
+            name: "conversion panic",
+            setup: |f| {
+                inject(f, 2, InjectKind::PanicConversion);
+                None
+            },
+            act: |f| f.submit(read(2)),
+            answer: |r| rejected_with(r, Rejection::WorkerPanicked),
+            moves: &[
+                ("svc.requests", 1),
+                ("svc.served_inline", 1),
+                ("svc.rejected.worker_panicked", 1),
+            ],
+        },
+        TallyCase {
+            name: "worker panic",
+            setup: |f| {
+                inject(f, 2, InjectKind::PanicWorker);
+                None
+            },
+            act: |f| f.submit(read(2)),
+            answer: |r| rejected_with(r, Rejection::WorkerPanicked),
+            moves: &[
+                ("svc.requests", 1),
+                ("svc.served_inline", 1),
+                ("svc.rejected.worker_panicked", 1),
+                ("svc.worker_panics", 1),
+            ],
+        },
+        TallyCase {
+            name: "shard_down after shutdown",
+            setup: |f| {
+                f.shutdown();
+                None
+            },
+            act: |f| f.submit(read(2)),
+            answer: |r| rejected_with(r, Rejection::ShardDown),
+            moves: &[("svc.rejected.shard_down", 1)],
+        },
+    ];
+    for case in &cases {
+        // A one-deep queue, so one parked waiter fills it.
+        let fleet = std::sync::Arc::new(Fleet::start(FleetConfig {
+            queue_depth: 1,
+            ..test_fleet_cfg()
+        }));
+        let parked = (case.setup)(&fleet);
+        let before = counters(&fleet);
+        let answer = (case.act)(&fleet);
+        let after = counters(&fleet);
+        assert!((case.answer)(&answer), "{}: got {answer:?}", case.name);
+        let moved: Vec<(&str, u64)> = SVC_COUNTERS
+            .iter()
+            .zip(before.iter().zip(&after))
+            .filter(|(_, (b, a))| a != b)
+            .map(|(&name, (b, a))| (name, a - b))
+            .collect();
+        assert_eq!(moved, case.moves, "{}", case.name);
+        fleet.shutdown();
+        if let Some(waiter) = parked {
+            let r = waiter.join().unwrap();
+            assert!(
+                rejected_with(&r, Rejection::ShardDown),
+                "{}: {r:?}",
+                case.name
+            );
+        }
+    }
+}
+
+#[test]
+fn a_refused_in_process_read_counts_one_bad_request() {
+    let fleet = Fleet::start(test_fleet_cfg());
+    let before = counter(&fleet, "svc.rejected.bad_request");
+    let r = fleet.submit(read(10_000));
+    assert!(rejected_with(&r, Rejection::BadRequest), "got {r:?}");
+    assert_eq!(counter(&fleet, "svc.rejected.bad_request"), before + 1);
+    fleet.shutdown();
+}
+
+#[test]
+fn an_oversize_prefix_counts_one_bad_request() {
+    let (server, addr) = start_server(ServerConfig::default());
+    let mut probe = Client::connect(&addr).unwrap();
+    let bad_requests = |probe: &mut Client| match probe.call(&Request::Health).unwrap() {
+        Response::Health(h) => h
+            .counters
+            .iter()
+            .find(|(n, _)| n == "svc.rejected.bad_request")
+            .map_or(0, |&(_, v)| v),
+        other => panic!("expected health, got {other:?}"),
+    };
+    let before = bad_requests(&mut probe);
+    let mut client = Client::connect(&addr).unwrap();
+    client.send_raw(&(16u32 << 20).to_be_bytes()).unwrap();
+    let resp = client.read_response().unwrap();
+    assert!(rejected_with(&resp, Rejection::BadRequest), "got {resp:?}");
+    assert_eq!(bad_requests(&mut probe), before + 1);
+    server.stop();
+    server.join();
+}
+
+#[test]
+fn concurrent_reads_are_each_admitted_once_and_served_once() {
+    const THREADS: u64 = 4;
+    const READS: u64 = 40;
+    let fleet = std::sync::Arc::new(Fleet::start(FleetConfig {
+        n_dies: 16,
+        n_shards: 4,
+        queue_depth: 64,
+        ..test_fleet_cfg()
+    }));
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let poller = {
+        let (fleet, done) = (std::sync::Arc::clone(&fleet), std::sync::Arc::clone(&done));
+        thread::spawn(move || {
+            let mut polls = 0u64;
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let h = fleet.health();
+                let get = |name: &str| h.counters.iter().find(|(n, _)| n == name).unwrap().1;
+                let (requests, served) = (get("svc.requests"), get("svc.served"));
+                assert!(served <= requests, "served {served} > requests {requests}");
+                polls += 1;
+            }
+            polls
+        })
+    };
+    let readers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let fleet = std::sync::Arc::clone(&fleet);
+            thread::spawn(move || {
+                for k in 0..READS {
+                    let r = fleet.submit(read((t + k * THREADS) % 16));
+                    assert!(matches!(r, Response::Reading { .. }), "got {r:?}");
+                }
+            })
+        })
+        .collect();
+    for reader in readers {
+        reader.join().unwrap();
+    }
+    done.store(true, std::sync::atomic::Ordering::SeqCst);
+    assert!(poller.join().unwrap() > 0);
+    assert_eq!(counter(&fleet, "svc.requests"), THREADS * READS);
+    assert_eq!(counter(&fleet, "svc.served"), THREADS * READS);
+    fleet.shutdown();
+}

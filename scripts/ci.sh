@@ -163,7 +163,18 @@ waited = call(s, json.dumps({"op": "read", "die": 2, "temp_c": 60.0, "deadline_m
 assert waited["ok"] and abs(waited["temp_c"] - 60.0) < 2.0, waited
 h = call(s, json.dumps({"op": "health"}).encode())
 assert h["ok"] and {sh["state"] for sh in h["shards"]} == {"up"}, h
-assert h["counters"]["svc.deadline_drops"] >= 1, h
+# The exact tally of the sequence above: ten admitted requests (the batch
+# is one) answer eleven served items; four bad_request answers (the batch
+# overrun refused by the fleet, three undecodable frames); one timeout.
+# `svc.served_inline` is left out: whether `waited` goes inline depends on
+# timing.
+counts = {k: v for k, v in h["counters"].items() if k != "svc.served_inline"}
+want = dict.fromkeys(counts, 0)
+want.update({"svc.requests": 10, "svc.served": 11, "svc.rejected.timeout": 1,
+             "svc.rejected.bad_request": 4, "svc.deadline_drops": 1,
+             "svc.connections": 2, "svc.bad_frames": 3, "svc.wire_v2_conns": 1,
+             "svc.wire_v2_frames": 1})
+assert len(counts) == 18 and counts == want, (counts, want)
 
 bye = call(s, json.dumps({"op": "shutdown"}).encode())
 assert bye["ok"] and bye["op"] == "shutdown", bye
