@@ -19,7 +19,8 @@ pub enum ThermalError {
         /// Offending value in watts.
         watts: f64,
     },
-    /// A geometry parameter (thickness, die size, tier count) was out of
+    /// A geometry or boundary parameter (thickness, die size, tier count,
+    /// boundary resistance, ambient, conductance, SOR factor) was out of
     /// range.
     InvalidGeometry {
         /// Parameter name.

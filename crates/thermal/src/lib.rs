@@ -14,8 +14,9 @@
 //!
 //! There is one solver per job (see DESIGN.md, "Thermal solver
 //! hierarchy"): the lexicographic Gauss–Seidel/SOR sweep for steady state
-//! and the fused explicit-Euler substep for transients. Each is bit-exact
-//! against a test-only reference loop.
+//! and the fused explicit-Euler substep for transients. Both are per-cell
+//! updates over one grid walk of the stack's own RC network, and each is
+//! bit-exact against a test-only reference loop.
 //!
 //! ## Example
 //!

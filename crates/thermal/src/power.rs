@@ -35,9 +35,7 @@ impl PowerMap {
     /// Returns [`ThermalError::InvalidGrid`] if either dimension is zero, or
     /// [`ThermalError::InvalidPower`] if `total` is negative or non-finite.
     pub fn uniform(nx: usize, ny: usize, total: Watt) -> Result<Self, ThermalError> {
-        if !(total.0.is_finite() && total.0 >= 0.0) {
-            return Err(ThermalError::InvalidPower { watts: total.0 });
-        }
+        non_negative(total)?;
         let mut map = PowerMap::zero(nx, ny)?;
         let per_cell = total.0 / (nx * ny) as f64;
         map.cells.iter_mut().for_each(|c| *c = per_cell);
@@ -106,8 +104,8 @@ impl PowerMap {
     ///
     /// # Errors
     ///
-    /// [`ThermalError::InvalidPower`] if `total` is non-finite; the map is
-    /// left unchanged.
+    /// [`ThermalError::InvalidPower`] if `total` is negative or non-finite;
+    /// the map is left unchanged.
     pub fn add_hotspot(
         &mut self,
         cx: f64,
@@ -115,7 +113,7 @@ impl PowerMap {
         radius: f64,
         total: Watt,
     ) -> Result<(), ThermalError> {
-        finite(total)?;
+        non_negative(total)?;
         let r = radius.max(1e-6);
         let mut weights = vec![0.0; self.cells.len()];
         let mut sum = 0.0;
@@ -150,8 +148,8 @@ impl PowerMap {
     ///
     /// # Errors
     ///
-    /// [`ThermalError::InvalidPower`] if `total` is non-finite; the map is
-    /// left unchanged.
+    /// [`ThermalError::InvalidPower`] if `total` is negative or non-finite;
+    /// the map is left unchanged.
     pub fn add_block(
         &mut self,
         x0: f64,
@@ -160,7 +158,7 @@ impl PowerMap {
         y1: f64,
         total: Watt,
     ) -> Result<(), ThermalError> {
-        finite(total)?;
+        non_negative(total)?;
         let mut indices = Vec::new();
         for iy in 0..self.ny {
             for ix in 0..self.nx {
@@ -204,10 +202,19 @@ impl PowerMap {
     }
 }
 
-/// Refuses a non-finite wattage, as [`PowerMap::uniform`] does.
+/// Refuses a non-finite wattage.
 fn finite(p: Watt) -> Result<(), ThermalError> {
     if p.0.is_finite() {
         Ok(())
+    } else {
+        Err(ThermalError::InvalidPower { watts: p.0 })
+    }
+}
+
+/// Refuses a negative or non-finite wattage; `-0.0` passes.
+fn non_negative(p: Watt) -> Result<(), ThermalError> {
+    if p.0 >= 0.0 {
+        finite(p)
     } else {
         Err(ThermalError::InvalidPower { watts: p.0 })
     }
@@ -264,6 +271,29 @@ mod tests {
         assert_eq!(m.cell(0, 0).0, 0.0);
         m.set_cell(1, 1, Watt(0.25)).unwrap();
         assert_eq!(m.peak().0, 0.25);
+    }
+
+    #[test]
+    fn negative_injection_is_refused() {
+        // Both used to return `Ok` and leave negative cells behind: the
+        // hotspot a −0.854 W cell and a −5 W total that `peak()` read as 0.
+        let mut m = PowerMap::zero(4, 4).unwrap();
+        let hotspot = m.add_hotspot(0.5, 0.5, 0.2, Watt(-5.0));
+        assert!(
+            matches!(hotspot, Err(ThermalError::InvalidPower { .. })),
+            "{hotspot:?}"
+        );
+        let block = m.add_block(0.0, 0.0, 1.0, 1.0, Watt(-2.0));
+        assert!(
+            matches!(block, Err(ThermalError::InvalidPower { .. })),
+            "{block:?}"
+        );
+        assert_eq!(m, PowerMap::zero(4, 4).unwrap());
+        // A negative zero is accepted, as `uniform` accepts it.
+        m.add_hotspot(0.5, 0.5, 0.2, Watt(-0.0)).unwrap();
+        m.add_block(0.0, 0.0, 1.0, 1.0, Watt(-0.0)).unwrap();
+        assert!(PowerMap::uniform(4, 4, Watt(-0.0)).is_ok());
+        assert_eq!(m.total(), Watt(0.0));
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! [`solve_steady_state`] is the lexicographic Gauss–Seidel/SOR solver,
 //! deliberately kept sweep-order-exact: the golden gates pin its output.
 //! [`step_transient_with`] advances the field by stability-substepped
-//! explicit Euler (see DESIGN.md, "Thermal solver hierarchy").
+//! explicit Euler (see DESIGN.md, "Thermal solver hierarchy"). Both are a
+//! per-cell update (`CellPass`) over the one grid walk,
+//! `ThermalStack::walk`, reading the stack's own conductances, `Σg` and
+//! power maps.
 
 use crate::error::ThermalError;
-use crate::stack::{Stencil, ThermalStack};
+use crate::stack::{CellPass, ThermalStack, Tier};
 use ptsim_device::units::Seconds;
 
 /// Options for the steady-state Gauss–Seidel/SOR solve.
@@ -41,11 +44,9 @@ pub struct SolveStats {
 
 /// Solves the stack to steady state in place.
 ///
-/// The RC network is flattened once into a coefficient-precomputed
-/// stencil (see `ThermalStack::stencil`); the Gauss–Seidel/SOR sweeps
-/// then iterate the flat cell array in the historical tier → row → column
-/// order with bit-identical floating-point operations, so results match
-/// the pre-stencil solver exactly.
+/// Each Gauss–Seidel/SOR sweep walks the cells in the historical
+/// tier → row → column order with bit-identical floating-point
+/// operations, so results match the first implementation exactly.
 ///
 /// # Errors
 ///
@@ -64,13 +65,16 @@ pub fn solve_steady_state(
             value: opts.omega,
         });
     }
-    let st = stack.stencil();
-    let temps = stack.temps_mut();
     let mut residual = f64::INFINITY;
     for sweep in 1..=opts.max_iterations {
-        residual = st.sor_sweep(temps, opts.omega);
+        let mut sor = Sor {
+            omega: opts.omega,
+            residual: 0.0,
+        };
+        stack.walk(&mut sor);
+        residual = sor.residual;
         if residual < opts.tolerance {
-            if !temps.iter().all(|t| t.is_finite()) {
+            if !stack.temps_mut().iter().all(|t| t.is_finite()) {
                 return Err(ThermalError::NonFiniteField { iterations: sweep });
             }
             return Ok(SolveStats {
@@ -85,23 +89,40 @@ pub fn solve_steady_state(
     })
 }
 
-/// Reusable workspace for [`step_transient_with`]: the flattened stencil,
-/// refreshed in place each step, and the second temperature field each
-/// explicit-Euler substep writes into before it is swapped with the
-/// stack's own.
+/// One Gauss–Seidel/SOR sweep: updates each cell in place and tracks the
+/// sweep's max `|Δt|` residual.
+struct Sor {
+    omega: f64,
+    residual: f64,
+}
+
+impl CellPass for Sor {
+    #[inline(always)]
+    fn update(&mut self, tier: &Tier<'_>, temps: &mut [f64], cell: usize, gt: f64) {
+        let gauss = (gt + tier.power[cell]) / tier.g_sum[cell];
+        let i = tier.base + cell;
+        let old = temps[i];
+        let new = old + self.omega * (gauss - old);
+        self.residual = self.residual.max((new - old).abs());
+        temps[i] = new;
+    }
+}
+
+/// Reusable workspace for [`step_transient_with`]: the second temperature
+/// field each explicit-Euler substep writes into before it is swapped
+/// with the stack's own.
 ///
-/// Without it a 2 ms control-loop tick on a 16×16×4 stack would allocate
-/// a fresh stencil and field buffer per call; keeping one scratch per loop
-/// makes the warm transient step allocation-free (gated by the counting-allocator
+/// Without it a 2 ms control-loop tick on a 16×16×4 stack would allocate a
+/// fresh field buffer per call; keeping one scratch per loop makes the
+/// warm transient step allocation-free (gated by the counting-allocator
 /// test in `ptsim-core`).
 #[derive(Debug, Clone, Default)]
 pub struct TransientScratch {
-    stencil: Option<Stencil>,
     next: Vec<f64>,
 }
 
 impl TransientScratch {
-    /// An empty scratch; buffers grow to fit on first use.
+    /// An empty scratch; its buffer grows to fit on first use.
     #[must_use]
     pub fn new() -> Self {
         TransientScratch::default()
@@ -116,17 +137,17 @@ impl TransientScratch {
 /// strictly positive (NaN, ±∞, zero, negative) is a no-op that takes 0
 /// substeps and leaves the field untouched.
 ///
-/// Allocates stencil and field buffers on every call; hot loops
-/// should hold a [`TransientScratch`] and call [`step_transient_with`],
-/// which is bit-identical and allocation-free once warm.
+/// Allocates a second field buffer on every call; hot loops should hold a
+/// [`TransientScratch`] and call [`step_transient_with`], which is
+/// bit-identical and allocation-free once warm.
 pub fn step_transient(stack: &mut ThermalStack, dt: Seconds) -> usize {
     step_transient_with(stack, dt, &mut TransientScratch::new())
 }
 
-/// [`step_transient`] with caller-provided scratch buffers. The stencil is
-/// refreshed in place each call (power maps may have changed between
-/// steps), so results are bit-identical to [`step_transient`] while a warm
-/// scratch performs no heap allocation.
+/// [`step_transient`] with a caller-provided scratch buffer. Each call
+/// reads the stack's current conductances and power maps (they may have
+/// changed between steps), so results are bit-identical to
+/// [`step_transient`] while a warm scratch performs no heap allocation.
 ///
 /// Each substep is one fused pass that writes the advanced field into the
 /// scratch buffer, which is then swapped with the stack's field: no
@@ -139,25 +160,123 @@ pub fn step_transient_with(
     if !positive(dt.0) {
         return 0;
     }
-    let st = scratch.stencil.get_or_insert_with(Stencil::empty);
-    stack.stencil_into(st);
-    // Stability: the stiffest cell bounds the step. The stencil's
-    // precomputed per-cell Σg is scanned in the same flat order the
-    // historical tier/row/column loops used.
-    let g_max = st.g_max();
+    // Stability: the stiffest cell bounds the step.
     let cap = stack.cell_capacity();
-    let dt_stable = 0.5 * cap / g_max.max(f64::MIN_POSITIVE);
+    let dt_stable = 0.5 * cap / stack.g_max().max(f64::MIN_POSITIVE);
     let substeps = (dt.0 / dt_stable).ceil().max(1.0) as usize;
     let h = dt.0 / substeps as f64;
 
-    let temps = stack.temps_mut();
     let next = &mut scratch.next;
-    next.resize(st.len(), 0.0);
+    next.resize(stack.temps_mut().len(), 0.0);
     for _ in 0..substeps {
-        st.euler_step_into(temps, cap, h, next);
-        std::mem::swap(temps, next);
+        stack.walk(&mut Euler { out: next, cap, h });
+        std::mem::swap(stack.temps_mut(), next);
     }
     substeps
+}
+
+/// One explicit-Euler substep of length `h`: writes
+/// `t + h·((Σg·T − Σg·t + P) / C)` for every cell into `out`, reading only
+/// the current field (Jacobi-style), bit-identical to the historical
+/// two-pass derivative-then-update loop: the derivative's division is
+/// kept (no reciprocal, no FMA).
+struct Euler<'a> {
+    out: &'a mut [f64],
+    cap: f64,
+    h: f64,
+}
+
+impl CellPass for Euler<'_> {
+    #[inline(always)]
+    fn update(&mut self, tier: &Tier<'_>, temps: &mut [f64], cell: usize, gt: f64) {
+        let i = tier.base + cell;
+        let t = temps[i];
+        self.out[i] = t + self.h * ((gt - tier.g_sum[cell] * t + tier.power[cell]) / self.cap);
+    }
+
+    #[inline(always)]
+    fn interior<const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
+        &mut self,
+        tier: &Tier<'_>,
+        temps: &mut [f64],
+        cell0: usize,
+        m: usize,
+    ) {
+        let s = tier.base + cell0;
+        let out = &mut self.out[s..s + m];
+        euler_run::<UP, DOWN, BELOW, ABOVE>(tier, temps, out, cell0, self.cap, self.h);
+    }
+}
+
+/// An explicit-Euler row interior, `out.len()` cells from `cell0` on, over
+/// neighbour rows pre-sliced to one common length, so the loop carries no
+/// per-neighbour bounds check and vectorises. Taking `out` as its own
+/// argument tells the compiler it cannot overlap `temps`. Each cell still
+/// performs [`Tier::gt`]'s accumulation and [`Euler::update`]'s arithmetic
+/// in the same order, so the result is bit-identical to the cell-by-cell
+/// path.
+#[inline(always)]
+fn euler_run<const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
+    tier: &Tier<'_>,
+    temps: &[f64],
+    out: &mut [f64],
+    cell0: usize,
+    cap: f64,
+    h: f64,
+) {
+    let (nx, n_cells, m) = (tier.nx, tier.n_cells, out.len());
+    let (cs, ce) = (cell0, cell0 + m);
+    let (s, e) = (tier.base + cs, tier.base + ce);
+    let centre = &temps[s..e];
+    let left = &temps[s - 1..e - 1];
+    let right = &temps[s + 1..e + 1];
+    // Absent neighbours alias `centre`; their terms compile out.
+    let up = if UP { &temps[s - nx..e - nx] } else { centre };
+    let down = if DOWN { &temps[s + nx..e + nx] } else { centre };
+    let t_below = if BELOW {
+        &temps[s - n_cells..e - n_cells]
+    } else {
+        centre
+    };
+    let t_above = if ABOVE {
+        &temps[s + n_cells..e + n_cells]
+    } else {
+        centre
+    };
+    let g_below = if BELOW { &tier.below[cs..ce] } else { centre };
+    let g_above = if ABOVE { &tier.above[cs..ce] } else { centre };
+    let (centre, left, right, up, down) =
+        (&centre[..m], &left[..m], &right[..m], &up[..m], &down[..m]);
+    let (t_below, t_above, g_below, g_above) =
+        (&t_below[..m], &t_above[..m], &g_below[..m], &g_above[..m]);
+    let g_sum = &tier.g_sum[cs..ce][..m];
+    let power = &tier.power[cs..ce][..m];
+    let (g_lat, board_gt, sink_gt) = (tier.g_lat, tier.board_gt, tier.sink_gt);
+    for k in 0..m {
+        let mut gt = 0.0;
+        gt += g_lat * left[k];
+        gt += g_lat * right[k];
+        if UP {
+            gt += g_lat * up[k];
+        }
+        if DOWN {
+            gt += g_lat * down[k];
+        }
+        if BELOW {
+            gt += g_below[k] * t_below[k];
+        }
+        if ABOVE {
+            gt += g_above[k] * t_above[k];
+        }
+        if !BELOW {
+            gt += board_gt;
+        }
+        if !ABOVE {
+            gt += sink_gt;
+        }
+        let t = centre[k];
+        out[k] = t + h * ((gt - g_sum[k] * t + power[k]) / cap);
+    }
 }
 
 /// Whether `v` is a finite, strictly positive time span.
@@ -395,7 +514,7 @@ mod tests {
         let mut scratch = TransientScratch::new();
         for step in 0..4 {
             // Mutate power between steps: the scratch must pick up the new
-            // map exactly like a freshly built stencil does.
+            // map exactly like a fresh scratch does.
             let mut p = PowerMap::uniform(8, 8, Watt(0.3 + 0.1 * step as f64)).unwrap();
             p.add_hotspot(0.3, 0.7, 0.1, Watt(0.5)).unwrap();
             fresh.set_power(2, p.clone()).unwrap();
@@ -407,8 +526,8 @@ mod tests {
         assert_temps_bit_identical(&fresh, &warm);
     }
 
-    /// The pre-stencil Gauss–Seidel/SOR loop, kept verbatim as the
-    /// bit-identity oracle for the flattened solver.
+    /// The first Gauss–Seidel/SOR loop, kept verbatim as the bit-identity
+    /// oracle for the grid-walk sweep.
     fn reference_steady_state(
         stack: &mut ThermalStack,
         opts: &SolveOptions,
@@ -444,8 +563,8 @@ mod tests {
         })
     }
 
-    /// The pre-stencil transient step, kept verbatim as the bit-identity
-    /// oracle for the flattened integrator.
+    /// The first transient step, kept verbatim as the bit-identity oracle
+    /// for the fused grid-walk substep.
     fn reference_step_transient(stack: &mut ThermalStack, dt: Seconds) -> usize {
         let (tiers, nx, ny) = stack.grid();
         let mut g_max: f64 = 0.0;
@@ -485,7 +604,7 @@ mod tests {
     }
 
     /// A 3-tier 8×8 stack with a hotspot, a uniform floor, and a diagonal
-    /// TSV bundle — exercises every stencil row shape (interior, edge,
+    /// TSV bundle — exercises every grid-walk row shape (interior, edge,
     /// corner, boundary tiers, non-uniform vertical conductance).
     fn irregular_stack(cx: f64, cy: f64, w: f64, g_tsv: f64) -> ThermalStack {
         let cfg = StackConfig {
@@ -616,10 +735,73 @@ mod tests {
         s
     }
 
-    /// A `dt` that takes exactly `k` stability substeps on `stack`.
+    /// A `dt` that takes exactly `k` stability substeps on `stack`, from
+    /// the stiffest `Σg` the reference `neighbours_sum` reports.
     fn dt_for_substeps(stack: &ThermalStack, k: usize) -> Seconds {
-        let dt_stable = 0.5 * stack.cell_capacity() / stack.stencil().g_max();
+        let (tiers, nx, ny) = stack.grid();
+        let mut g_max: f64 = 0.0;
+        for tier in 0..tiers {
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    g_max = g_max.max(stack.neighbours_sum(tier, ix, iy).0);
+                }
+            }
+        }
+        let dt_stable = 0.5 * stack.cell_capacity() / g_max;
         Seconds(dt_stable * (k as f64 - 0.5))
+    }
+
+    /// Runs exactly `k` SOR sweeps on `fast` through the solver and on
+    /// `slow` through the reference loop (tolerance 0 never converges):
+    /// both must stop `NotConverged` after `k` sweeps with bit-equal
+    /// residuals and bit-identical fields.
+    fn assert_sweeps_match_reference(fast: &mut ThermalStack, slow: &mut ThermalStack, k: usize) {
+        let opts = SolveOptions {
+            tolerance: 0.0,
+            max_iterations: k,
+            ..SolveOptions::default()
+        };
+        match (
+            solve_steady_state(fast, &opts),
+            reference_steady_state(slow, &opts),
+        ) {
+            (
+                Err(ThermalError::NotConverged {
+                    iterations: ia,
+                    residual: ra,
+                }),
+                Err(ThermalError::NotConverged {
+                    iterations: ib,
+                    residual: rb,
+                }),
+            ) => {
+                assert_eq!((ia, ib), (k, k));
+                assert_eq!(ra.to_bits(), rb.to_bits(), "residual {ra} vs {rb}");
+            }
+            other => panic!("expected NotConverged after {k} sweeps from both, got {other:?}"),
+        }
+        assert_temps_bit_identical(fast, slow);
+    }
+
+    /// Applies one `add_vertical_conductance` to both stacks. Both must
+    /// answer alike, and a refused add must leave the stack unchanged.
+    fn add_to_both(
+        fast: &mut ThermalStack,
+        slow: &mut ThermalStack,
+        iface: usize,
+        (ix, iy): (usize, usize),
+        g: f64,
+    ) -> Result<(), ThermalError> {
+        let before = fast.clone();
+        let g = ptsim_device::units::WattPerKelvin(g);
+        let r = fast.add_vertical_conductance(iface, ix, iy, g);
+        // Compared as text: a refused NaN carries a NaN, which is not `==`.
+        let other = slow.add_vertical_conductance(iface, ix, iy, g);
+        assert_eq!(format!("{r:?}"), format!("{other:?}"));
+        if r.is_err() {
+            assert_eq!(*fast, before, "a refused add changed the stack");
+        }
+        r
     }
 
     ptsim_rng::forall! {
@@ -639,6 +821,77 @@ mod tests {
                 let b = reference_step_transient(&mut slow, dt);
                 assert_eq!((a, b), (substeps, substeps));
                 assert_temps_bit_identical(&fast, &slow);
+            }
+        }
+
+        #[test]
+        fn sor_sweeps_are_bit_identical_to_reference_on_any_geometry(
+            tiers in 1usize..6, nx in extent(), ny in extent(), seed in 0u64..u64::MAX,
+            k in 1usize..40,
+        ) {
+            let mut fast = random_stack(tiers, nx, ny, seed);
+            let mut slow = fast.clone();
+            assert_sweeps_match_reference(&mut fast, &mut slow, k);
+        }
+
+        /// Conductance edits between warm transient steps and steady-state
+        /// solves: every solver must see each edit exactly as the reference
+        /// loops do, which re-derive `Σg` on every visit.
+        #[test]
+        fn conductance_edits_between_solves_match_reference(
+            tiers in 2usize..6, nx in extent(), ny in extent(), seed in 0u64..u64::MAX,
+        ) {
+            use ptsim_rng::{Pcg64, Rng};
+            let mut rng = Pcg64::seed_from_u64(seed.rotate_left(17));
+            let mut fast = random_stack(tiers, nx, ny, seed);
+            let mut slow = fast.clone();
+            let mut scratch = TransientScratch::new();
+            let hot = (rng.gen_range(0..nx), rng.gen_range(0..ny));
+            // Every kind of edit, the repeated one three times, shuffled.
+            let mut script = [0usize, 0, 0, 1, 2, 3, 4];
+            for i in (1..script.len()).rev() {
+                script.swap(i, rng.gen_range(0..i + 1));
+            }
+            for op in script {
+                let cell = (rng.gen_range(0..nx), rng.gen_range(0..ny));
+                let iface = rng.gen_range(0..tiers - 1);
+                match op {
+                    // Repeated adds on one cell.
+                    0 => add_to_both(&mut fast, &mut slow, iface, hot, rng.gen_range(0.0..5e-4))
+                        .unwrap(),
+                    // Both interfaces of a middle tier at that cell (the
+                    // upper one is out of range on a 2-tier stack).
+                    1 => {
+                        let mid = tiers / 2;
+                        let g = rng.gen_range(0.0..5e-4);
+                        add_to_both(&mut fast, &mut slow, mid - 1, hot, g).unwrap();
+                        let upper = add_to_both(&mut fast, &mut slow, mid, hot, g);
+                        assert_eq!(upper.is_ok(), mid + 1 < tiers, "{upper:?}");
+                    }
+                    // Zero and negative conductances add nothing.
+                    2 => {
+                        let g = [0.0, -0.0][rng.gen_range(0..2usize)];
+                        add_to_both(&mut fast, &mut slow, iface, cell, g).unwrap();
+                    }
+                    3 => add_to_both(&mut fast, &mut slow, iface, cell, -rng.gen_range(1e-9..1.0))
+                        .unwrap(),
+                    // A non-finite conductance is refused.
+                    _ => {
+                        let g = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                        let r = add_to_both(&mut fast, &mut slow, iface, cell, g);
+                        assert!(matches!(r, Err(ThermalError::InvalidGeometry { .. })), "{r:?}");
+                    }
+                }
+                if rng.gen_bool(0.5) {
+                    let substeps = rng.gen_range(1..4usize);
+                    let dt = dt_for_substeps(&slow, substeps);
+                    let a = step_transient_with(&mut fast, dt, &mut scratch);
+                    let b = reference_step_transient(&mut slow, dt);
+                    assert_eq!((a, b), (substeps, substeps));
+                    assert_temps_bit_identical(&fast, &slow);
+                } else {
+                    assert_sweeps_match_reference(&mut fast, &mut slow, rng.gen_range(1..6usize));
+                }
             }
         }
 

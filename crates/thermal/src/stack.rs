@@ -9,6 +9,11 @@
 //!
 //! Tier 0 is the *bottom* (package side); tier `tiers-1` is the *top*
 //! (heat-sink side).
+//!
+//! [`ThermalStack`] is the only representation of the network: the
+//! solvers read its conductances, its per-cell `Σg` and its power maps in
+//! place through one grid walk (`ThermalStack::walk`), with nothing copied
+//! or rebuilt per solve or per transient step.
 
 use crate::error::ThermalError;
 use crate::material::Material;
@@ -38,7 +43,7 @@ pub struct StackConfig {
     pub sink_resistance: f64,
     /// Package/board thermal resistance, K/W (whole die).
     pub board_resistance: f64,
-    /// Ambient temperature.
+    /// Ambient temperature (any finite value).
     pub ambient: Celsius,
 }
 
@@ -97,6 +102,13 @@ impl StackConfig {
                 return Err(ThermalError::InvalidGeometry { name, value: v });
             }
         }
+        // Any finite ambient is legal, negative °C included.
+        if !self.ambient.0.is_finite() {
+            return Err(ThermalError::InvalidGeometry {
+                name: "ambient",
+                value: self.ambient.0,
+            });
+        }
         Ok(())
     }
 }
@@ -124,6 +136,11 @@ pub struct ThermalStack {
     cell_capacity: f64,
     /// Per-tier power maps.
     power: Vec<PowerMap>,
+    /// Per-cell `Σg` over neighbours and boundaries, `[tier][row-major
+    /// cell]` flattened: derived from the conductances above, summed by
+    /// `new` and re-summed by `add_vertical_conductance` for the two cells
+    /// it touches.
+    g_sum: Vec<f64>,
     /// Cell temperatures, °C, `[tier][row-major cell]` flattened.
     temps: Vec<f64>,
 }
@@ -173,7 +190,7 @@ impl ThermalStack {
             .map(|_| PowerMap::zero(cfg.nx, cfg.ny))
             .collect::<Result<Vec<_>, _>>()?;
 
-        Ok(ThermalStack {
+        let mut stack = ThermalStack {
             cfg,
             g_lat,
             g_vert,
@@ -181,8 +198,18 @@ impl ThermalStack {
             g_board,
             cell_capacity,
             power,
+            g_sum: Vec::with_capacity(tiers * n_cells),
             temps: vec![ambient; tiers * n_cells],
-        })
+        };
+        for tier in 0..tiers {
+            for iy in 0..stack.cfg.ny {
+                for ix in 0..stack.cfg.nx {
+                    let g = stack.cell_g_sum(tier, ix, iy);
+                    stack.g_sum.push(g);
+                }
+            }
+        }
+        Ok(stack)
     }
 
     /// Stack configuration.
@@ -279,6 +306,10 @@ impl ThermalStack {
             });
         }
         self.g_vert[interface][iy * self.cfg.nx + ix] += g.0.max(0.0);
+        for tier in [interface, interface + 1] {
+            let i = self.idx(tier, ix, iy);
+            self.g_sum[i] = self.cell_g_sum(tier, ix, iy);
+        }
         Ok(())
     }
 
@@ -365,11 +396,45 @@ impl ThermalStack {
 
     // ---- solver internals (used by `solve`) -------------------------------
 
+    /// `Σg` over one cell's neighbours and boundaries, accumulated from
+    /// `0.0` in the visit order of `neighbours_sum` (left, right, up, down,
+    /// below, above, board, sink), so it equals that oracle's `g_sum` to
+    /// the bit.
+    fn cell_g_sum(&self, tier: usize, ix: usize, iy: usize) -> f64 {
+        let (tiers, nx, ny) = self.grid();
+        let cell = iy * nx + ix;
+        let mut g = 0.0;
+        if ix > 0 {
+            g += self.g_lat;
+        }
+        if ix + 1 < nx {
+            g += self.g_lat;
+        }
+        if iy > 0 {
+            g += self.g_lat;
+        }
+        if iy + 1 < ny {
+            g += self.g_lat;
+        }
+        if tier > 0 {
+            g += self.g_vert[tier - 1][cell];
+        }
+        if tier + 1 < tiers {
+            g += self.g_vert[tier][cell];
+        }
+        if tier == 0 {
+            g += self.g_board;
+        }
+        if tier + 1 == tiers {
+            g += self.g_sink;
+        }
+        g
+    }
+
     /// Per-visit `(Σg, Σg·T)` over one cell's neighbours and boundaries.
     ///
-    /// Retained (test-only) as the reference implementation the
-    /// [`Stencil`] equivalence tests replay; the solvers themselves now
-    /// iterate the flattened stencil.
+    /// Retained (test-only) as the reference implementation the solver
+    /// equivalence tests replay; the solvers themselves run the grid walk.
     #[cfg(test)]
     pub(crate) fn neighbours_sum(&self, tier: usize, ix: usize, iy: usize) -> (f64, f64) {
         let (nx, ny) = (self.cfg.nx, self.cfg.ny);
@@ -414,6 +479,7 @@ impl ThermalStack {
         (g_sum, gt_sum)
     }
 
+    #[cfg(test)]
     pub(crate) fn cell_power(&self, tier: usize, ix: usize, iy: usize) -> f64 {
         self.power[tier].cell(ix, iy).0
     }
@@ -435,158 +501,102 @@ impl ThermalStack {
         (self.cfg.tiers, self.cfg.nx, self.cfg.ny)
     }
 
-    /// Flattens the RC network into a [`Stencil`]: the lateral/vertical
-    /// conductances, precomputed boundary drive terms, the per-cell
-    /// conductance sum, and a power snapshot — everything
-    /// temperature-independent that `ThermalStack::neighbours_sum` and
-    /// [`ThermalStack::cell_power`] recompute on every visit.
-    ///
-    /// Bit-identity contract: the stencil kernels visit neighbours in the
-    /// exact order of `ThermalStack::neighbours_sum` (left, right, up,
-    /// down, below, above, board, sink) and `g_sum` is accumulated in that
-    /// same order, so replaying a stencil row reproduces `neighbours_sum`
-    /// to the bit. The boundary drives stay separate sequential addends
-    /// (`g·T_amb` each) rather than being folded into one constant:
-    /// `x + 0.0` is not always `x` in IEEE 754 (`-0.0`), and pre-summing
-    /// would reassociate.
-    pub(crate) fn stencil(&self) -> Stencil {
-        let mut st = Stencil::empty();
-        self.stencil_into(&mut st);
-        st
-    }
-
-    /// Refreshes `st` in place from the current network coefficients and
-    /// power maps. Equivalent to `*st = self.stencil()` but reuses the
-    /// stencil's existing vector storage, so a warm control loop that
-    /// rebuilds the stencil every tick (power maps change between steps)
-    /// performs no heap allocation once capacities have grown to fit.
-    pub(crate) fn stencil_into(&self, st: &mut Stencil) {
-        let (tiers, nx, ny) = self.grid();
-        let n_cells = nx * ny;
-        let ambient = self.cfg.ambient.0;
-        let g_sum = &mut st.g_sum;
-        let power = &mut st.power;
-        g_sum.clear();
-        power.clear();
-        g_sum.reserve(tiers * n_cells);
-        power.reserve(tiers * n_cells);
-        for tier in 0..tiers {
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let cell = iy * nx + ix;
-                    let mut g = 0.0;
-                    if ix > 0 {
-                        g += self.g_lat;
-                    }
-                    if ix + 1 < nx {
-                        g += self.g_lat;
-                    }
-                    if iy > 0 {
-                        g += self.g_lat;
-                    }
-                    if iy + 1 < ny {
-                        g += self.g_lat;
-                    }
-                    if tier > 0 {
-                        g += self.g_vert[tier - 1][cell];
-                    }
-                    if tier + 1 < tiers {
-                        g += self.g_vert[tier][cell];
-                    }
-                    if tier == 0 {
-                        g += self.g_board;
-                    }
-                    if tier + 1 == tiers {
-                        g += self.g_sink;
-                    }
-                    g_sum.push(g);
-                    power.push(self.cell_power(tier, ix, iy));
-                }
-            }
-        }
-        st.g_vert.clear();
-        st.g_vert.reserve(tiers.saturating_sub(1) * n_cells);
-        for iface in &self.g_vert {
-            st.g_vert.extend_from_slice(iface);
-        }
-        st.tiers = tiers;
-        st.nx = nx;
-        st.ny = ny;
-        st.g_lat = self.g_lat;
-        st.board_gt = self.g_board * ambient;
-        st.sink_gt = self.g_sink * ambient;
-    }
-}
-
-/// A flattened, coefficient-precomputed view of the RC network for one
-/// solve. Cells are visited in flat-index (tier-major, then row-major)
-/// order — exactly the historical Gauss–Seidel sweep order — and every
-/// neighbour sits at a fixed stride (`±1`, `±nx`, `±nx·ny`), so the
-/// kernels below need no per-neighbour index or conductance loads beyond
-/// the non-uniform vertical (TSV-augmented) interface conductances.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Stencil {
-    tiers: usize,
-    nx: usize,
-    ny: usize,
-    /// Lateral conductance between in-plane neighbours, W/K.
-    g_lat: f64,
-    /// Vertical interface conductances, `[iface · nx·ny + cell]`, W/K.
-    g_vert: Vec<f64>,
-    /// Board boundary drive `g_board · T_ambient` (tier 0 cells).
-    board_gt: f64,
-    /// Sink boundary drive `g_sink · T_ambient` (top-tier cells).
-    sink_gt: f64,
-    /// Per-cell `Σg` including boundaries, accumulated in visit order.
-    g_sum: Vec<f64>,
-    /// Per-cell injected power snapshot, W.
-    power: Vec<f64>,
-}
-
-impl Stencil {
-    /// A zero-cell stencil, ready to be filled by
-    /// [`ThermalStack::stencil_into`].
-    pub(crate) fn empty() -> Stencil {
-        Stencil {
-            tiers: 0,
-            nx: 0,
-            ny: 0,
-            g_lat: 0.0,
-            g_vert: Vec::new(),
-            board_gt: 0.0,
-            sink_gt: 0.0,
-            g_sum: Vec::new(),
-            power: Vec::new(),
-        }
-    }
-
-    /// Number of cells.
-    pub(crate) fn len(&self) -> usize {
-        self.g_sum.len()
-    }
-
     /// Stiffest cell's `Σg`, scanned in flat order (the stability bound
     /// for explicit transient integration).
     pub(crate) fn g_max(&self) -> f64 {
-        let mut g_max: f64 = 0.0;
-        for &g in &self.g_sum {
-            g_max = g_max.max(g);
-        }
-        g_max
+        self.g_sum.iter().fold(0.0, |m: f64, &g| m.max(g))
     }
 
-    /// `Σ g·T` over one cell's neighbours and boundary drives, replaying
-    /// the accumulation order of `ThermalStack::neighbours_sum` over the
-    /// given temperature field — bit-identical to the `gt_sum` it
-    /// returns. The neighbour set is monomorphized: `L`/`R`/`UP`/`DOWN`
-    /// say which in-plane neighbours exist, `BELOW`/`ABOVE` which
-    /// vertical interfaces do — and since the board couples exactly the
-    /// tiers with no interface below (and the sink those with none
-    /// above), `!BELOW`/`!ABOVE` are the boundary terms. The compiled
-    /// cell body is branch-free.
+    /// Applies `pass` to every cell in flat-index order (tier-major, then
+    /// row-major): the historical Gauss–Seidel sweep order. This is the
+    /// one tier dispatch (on which vertical interfaces a tier has) and the
+    /// one first/interior/last split of rows and cells that both solvers
+    /// use, so every cell reaches the pass with its neighbour set fixed at
+    /// compile time.
+    pub(crate) fn walk<P: CellPass>(&mut self, pass: &mut P) {
+        let (tiers, nx, ny) = self.grid();
+        let n_cells = nx * ny;
+        let ambient = self.cfg.ambient.0;
+        let (board_gt, sink_gt) = (self.g_board * ambient, self.g_sink * ambient);
+        let temps = &mut self.temps;
+        for t in 0..tiers {
+            let tier = Tier {
+                base: t * n_cells,
+                nx,
+                ny,
+                n_cells,
+                g_lat: self.g_lat,
+                below: if t > 0 { &self.g_vert[t - 1] } else { &[] },
+                above: if t + 1 < tiers { &self.g_vert[t] } else { &[] },
+                board_gt,
+                sink_gt,
+                g_sum: &self.g_sum[t * n_cells..][..n_cells],
+                power: &self.power[t].cells()[..n_cells],
+            };
+            match (t > 0, t + 1 < tiers) {
+                (false, false) => tier.rows::<P, false, false>(temps, pass),
+                (false, true) => tier.rows::<P, false, true>(temps, pass),
+                (true, true) => tier.rows::<P, true, true>(temps, pass),
+                (true, false) => tier.rows::<P, true, false>(temps, pass),
+            }
+        }
+    }
+}
+
+/// A per-cell update that [`ThermalStack::walk`] applies to every cell,
+/// given the cell's `Σ g·T` from [`Tier::gt`].
+pub(crate) trait CellPass {
+    /// Updates one cell, `cell` being its row-major index within `tier`.
+    fn update(&mut self, tier: &Tier<'_>, temps: &mut [f64], cell: usize, gt: f64);
+
+    /// Updates the `m` interior cells of a row from `cell0` on, which have
+    /// both in-plane neighbours: cell by cell unless a pass overrides it.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn cell_gt<
+    fn interior<const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
+        &mut self,
+        tier: &Tier<'_>,
+        temps: &mut [f64],
+        cell0: usize,
+        m: usize,
+    ) {
+        for cell in cell0..cell0 + m {
+            let gt = tier.gt::<true, true, UP, DOWN, BELOW, ABOVE>(temps, cell);
+            self.update(tier, temps, cell, gt);
+        }
+    }
+}
+
+/// One tier of the network as [`ThermalStack::walk`] hands it to a pass:
+/// borrowed rows of the stack's own conductances, `Σg` and power map.
+pub(crate) struct Tier<'a> {
+    /// Flat index of the tier's first cell.
+    pub(crate) base: usize,
+    pub(crate) nx: usize,
+    ny: usize,
+    /// Cells per tier: the flat-index stride between tiers.
+    pub(crate) n_cells: usize,
+    pub(crate) g_lat: f64,
+    /// Vertical conductances to the tier below and above, per cell
+    /// (empty where the tier has no such interface).
+    pub(crate) below: &'a [f64],
+    pub(crate) above: &'a [f64],
+    /// Boundary drives `g_board·T_amb` and `g_sink·T_amb`.
+    pub(crate) board_gt: f64,
+    pub(crate) sink_gt: f64,
+    /// Per-cell `Σg` and injected power of this tier.
+    pub(crate) g_sum: &'a [f64],
+    pub(crate) power: &'a [f64],
+}
+
+impl Tier<'_> {
+    /// `Σ g·T` over one cell's neighbours and boundary drives, from `0.0`
+    /// in the visit order of `ThermalStack::neighbours_sum`, so it equals
+    /// that oracle's `gt_sum` to the bit. The boundary drives stay
+    /// separate addends rather than one folded constant: `x + 0.0` is not
+    /// always `x` in IEEE 754 (`-0.0`), and pre-summing would reassociate.
+    /// The compiled cell body is branch-free.
+    #[inline(always)]
+    pub(crate) fn gt<
         const L: bool,
         const R: bool,
         const UP: bool,
@@ -596,13 +606,9 @@ impl Stencil {
     >(
         &self,
         temps: &[f64],
-        i: usize,
         cell: usize,
-        below: &[f64],
-        above: &[f64],
     ) -> f64 {
-        let nx = self.nx;
-        let n_cells = self.nx * self.ny;
+        let i = self.base + cell;
         let mut gt = 0.0;
         if L {
             gt += self.g_lat * temps[i - 1];
@@ -611,16 +617,16 @@ impl Stencil {
             gt += self.g_lat * temps[i + 1];
         }
         if UP {
-            gt += self.g_lat * temps[i - nx];
+            gt += self.g_lat * temps[i - self.nx];
         }
         if DOWN {
-            gt += self.g_lat * temps[i + nx];
+            gt += self.g_lat * temps[i + self.nx];
         }
         if BELOW {
-            gt += below[cell] * temps[i - n_cells];
+            gt += self.below[cell] * temps[i - self.n_cells];
         }
         if ABOVE {
-            gt += above[cell] * temps[i + n_cells];
+            gt += self.above[cell] * temps[i + self.n_cells];
         }
         if !BELOW {
             gt += self.board_gt;
@@ -631,317 +637,44 @@ impl Stencil {
         gt
     }
 
-    /// SOR-updates cell `i` given its neighbour sum, tracking the sweep
-    /// residual.
+    /// The tier's rows: the `iy = 0` row, the interior rows, then the
+    /// `iy = ny − 1` row.
     #[inline(always)]
-    fn sor_update(&self, temps: &mut [f64], i: usize, gt: f64, omega: f64, residual: &mut f64) {
-        let gauss = (gt + self.power[i]) / self.g_sum[i];
-        let old = temps[i];
-        let new = old + omega * (gauss - old);
-        *residual = (*residual).max((new - old).abs());
-        temps[i] = new;
-    }
-
-    /// One Gauss–Seidel row: the `ix = 0` cell, a branch-free interior
-    /// run, and the `ix = nx − 1` cell. `i0`/`cell0` index the row's
-    /// first cell.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn sor_row<const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
+    fn rows<P: CellPass, const BELOW: bool, const ABOVE: bool>(
         &self,
         temps: &mut [f64],
-        i0: usize,
-        cell0: usize,
-        below: &[f64],
-        above: &[f64],
-        omega: f64,
-        residual: &mut f64,
+        pass: &mut P,
     ) {
-        let nx = self.nx;
-        if nx == 1 {
-            let gt = self
-                .cell_gt::<false, false, UP, DOWN, BELOW, ABOVE>(temps, i0, cell0, below, above);
-            self.sor_update(temps, i0, gt, omega, residual);
-            return;
+        let (nx, ny) = (self.nx, self.ny);
+        if ny == 1 {
+            return self.row::<P, false, false, BELOW, ABOVE>(temps, 0, pass);
         }
-        let gt =
-            self.cell_gt::<false, true, UP, DOWN, BELOW, ABOVE>(temps, i0, cell0, below, above);
-        self.sor_update(temps, i0, gt, omega, residual);
-        for dx in 1..nx - 1 {
-            let (i, cell) = (i0 + dx, cell0 + dx);
-            let gt =
-                self.cell_gt::<true, true, UP, DOWN, BELOW, ABOVE>(temps, i, cell, below, above);
-            self.sor_update(temps, i, gt, omega, residual);
+        self.row::<P, false, true, BELOW, ABOVE>(temps, 0, pass);
+        for iy in 1..ny - 1 {
+            self.row::<P, true, true, BELOW, ABOVE>(temps, iy * nx, pass);
         }
-        let (i, cell) = (i0 + nx - 1, cell0 + nx - 1);
-        let gt = self.cell_gt::<true, false, UP, DOWN, BELOW, ABOVE>(temps, i, cell, below, above);
-        self.sor_update(temps, i, gt, omega, residual);
+        self.row::<P, true, false, BELOW, ABOVE>(temps, (ny - 1) * nx, pass);
     }
 
-    /// One tier of the sweep: the `iy = 0` row, the interior rows, and
-    /// the `iy = ny − 1` row, each dispatched to the monomorphized row
-    /// kernel.
+    /// One row from its first cell `cell0`: the `ix = 0` cell, the
+    /// interior run, then the `ix = nx − 1` cell.
     #[inline(always)]
-    fn sor_tier<const BELOW: bool, const ABOVE: bool>(
+    fn row<P: CellPass, const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
         &self,
         temps: &mut [f64],
-        tier: usize,
-        below: &[f64],
-        above: &[f64],
-        omega: f64,
-        residual: &mut f64,
-    ) {
-        let (nx, ny) = (self.nx, self.ny);
-        let base = tier * nx * ny;
-        if ny == 1 {
-            self.sor_row::<false, false, BELOW, ABOVE>(
-                temps, base, 0, below, above, omega, residual,
-            );
-            return;
-        }
-        self.sor_row::<false, true, BELOW, ABOVE>(temps, base, 0, below, above, omega, residual);
-        for iy in 1..ny - 1 {
-            let row = iy * nx;
-            self.sor_row::<true, true, BELOW, ABOVE>(
-                temps,
-                base + row,
-                row,
-                below,
-                above,
-                omega,
-                residual,
-            );
-        }
-        let row = (ny - 1) * nx;
-        self.sor_row::<true, false, BELOW, ABOVE>(
-            temps,
-            base + row,
-            row,
-            below,
-            above,
-            omega,
-            residual,
-        );
-    }
-
-    /// The vertical-conductance rows adjacent to `tier` (`(below,
-    /// above)`), empty when the tier has no such interface.
-    #[inline]
-    fn tier_ifaces(&self, tier: usize) -> (&[f64], &[f64]) {
-        let n_cells = self.nx * self.ny;
-        let iface = |k: usize| &self.g_vert[k * n_cells..(k + 1) * n_cells];
-        let below = if tier > 0 { iface(tier - 1) } else { &[] };
-        let above = if tier + 1 < self.tiers {
-            iface(tier)
-        } else {
-            &[]
-        };
-        (below, above)
-    }
-
-    /// One in-place Gauss–Seidel/SOR sweep over `temps` in flat-index
-    /// order, replaying the per-cell accumulation order of
-    /// `ThermalStack::neighbours_sum` bit-for-bit. Returns the per-sweep
-    /// max `|Δt|` residual.
-    pub(crate) fn sor_sweep(&self, temps: &mut [f64], omega: f64) -> f64 {
-        let n = self.tiers * self.nx * self.ny;
-        assert_eq!(temps.len(), n, "temperature field / stencil mismatch");
-        assert_eq!(self.g_sum.len(), n);
-        assert_eq!(self.power.len(), n);
-        let mut residual = 0.0f64;
-        for tier in 0..self.tiers {
-            let (below, above) = self.tier_ifaces(tier);
-            match (tier > 0, tier + 1 < self.tiers) {
-                (false, false) => {
-                    self.sor_tier::<false, false>(temps, tier, below, above, omega, &mut residual)
-                }
-                (false, true) => {
-                    self.sor_tier::<false, true>(temps, tier, below, above, omega, &mut residual)
-                }
-                (true, true) => {
-                    self.sor_tier::<true, true>(temps, tier, below, above, omega, &mut residual)
-                }
-                (true, false) => {
-                    self.sor_tier::<true, false>(temps, tier, below, above, omega, &mut residual)
-                }
-            }
-        }
-        residual
-    }
-
-    /// Explicit-Euler update of cell `i` from its neighbour sum: the
-    /// historical transient loop's `t + h·((Σg·T − Σg·t + P) / C)`, with
-    /// the derivative's division kept (no reciprocal, no FMA).
-    #[inline(always)]
-    fn euler_update(&self, temps: &[f64], i: usize, gt: f64, cap: f64, h: f64, out: &mut [f64]) {
-        let t = temps[i];
-        out[i] = t + h * ((gt - self.g_sum[i] * t + self.power[i]) / cap);
-    }
-
-    /// One explicit-Euler row: the `ix = 0` cell, the interior run, and
-    /// the `ix = nx − 1` cell. The interior reads pre-sliced neighbour
-    /// rows of one common length, so the loop carries no per-neighbour
-    /// bounds check and vectorises; each cell still performs the
-    /// [`Stencil::cell_gt`] accumulation and [`Stencil::euler_update`]
-    /// in the same order, so the result is bit-identical to the edge path.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn euler_row<const UP: bool, const DOWN: bool, const BELOW: bool, const ABOVE: bool>(
-        &self,
-        temps: &[f64],
-        i0: usize,
         cell0: usize,
-        below: &[f64],
-        above: &[f64],
-        cap: f64,
-        h: f64,
-        out: &mut [f64],
+        pass: &mut P,
     ) {
-        let nx = self.nx;
-        if nx == 1 {
-            let gt = self
-                .cell_gt::<false, false, UP, DOWN, BELOW, ABOVE>(temps, i0, cell0, below, above);
-            self.euler_update(temps, i0, gt, cap, h, out);
-            return;
+        let last = cell0 + self.nx - 1;
+        if self.nx == 1 {
+            let gt = self.gt::<false, false, UP, DOWN, BELOW, ABOVE>(temps, cell0);
+            return pass.update(self, temps, cell0, gt);
         }
-        let gt =
-            self.cell_gt::<false, true, UP, DOWN, BELOW, ABOVE>(temps, i0, cell0, below, above);
-        self.euler_update(temps, i0, gt, cap, h, out);
-
-        // Interior cells `[s, e)` of the row (empty when nx == 2).
-        let (s, e) = (i0 + 1, i0 + nx - 1);
-        let (cs, ce) = (cell0 + 1, cell0 + nx - 1);
-        let n_cells = nx * self.ny;
-        let m = e - s;
-        let centre = &temps[s..e];
-        let left = &temps[s - 1..e - 1];
-        let right = &temps[s + 1..e + 1];
-        // Absent neighbours alias `centre`; their terms compile out.
-        let up = if UP { &temps[s - nx..e - nx] } else { centre };
-        let down = if DOWN { &temps[s + nx..e + nx] } else { centre };
-        let t_below = if BELOW {
-            &temps[s - n_cells..e - n_cells]
-        } else {
-            centre
-        };
-        let t_above = if ABOVE {
-            &temps[s + n_cells..e + n_cells]
-        } else {
-            centre
-        };
-        let g_below = if BELOW { &below[cs..ce] } else { centre };
-        let g_above = if ABOVE { &above[cs..ce] } else { centre };
-        let (centre, left, right, up, down) =
-            (&centre[..m], &left[..m], &right[..m], &up[..m], &down[..m]);
-        let (t_below, t_above, g_below, g_above) =
-            (&t_below[..m], &t_above[..m], &g_below[..m], &g_above[..m]);
-        let g_sum = &self.g_sum[s..e][..m];
-        let power = &self.power[s..e][..m];
-        let row_out = &mut out[s..e][..m];
-        let (g_lat, board_gt, sink_gt) = (self.g_lat, self.board_gt, self.sink_gt);
-        for k in 0..m {
-            let mut gt = 0.0;
-            gt += g_lat * left[k];
-            gt += g_lat * right[k];
-            if UP {
-                gt += g_lat * up[k];
-            }
-            if DOWN {
-                gt += g_lat * down[k];
-            }
-            if BELOW {
-                gt += g_below[k] * t_below[k];
-            }
-            if ABOVE {
-                gt += g_above[k] * t_above[k];
-            }
-            if !BELOW {
-                gt += board_gt;
-            }
-            if !ABOVE {
-                gt += sink_gt;
-            }
-            let t = centre[k];
-            row_out[k] = t + h * ((gt - g_sum[k] * t + power[k]) / cap);
-        }
-
-        let gt = self.cell_gt::<true, false, UP, DOWN, BELOW, ABOVE>(temps, e, ce, below, above);
-        self.euler_update(temps, e, gt, cap, h, out);
-    }
-
-    /// One explicit-Euler tier, split like [`Stencil::sor_tier`].
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn euler_tier<const BELOW: bool, const ABOVE: bool>(
-        &self,
-        temps: &[f64],
-        tier: usize,
-        below: &[f64],
-        above: &[f64],
-        cap: f64,
-        h: f64,
-        out: &mut [f64],
-    ) {
-        let (nx, ny) = (self.nx, self.ny);
-        let base = tier * nx * ny;
-        if ny == 1 {
-            self.euler_row::<false, false, BELOW, ABOVE>(temps, base, 0, below, above, cap, h, out);
-            return;
-        }
-        self.euler_row::<false, true, BELOW, ABOVE>(temps, base, 0, below, above, cap, h, out);
-        for iy in 1..ny - 1 {
-            let row = iy * nx;
-            self.euler_row::<true, true, BELOW, ABOVE>(
-                temps,
-                base + row,
-                row,
-                below,
-                above,
-                cap,
-                h,
-                out,
-            );
-        }
-        let row = (ny - 1) * nx;
-        self.euler_row::<true, false, BELOW, ABOVE>(
-            temps,
-            base + row,
-            row,
-            below,
-            above,
-            cap,
-            h,
-            out,
-        );
-    }
-
-    /// One explicit-Euler substep of length `h` over every cell: writes
-    /// `t + h·((Σg·T − Σg·t + P) / C)` into `out`, reading only `temps`
-    /// (Jacobi-style), bit-identical to the historical two-pass
-    /// derivative-then-update loop.
-    pub(crate) fn euler_step_into(&self, temps: &[f64], cap: f64, h: f64, out: &mut [f64]) {
-        let n = self.tiers * self.nx * self.ny;
-        assert_eq!(temps.len(), n, "temperature field / stencil mismatch");
-        assert_eq!(out.len(), n);
-        assert_eq!(self.g_sum.len(), n);
-        assert_eq!(self.power.len(), n);
-        for tier in 0..self.tiers {
-            let (below, above) = self.tier_ifaces(tier);
-            match (tier > 0, tier + 1 < self.tiers) {
-                (false, false) => {
-                    self.euler_tier::<false, false>(temps, tier, below, above, cap, h, out);
-                }
-                (false, true) => {
-                    self.euler_tier::<false, true>(temps, tier, below, above, cap, h, out);
-                }
-                (true, true) => {
-                    self.euler_tier::<true, true>(temps, tier, below, above, cap, h, out);
-                }
-                (true, false) => {
-                    self.euler_tier::<true, false>(temps, tier, below, above, cap, h, out);
-                }
-            }
-        }
+        let gt = self.gt::<false, true, UP, DOWN, BELOW, ABOVE>(temps, cell0);
+        pass.update(self, temps, cell0, gt);
+        pass.interior::<UP, DOWN, BELOW, ABOVE>(self, temps, cell0 + 1, self.nx - 2);
+        let gt = self.gt::<true, false, UP, DOWN, BELOW, ABOVE>(temps, last);
+        pass.update(self, temps, last, gt);
     }
 }
 
@@ -958,6 +691,35 @@ mod tests {
         cfg.tier_thickness = Micron(0.0);
         assert!(ThermalStack::new(cfg).is_err());
         assert!(ThermalStack::new(StackConfig::four_tier_5mm()).is_ok());
+    }
+
+    #[test]
+    fn non_finite_ambient_is_refused() {
+        // A NaN or +∞ ambient used to build, then step into a NaN field
+        // without an error.
+        for a in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cfg = StackConfig {
+                ambient: Celsius(a),
+                ..StackConfig::four_tier_5mm()
+            };
+            let r = ThermalStack::new(cfg);
+            assert!(
+                matches!(
+                    r,
+                    Err(ThermalError::InvalidGeometry {
+                        name: "ambient",
+                        ..
+                    })
+                ),
+                "{r:?}"
+            );
+        }
+        let cold = StackConfig {
+            ambient: Celsius(-40.0),
+            ..StackConfig::four_tier_5mm()
+        };
+        let s = ThermalStack::new(cold).unwrap();
+        assert_eq!(s.temperature(0, 0, 0).unwrap(), Celsius(-40.0));
     }
 
     #[test]

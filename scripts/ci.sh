@@ -202,14 +202,24 @@ assert {"service/read_seq", "service/read_seq_v2", "service/read_concurrent",
 print(f"service bench: {len(lines) - 1} scenarios, schema OK")
 EOF
 
-echo "==> solver-equivalence smoke (thermal stencil vs reference loops, release FP paths)"
+echo "==> solver-equivalence smoke (thermal sweep and substep vs reference loops, release FP paths)"
 # Debug-mode `cargo test` above already runs the full equivalence suites;
 # this re-runs the bit-identity gates against the release binaries, whose
 # float codegen is what the benches and the fault campaign actually execute.
-cargo test -q --release --offline -p ptsim-thermal --lib stencil_steady_state_is_bit_identical_to_reference
+# Each filter must match at least one test, so a rename cannot turn a gate
+# into a run of nothing.
+thermal_smoke() {
+    cargo test -q --release --offline -p ptsim-thermal --lib "$1" | tee target/thermal_smoke.txt
+    grep -q "test result: ok. [1-9][0-9]* passed" target/thermal_smoke.txt \
+        || { echo "thermal smoke: no test matches $1"; exit 1; }
+}
+thermal_smoke stencil_steady_state_is_bit_identical_to_reference
+# The same Gauss-Seidel sweep on random geometries: 1-5 tiers, 1- and
+# 2-cell rows and columns.
+thermal_smoke sor_sweeps_are_bit_identical_to_reference_on_any_geometry
 # The fused transient kernel's row interiors are vectorised only under
 # release codegen; its bit-identity to the reference loop must hold there.
-cargo test -q --release --offline -p ptsim-thermal --lib fused_euler_step_is_bit_identical
+thermal_smoke fused_euler_step_is_bit_identical
 
 echo "==> SoA-vs-scalar bit-identity smoke (lane kernel, release FP paths)"
 # Same rationale: the lane kernel's bit-identity to the scalar oracle must
